@@ -67,7 +67,7 @@
 //!   [`run_batch`] call — expiry cancels in-flight shards and abandons the
 //!   queue;
 //! - the **stall watchdog** [`BatchOptions::stall_timeout`], which cancels
-//!   a worker whose flight-recorder heartbeat goes silent mid-shard (e.g.
+//!   a worker whose event-log heartbeat goes silent mid-shard (e.g.
 //!   a `stall` chaos fault or a hung oracle).
 //!
 //! A tripped budget is **terminal, never retried** — the affected job
@@ -151,7 +151,7 @@ pub struct BatchOptions {
     /// every job the budget cut short reports [`JobStatus::TimedOut`].
     /// `None` = unbounded.
     pub fleet_deadline: Option<Duration>,
-    /// Stall watchdog: a worker whose flight-recorder heartbeat goes
+    /// Stall watchdog: a worker whose event-log heartbeat goes
     /// silent on an in-flight shard for longer than this is cancelled, and
     /// its shard times out. Polled at `stall_timeout / 4` (min 2ms), so
     /// detection lands within ~1.25× the timeout. `None` disables the
@@ -235,10 +235,10 @@ pub struct JobError {
     pub message: String,
     /// Retries this shard spent before giving up.
     pub retries: u32,
-    /// The failing worker's flight-recorder tail, snapshotted right after
+    /// The failing worker's flight tail, snapshotted right after
     /// the final attempt: the last events (spans, notes, the `fault`
     /// marker naming an injected site) before death, oldest first.
-    pub flight: Vec<isdc_telemetry::FlightEvent>,
+    pub flight: Vec<isdc_telemetry::Event>,
 }
 
 impl fmt::Display for JobError {
@@ -285,11 +285,11 @@ pub enum JobStatus {
         /// uncancelled run's corresponding point — cancellation is
         /// clean-cut).
         points_completed: usize,
-        /// The cancelled worker's flight-recorder tail (like
+        /// The cancelled worker's flight tail (like
         /// [`JobError::flight`]): the last spans and notes before the cut,
         /// e.g. the stall site in a chaos run. Empty when the job never
         /// started (the fleet budget expired first).
-        flight: Vec<isdc_telemetry::FlightEvent>,
+        flight: Vec<isdc_telemetry::Event>,
     },
     /// The queue aborted ([`FailPolicy::Abort`]) before the job could
     /// finish; any partial points are withheld.
@@ -514,7 +514,7 @@ struct ShardOutput {
 struct ShardTimeout {
     elapsed: Duration,
     points_completed: usize,
-    flight: Vec<isdc_telemetry::FlightEvent>,
+    flight: Vec<isdc_telemetry::Event>,
 }
 
 /// A slot's terminal state: what the worker that drew the shard left
@@ -711,8 +711,8 @@ pub fn run_batch<O: DelayOracle + ?Sized>(
             scope.spawn(move || {
                 // Each worker gets its own named track unconditionally:
                 // the Perfetto view shows one lane per pool thread when
-                // tracing is on, and the always-on flight recorder keeps a
-                // per-worker tail (attached to `JobError`s) even when off.
+                // tracing is on, and the event log keeps a per-worker
+                // flight tail (attached to `JobError`s) even when off.
                 let track = isdc_telemetry::set_thread_track(format!("batch-worker-{wi}"));
                 loop {
                     if stop.load(Ordering::Relaxed) {
@@ -728,11 +728,12 @@ pub fn run_batch<O: DelayOracle + ?Sized>(
                         ShardOutcome::Skipped
                     } else {
                         let shard_span = isdc_telemetry::span_u64("shard", "job", shard.job as u64);
+                        let design = isdc_telemetry::intern(&designs[shard.design].name);
                         shard_span.note(
                             "shard_info",
-                            vec![
+                            &[
                                 ("shard", ArgValue::U64(shard.shard as u64)),
-                                ("design", ArgValue::Str(designs[shard.design].name.clone())),
+                                ("design", ArgValue::Str(design)),
                             ],
                         );
                         // The shard's budget: the job's own deadline
@@ -786,8 +787,8 @@ pub fn run_batch<O: DelayOracle + ?Sized>(
             });
         }
         // The stall watchdog: scans every in-flight shard's heartbeat (the
-        // worker's flight-recorder tail — every span begin/end bumps it)
-        // and cancels tokens that have gone silent too long. It only ever
+        // worker's flight tail — every span begin/end bumps it) and
+        // cancels tokens that have gone silent too long. It only ever
         // *cancels*; the worker itself reports the TimedOut outcome, so
         // the watchdog can never tear a slot.
         if let Some(stall) = options.stall_timeout {

@@ -3,8 +3,8 @@
 
 use crate::engine::{BatchReport, JobStatus};
 use crate::spec::JobKind;
-use isdc_cache::json::escape;
 use isdc_core::StageKind;
+use isdc_telemetry::escape_json;
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -57,7 +57,7 @@ fn speedup(baseline: Duration, total: Duration) -> f64 {
 pub fn render_batch_json(doc: &BatchBenchDoc<'_>) -> String {
     let mut out = String::new();
     out.push_str("{\n  \"bench\": \"batch\",\n");
-    let _ = writeln!(out, "  \"mode\": \"{}\",", doc.mode);
+    let _ = writeln!(out, "  \"mode\": \"{}\",", escape_json(doc.mode));
     let _ = writeln!(
         out,
         "  \"designs\": {}, \"jobs\": {}, \"shards\": {}, \"points\": {},",
@@ -161,7 +161,7 @@ pub fn render_batch_json(doc: &BatchBenchDoc<'_>) -> String {
              \"retries\": {}, \"shards\": {}, \
              \"points\": {}, \"feasible\": {feasible}, \"cache_hit_rate\": {:.4}, \
              \"elapsed_ns\": {}",
-            escape(&job.job.design),
+            escape_json(&job.job.design),
             job.retries,
             job.shards,
             job.points.len(),
@@ -169,7 +169,7 @@ pub fn render_batch_json(doc: &BatchBenchDoc<'_>) -> String {
             job.elapsed.as_nanos()
         );
         if let JobStatus::Failed(error) = &job.status {
-            let _ = write!(out, ", \"error\": \"{}\"", escape(&error.to_string()));
+            let _ = write!(out, ", \"error\": \"{}\"", escape_json(&error.to_string()));
         }
         if let JobStatus::TimedOut { elapsed_ms, points_completed, .. } = &job.status {
             let _ = write!(
@@ -205,14 +205,13 @@ pub fn render_batch_json(doc: &BatchBenchDoc<'_>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::JobResult;
+    use crate::engine::{JobError, JobErrorKind, JobResult};
     use crate::spec::Job;
+    use isdc_cache::json::Parser;
     use isdc_cache::CacheStats;
 
-    #[test]
-    fn json_shape_is_stable_and_nan_free() {
-        // A job whose only point is infeasible: zero lookups. The rate must
-        // render as 0.0000 — NaN would make the document unparseable.
+    /// A one-job report whose only point is infeasible: zero lookups.
+    fn one_job_report(status: JobStatus) -> BatchReport {
         let infeasible = isdc_core::SweepPoint {
             clock_period_ps: 100.0,
             feasible: false,
@@ -228,14 +227,14 @@ mod tests {
             schedule: None,
             metrics: isdc_telemetry::MetricsFrame::new(),
         };
-        let report = BatchReport {
+        BatchReport {
             jobs: vec![JobResult {
                 job: Job::sweep("tiny", vec![100.0]),
                 points: vec![infeasible],
                 min_period_ps: None,
                 shards: 1,
                 elapsed: Duration::from_nanos(5),
-                status: JobStatus::Ok,
+                status,
                 retries: 0,
             }],
             threads: 8,
@@ -243,7 +242,14 @@ mod tests {
             elapsed: Duration::from_nanos(500),
             cache: CacheStats::default(),
             metrics: isdc_telemetry::MetricsFrame::new(),
-        };
+        }
+    }
+
+    #[test]
+    fn json_shape_is_stable_and_nan_free() {
+        // The rate of a zero-lookup job must render as 0.0000 — NaN would
+        // make the document unparseable.
+        let report = one_job_report(JobStatus::Ok);
         let doc = BatchBenchDoc {
             mode: "quick",
             designs: 1,
@@ -281,5 +287,37 @@ mod tests {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
         assert!(!json.contains("NaN"), "rates must be guarded: {json}");
+    }
+
+    #[test]
+    fn failed_job_message_round_trips_through_the_parser() {
+        // An `assert_eq!`-style panic message: multi-line, with a tab,
+        // quotes and a control character, none of which JSON allows raw.
+        let error = JobError {
+            job: 0,
+            shard: 0,
+            design: "tiny".into(),
+            kind: JobErrorKind::Panic,
+            message: "assertion failed\n  left: \"a\"\tright: \u{1}".into(),
+            retries: 0,
+            flight: Vec::new(),
+        };
+        let expected = error.to_string();
+        let report = one_job_report(JobStatus::Failed(error));
+        let doc = BatchBenchDoc {
+            mode: "cli",
+            designs: 1,
+            report: &report,
+            hardware_threads: 2,
+            repeats: 1,
+            serial_total: None,
+            cold_total: None,
+            scaling: &[],
+            bit_identical: false,
+        };
+        let json = render_batch_json(&doc);
+        assert!(json.contains(r#"failed\n  left: \"a\"\tright: \u0001""#), "{json}");
+        let at = json.find("\"error\": ").expect("the failed job carries its error") + 9;
+        assert_eq!(Parser::new(&json[at..]).string().unwrap(), expected);
     }
 }

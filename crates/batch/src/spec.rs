@@ -24,9 +24,10 @@
 //! can grow. The codec is hand-rolled on [`isdc_cache::json`] (the build
 //! environment has no `serde_json`).
 
-use isdc_cache::json::{escape, Parser};
+use isdc_cache::json::Parser;
 use isdc_core::linear_grid;
 use isdc_techlib::Picos;
+use isdc_telemetry::escape_json;
 use std::fmt::Write as _;
 
 /// What a [`Job`] asks the engine to do with its design.
@@ -105,7 +106,7 @@ pub fn render_jobs(jobs: &[Job]) -> String {
         if i > 0 {
             out.push_str(",\n");
         }
-        let _ = write!(out, "  {{\"design\":\"{}\",", escape(&job.design));
+        let _ = write!(out, "  {{\"design\":\"{}\",", escape_json(&job.design));
         if let Some(ms) = job.deadline_ms {
             let _ = write!(out, "\"deadline_ms\":{ms},");
         }

@@ -4,9 +4,9 @@
 //! the workspace is hand-written against this reader: the cache snapshot
 //! format ([`crate::DelayCache::merge_json`]) and the batch job-spec format
 //! (`isdc-batch`). It covers the subset those formats need — objects,
-//! arrays, strings with `\"`/`\\`/`\/` escapes, finite numbers — accepts
-//! any whitespace, and lets callers skip unknown keys so the formats can
-//! grow.
+//! arrays, strings with every escape [`isdc_telemetry::escape_json`]
+//! writes, finite numbers — accepts any whitespace, and lets callers skip
+//! unknown keys so the formats can grow.
 //!
 //! # Examples
 //!
@@ -93,7 +93,9 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Parses a quoted string (supporting the `\"`, `\\` and `\/` escapes).
+    /// Parses a quoted string, reading every escape
+    /// [`isdc_telemetry::escape_json`] writes: `\"`, `\\`, `\/`, `\n`,
+    /// `\r`, `\t` and `\uXXXX`.
     ///
     /// # Errors
     ///
@@ -110,6 +112,20 @@ impl<'a> Parser<'a> {
                     self.at += 1;
                     match esc {
                         b'"' | b'\\' | b'/' => out.push(esc),
+                        b'n' => out.push(b'\n'),
+                        b'r' => out.push(b'\r'),
+                        b't' => out.push(b'\t'),
+                        b'u' => {
+                            let c = self
+                                .bytes
+                                .get(self.at..self.at + 4)
+                                .and_then(|hex| std::str::from_utf8(hex).ok())
+                                .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                                .and_then(char::from_u32)
+                                .ok_or_else(|| format!("bad `\\u` escape at byte {}", self.at))?;
+                            self.at += 4;
+                            out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
+                        }
                         other => {
                             return Err(format!(
                                 "unsupported escape `\\{}` at byte {}",
@@ -214,12 +230,6 @@ impl<'a> Parser<'a> {
         }
         Err("unterminated nesting".to_string())
     }
-}
-
-/// Escapes the two JSON-significant characters the workspace's hand-rolled
-/// writers may encounter in strings.
-pub fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 #[cfg(test)]

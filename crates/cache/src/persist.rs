@@ -53,9 +53,10 @@
 //! so the format can grow.
 
 use crate::fingerprint::Fingerprint;
-use crate::json::{escape as escape_json, Parser};
+use crate::json::Parser;
 use crate::store::{CachedDelay, DelayCache, StoredPotentials};
 use isdc_faults::FaultKind;
+use isdc_telemetry::escape_json;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 

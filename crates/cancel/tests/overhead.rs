@@ -9,16 +9,22 @@
 //! if work sneaks in front of the armed gate.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::time::Instant;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+std::thread_local! {
+    /// Per-thread allocation count: the zero-alloc assertion must not
+    /// trip on allocations made concurrently by other threads (the
+    /// libtest harness thread allocates while tests run).
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // try_with: TLS may be mid-destruction on thread exit.
+        let _ = THREAD_ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
         unsafe { System.alloc(layout) }
     }
 
@@ -31,7 +37,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOC: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    THREAD_ALLOCATIONS.with(Cell::get)
 }
 
 #[test]

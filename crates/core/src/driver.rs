@@ -12,7 +12,6 @@ use crate::delay::DelayMatrix;
 use crate::metrics;
 use crate::pipeline::{
     run_stage, Dedupe, Evaluate, Extract, Feedback, PipelineState, Reformulate, RunSeed, Solve,
-    StageKind, StageProfile,
 };
 use crate::schedule::Schedule;
 use crate::scheduler::IncrementalScheduler;
@@ -191,17 +190,12 @@ pub struct IsdcResult {
     pub history: Vec<IterationRecord>,
     /// Final oracle-cache counters, when caching was enabled.
     pub cache_stats: Option<CacheStats>,
-    /// Accumulated wall-clock cost of each pipeline stage across the run,
-    /// in [`StageKind::ALL`] order — a view over [`IsdcResult::metrics`]
-    /// (`stage/{name}/ns`, `stage/{name}/calls`).
-    pub stage_profile: Vec<(StageKind, StageProfile)>,
     /// Every metric the run recorded, as one mergeable telemetry frame:
-    /// per-stage wall-clock (`stage/*`), solver drain totals (`drain/*`),
+    /// per-stage wall-clock and invocations (`stage/{name}/ns`,
+    /// `stage/{name}/calls`), solver drain totals (`drain/*`),
     /// iteration/subgraph counts (`run/*`), the LP solve-time histogram
     /// (`solve/ns`) and — when caching was on — this run's share of cache
-    /// traffic (`cache/*`). [`IsdcResult::stage_profile`],
-    /// [`IsdcResult::drain_totals`] and [`IsdcResult::cache_stats`] are
-    /// views/summaries of the same underlying cells.
+    /// traffic (`cache/*`).
     pub metrics: MetricsFrame,
     /// Total wall-clock scheduling time.
     pub total_time: Duration,
@@ -221,18 +215,6 @@ impl IsdcResult {
     /// schedule).
     pub fn iterations(&self) -> usize {
         self.history.len().saturating_sub(1)
-    }
-
-    /// Accumulated SSP drain counters across every iteration's LP solve —
-    /// the run-level view of how much search the solver did (pairs with
-    /// the `solve` row of [`IsdcResult::stage_profile`], which holds the
-    /// wall-clock side).
-    pub fn drain_totals(&self) -> DrainStats {
-        let mut total = DrainStats::default();
-        for rec in &self.history {
-            total += rec.drain;
-        }
-        total
     }
 }
 
@@ -433,7 +415,6 @@ pub(crate) fn run_pipeline<O: DelayOracle + ?Sized>(
         prev_bits = next_bits;
     }
 
-    let stage_profile = state.profile();
     let mut metrics_frame = state.metrics_frame();
     if cache.is_some() {
         // This run's share of the (possibly shared) cache's traffic, as
@@ -460,7 +441,6 @@ pub(crate) fn run_pipeline<O: DelayOracle + ?Sized>(
             delays: state.delays().clone(),
             history,
             cache_stats: cache.map(|c| c.stats()),
-            stage_profile,
             metrics: metrics_frame,
             total_time,
         },

@@ -79,7 +79,7 @@ pub use delay::{DelayMatrix, DirtySet};
 pub use driver::{run_isdc, run_sdc, IsdcConfig, IsdcResult, IterationRecord};
 pub use isdc_cache::{CacheStats, CachingOracle, DelayCache};
 pub use isdc_sdc::DrainStats;
-pub use pipeline::{PipelineState, RunSeed, Stage, StageKind, StageProfile};
+pub use pipeline::{PipelineState, RunSeed, Stage, StageKind};
 pub use schedule::Schedule;
 pub use scheduler::{
     schedule_with_matrix, schedule_with_matrix_dense, schedule_with_options, IncrementalScheduler,

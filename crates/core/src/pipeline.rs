@@ -15,11 +15,10 @@
 //! ```
 //!
 //! Each stage is a unit struct implementing [`Stage`]; [`run_stage`] times
-//! an invocation and accumulates a per-stage wall-clock profile
-//! ([`PipelineState::profile`], surfaced as
-//! [`IsdcResult::stage_profile`](crate::IsdcResult)). The driver composes
-//! the stages in the fixed order above; tests and tools can run any stage
-//! in isolation against a `PipelineState`.
+//! an invocation into the run's metrics (`stage/{name}/ns` and
+//! `stage/{name}/calls` in [`IsdcResult::metrics`](crate::IsdcResult)).
+//! The driver composes the stages in the fixed order above; tests and
+//! tools can run any stage in isolation against a `PipelineState`.
 //!
 //! The state deliberately owns everything a *run* needs (delay matrix,
 //! incremental LP engine, dirty-carry) and borrows everything that outlives
@@ -106,25 +105,10 @@ impl StageKind {
     }
 }
 
-/// Accumulated wall-clock cost of one stage across a run.
-///
-/// Since the telemetry refactor this is a *view*: the authoritative
-/// cells live in the run's metrics [`Registry`] (`stage/{name}/ns` and
-/// `stage/{name}/calls`), and [`PipelineState::profile`] reads them
-/// back into this shape.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StageProfile {
-    /// Total time spent in the stage.
-    pub total: Duration,
-    /// Number of invocations (the initial solve counts for `Solve`).
-    pub invocations: usize,
-}
-
 /// The registry-backed metric handles of one run. Every counter that
 /// used to be a bespoke field (per-stage wall-clock, drain totals,
 /// subgraph counts) records through here, so
-/// [`IsdcResult::metrics`](crate::IsdcResult) is one coherent frame and
-/// the legacy accessors are views over the same cells.
+/// [`IsdcResult::metrics`](crate::IsdcResult) is one coherent frame.
 pub(crate) struct RunMetrics {
     registry: Registry,
     stage_ns: [Counter; 6],
@@ -201,13 +185,6 @@ impl RunMetrics {
         self.lp_constraints_emitted.add(delta.constraints_emitted);
         self.lp_dominance_pruned.add(delta.dominance_pruned);
         self.lp_bucket_deduped.add(delta.bucket_deduped);
-    }
-
-    fn stage_profile(&self, kind: StageKind) -> StageProfile {
-        StageProfile {
-            total: Duration::from_nanos(self.stage_ns[kind.index()].get()),
-            invocations: self.stage_calls[kind.index()].get() as usize,
-        }
     }
 }
 
@@ -432,12 +409,6 @@ impl<'a, O: DelayOracle + ?Sized> PipelineState<'a, O> {
     /// retargeted by the next run.
     pub fn take_initial_engine(&mut self) -> Option<IncrementalScheduler> {
         self.initial_engine.take()
-    }
-
-    /// The per-stage wall-clock profile accumulated so far, in
-    /// [`StageKind::ALL`] order — a view over the run's metrics registry.
-    pub fn profile(&self) -> Vec<(StageKind, StageProfile)> {
-        StageKind::ALL.iter().map(|&k| (k, self.metrics.stage_profile(k))).collect()
     }
 
     /// The run's metric handles (driver-internal).
@@ -667,11 +638,13 @@ mod tests {
         assert!(warm, "monotone feedback must keep the engine warm");
         assert!(state.schedule().register_bits(&g) <= bits_before);
 
-        // Every stage shows up in the profile exactly once (Solve twice:
-        // the initial solve counts too).
-        for (kind, cell) in state.profile() {
+        // Every stage ran exactly once (Solve twice: the initial solve
+        // counts too).
+        let frame = state.metrics_frame();
+        for kind in StageKind::ALL {
             let expected = if kind == StageKind::Solve { 2 } else { 1 };
-            assert_eq!(cell.invocations, expected, "{}", kind.name());
+            let calls = frame.counter(&format!("stage/{}/calls", kind.name()));
+            assert_eq!(calls, Some(expected), "{}", kind.name());
         }
     }
 

@@ -30,7 +30,7 @@ use crate::scheduler::ScheduleError;
 use crate::session::{IsdcSession, SessionRun};
 use isdc_synth::DelayOracle;
 use isdc_techlib::Picos;
-use isdc_telemetry::MetricsFrame;
+use isdc_telemetry::{escape_json, MetricsFrame};
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -370,6 +370,7 @@ pub fn render_sweep_json(
     let session_total = total(session_points);
     let mut out = String::new();
     out.push_str("{\n  \"bench\": \"sweep\",\n");
+    let (design, mode) = (escape_json(design), escape_json(mode));
     let _ = writeln!(out, "  \"design\": \"{design}\",\n  \"nodes\": {nodes},");
     let _ = writeln!(out, "  \"mode\": \"{mode}\",\n  \"points\": {},", session_points.len());
     let _ = writeln!(out, "  \"session_total_ns\": {session_total},");
@@ -486,5 +487,13 @@ mod tests {
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
+    }
+
+    #[test]
+    fn sweep_json_design_path_round_trips() {
+        let path = r#"C:\designs\"odd".ir"#;
+        let json = render_sweep_json(path, 1, "full", &[], &[]);
+        let at = json.find("\"design\": ").expect("the document names its design") + 10;
+        assert_eq!(isdc_cache::json::Parser::new(&json[at..]).string().unwrap(), path, "{json}");
     }
 }

@@ -262,7 +262,7 @@ fn check_slow(site: &'static str) -> Option<FaultKind> {
         .map(|arm| arm.kind)?;
     state.injected += 1;
     drop(guard);
-    // Stamp the site into the calling thread's flight-recorder tail, so a
+    // Stamp the site into the calling thread's flight tail, so a
     // post-mortem dump names the exact fault site even when the panic
     // unwinds through layers that lose the message.
     isdc_telemetry::flight_fault(site);

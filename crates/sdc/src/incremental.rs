@@ -460,7 +460,7 @@ impl IncrementalSolver {
         };
         drain_span.note(
             "drain_stats",
-            vec![
+            &[
                 ("dijkstras", isdc_telemetry::ArgValue::U64(drain.dijkstras)),
                 ("nodes_settled", isdc_telemetry::ArgValue::U64(drain.nodes_settled)),
                 ("paths", isdc_telemetry::ArgValue::U64(drain.paths)),

@@ -4,15 +4,22 @@
 //!
 //! - **JSON-lines** ([`render_jsonl`]): one event per line, preceded by
 //!   one `track` metadata line per registered track. Round-trippable via
-//!   [`parse_jsonl`], which is what `isdc-cli trace check` uses.
+//!   [`parse_jsonl`], which is what `isdc-cli trace check` uses. The
+//!   CLI's `<out>.flight.jsonl` dumps use the same event lines
+//!   ([`Event::render_jsonl_line`]).
 //! - **Chrome `trace_event`** ([`render_chrome_trace`]): the JSON-array
 //!   form understood by [Perfetto](https://ui.perfetto.dev) and
 //!   `chrome://tracing`. Tracks map to threads (`tid`), so each batch
 //!   worker renders as its own named row.
 
-use crate::trace::{ArgValue, EventKind, Trace};
+use crate::trace::{ArgValue, Event, EventKind, Trace};
+use std::fmt::Write as _;
 
-fn escape_json(s: &str, out: &mut String) {
+/// Escapes `s` for use inside a JSON string literal: quotes, backslashes
+/// and every control character (RFC 8259 §7). The workspace's one string
+/// escaper; every hand-rolled JSON writer routes through it.
+pub fn escape_json(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -20,24 +27,19 @@ fn escape_json(s: &str, out: &mut String) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
+    out
 }
 
 fn push_str_value(out: &mut String, s: &str) {
     out.push('"');
-    escape_json(s, out);
+    out.push_str(&escape_json(s));
     out.push('"');
-}
-
-/// Allocating form of [`escape_json`], shared with the flight recorder's
-/// and run report's line renderers.
-pub(crate) fn escaped(s: &str) -> String {
-    let mut out = String::new();
-    escape_json(s, &mut out);
-    out
 }
 
 fn push_arg_value(out: &mut String, v: &ArgValue) {
@@ -65,11 +67,24 @@ fn push_args(out: &mut String, args: &[(&'static str, ArgValue)]) {
     out.push('}');
 }
 
-fn kind_code(kind: EventKind) -> &'static str {
-    match kind {
-        EventKind::Begin => "B",
-        EventKind::End => "E",
-        EventKind::Instant => "i",
+impl Event {
+    /// Renders the event as one JSONL object line, without the newline:
+    /// the event line of [`render_jsonl`] and of the CLI's flight dumps.
+    pub fn render_jsonl_line(&self, out: &mut String) {
+        let _ = write!(
+            out,
+            "{{\"kind\":\"{}\",\"seq\":{},\"track\":{},\"name\":",
+            self.kind.code(),
+            self.seq,
+            self.track
+        );
+        push_str_value(out, self.name);
+        let _ = write!(out, ",\"t_ns\":{}", self.t_ns);
+        if !self.args().is_empty() {
+            out.push_str(",\"args\":");
+            push_args(out, self.args());
+        }
+        out.push('}');
     }
 }
 
@@ -83,19 +98,8 @@ pub fn render_jsonl(trace: &Trace) -> String {
         out.push_str("}\n");
     }
     for e in &trace.events {
-        out.push_str(&format!(
-            "{{\"kind\":\"{}\",\"seq\":{},\"track\":{},\"name\":",
-            kind_code(e.kind),
-            e.seq,
-            e.track
-        ));
-        push_str_value(&mut out, e.name);
-        out.push_str(&format!(",\"t_ns\":{}", e.t_ns));
-        if !e.args.is_empty() {
-            out.push_str(",\"args\":");
-            push_args(&mut out, &e.args);
-        }
-        out.push_str("}\n");
+        e.render_jsonl_line(&mut out);
+        out.push('\n');
     }
     out
 }
@@ -122,7 +126,7 @@ pub fn render_chrome_trace(trace: &Trace) -> String {
         let ts_us = e.t_ns as f64 / 1000.0;
         out.push_str(&format!(
             ",\n{{\"ph\":\"{}\",\"pid\":1,\"tid\":{},\"ts\":{ts_us:.3},\"name\":",
-            kind_code(e.kind),
+            e.kind.code(),
             e.track
         ));
         push_str_value(&mut out, e.name);
@@ -131,9 +135,9 @@ pub fn render_chrome_trace(trace: &Trace) -> String {
         if e.kind == EventKind::Instant {
             out.push_str(",\"s\":\"t\"");
         }
-        if !e.args.is_empty() {
+        if !e.args().is_empty() {
             out.push_str(",\"args\":");
-            push_args(&mut out, &e.args);
+            push_args(&mut out, e.args());
         }
         out.push('}');
     }
@@ -507,41 +511,29 @@ pub fn parse_jsonl(text: &str) -> Result<(Vec<OwnedEvent>, Vec<String>), String>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::Event;
 
     fn sample_trace() -> Trace {
+        let run_args = [("clock_ps", ArgValue::F64(2500.0)), ("design", ArgValue::Str("crc\"32"))];
         Trace {
             events: vec![
-                Event {
-                    seq: 0,
-                    track: 0,
-                    kind: EventKind::Begin,
-                    name: "run",
-                    t_ns: 1000,
-                    args: vec![
-                        ("clock_ps", ArgValue::F64(2500.0)),
-                        ("design", ArgValue::Str("crc\"32".into())),
-                    ],
-                },
-                Event {
-                    seq: 1,
-                    track: 0,
-                    kind: EventKind::Instant,
-                    name: "mark",
-                    t_ns: 1500,
-                    args: vec![("n", ArgValue::U64(7))],
-                },
-                Event {
-                    seq: 2,
-                    track: 0,
-                    kind: EventKind::End,
-                    name: "run",
-                    t_ns: 2000,
-                    args: vec![],
-                },
+                Event::new(0, 0, EventKind::Begin, "run", 1000, &run_args),
+                Event::new(1, 0, EventKind::Instant, "mark", 1500, &[("n", ArgValue::U64(7))]),
+                Event::new(2, 0, EventKind::End, "run", 2000, &[]),
             ],
             tracks: vec!["main".into()],
         }
+    }
+
+    #[test]
+    fn jsonl_line_shape() {
+        let mut out = String::new();
+        let site = [("site", ArgValue::Str("batch/shard"))];
+        Event::new(3, 1, EventKind::Instant, "fault", 42, &site).render_jsonl_line(&mut out);
+        assert_eq!(
+            out,
+            "{\"kind\":\"i\",\"seq\":3,\"track\":1,\"name\":\"fault\",\"t_ns\":42,\
+             \"args\":{\"site\":\"batch/shard\"}}"
+        );
     }
 
     #[test]

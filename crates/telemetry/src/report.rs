@@ -242,7 +242,7 @@ impl RunReport {
             let _ = write!(
                 out,
                 "\n    {{\"name\": \"{}\", \"ns\": {}, \"calls\": {}}}",
-                crate::export::escaped(&s.name),
+                crate::escape_json(&s.name),
                 s.ns,
                 s.calls
             );
@@ -252,7 +252,7 @@ impl RunReport {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\n    \"{}\": {v}", crate::export::escaped(name));
+            let _ = write!(out, "\n    \"{}\": {v}", crate::escape_json(name));
         }
         out.push_str("\n  },\n  \"quantiles\": [");
         for (i, q) in self.quantiles.iter().enumerate() {
@@ -262,7 +262,7 @@ impl RunReport {
             let _ = write!(
                 out,
                 "\n    {{\"name\": \"{}\", \"count\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}}}",
-                crate::export::escaped(&q.name),
+                crate::escape_json(&q.name),
                 q.count,
                 q.p50,
                 q.p95,

@@ -1,45 +1,54 @@
-//! The span collector: a global, sharded, thread-safe event buffer.
+//! The event log: one per-track store for spans, notes and fault marks.
 //!
-//! Design constraints, in priority order:
+//! Every span edge, note and fault mark is one `Copy` [`Event`] appended
+//! to its track's log. The tracing switch ([`set_enabled`]) decides what
+//! the log keeps:
 //!
-//! 1. **Disabled cost ≈ zero.** [`span`] when tracing is off records
-//!    nothing into the trace buffers — only a fixed-size entry into the
-//!    always-on flight-recorder ring (`crate::recorder`): no allocation,
-//!    no unbounded growth. Instrumentation can therefore sit on warm
-//!    paths (per-iteration, per-solve) without a feature gate; the
-//!    allocation-counting overhead guard in `tests/overhead.rs` enforces
-//!    the budget.
-//! 2. **No unbalanced spans.** The only way to record a `Begin` is to
-//!    hold a [`SpanGuard`]; its `Drop` records the matching `End`, so
-//!    early returns and `?` propagation cannot leak an open span.
-//! 3. **Thread-safe without a global bottleneck.** Events land in one of
-//!    a fixed set of mutex-protected shards picked by the recording
-//!    thread's track id; a global atomic sequence number gives a total
-//!    order for reassembly.
+//! - **tracing off** (the default): each track keeps its last
+//!   [`FLIGHT_CAPACITY`] events, the post-mortem tail a failed batch job
+//!   carries ([`flight_tail`]). Once a track's ring exists, recording
+//!   allocates nothing; `tests/overhead.rs` enforces it.
+//! - **tracing on**: every event is kept until [`take_trace`] or
+//!   [`reset`]. A full ring spills its oldest event into the track's
+//!   trace buffer when that event was traced, and drops it otherwise, so
+//!   a traced event survives any number of later untraced ones.
 //!
-//! Timestamps are monotonic nanoseconds since a process-wide epoch
-//! (first telemetry touch), so traces from one process share a timeline.
+//! A span's `Begin` is traced iff tracing was on when the span opened;
+//! its `End` and notes follow the `Begin`, so a mid-span toggle cannot
+//! unbalance the trace. The only way to record a `Begin` is to hold a
+//! [`SpanGuard`], whose `Drop` records the matching `End`, so early
+//! returns and `?` cannot leak an open span.
+//!
+//! One mutex guards the track names, the logs and the sequence counter.
+//! Sequence numbers are taken under it, so every ring is in sequence
+//! order. Spans sit at stage and solve granularity (a traced crc32
+//! feedback run records a few hundred events), so the lock is
+//! uncontended in practice. Timestamps are monotonic nanoseconds since a
+//! process-wide epoch (first telemetry touch).
 
 use std::cell::Cell;
+use std::collections::{BTreeSet, VecDeque};
+use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
-/// Number of mutex-protected event-buffer shards. Tracks hash onto
-/// shards by id, so up to this many threads record without contention.
-const SHARDS: usize = 16;
+/// Events each track keeps with tracing off. A shard run records dozens
+/// of events per iteration, so 64 covers the last iteration or two — the
+/// part that explains a failure.
+pub const FLIGHT_CAPACITY: usize = 64;
+
+/// Most arguments one event carries (the solver's drain note has four).
+pub const MAX_ARGS: usize = 4;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static SEQ: AtomicU64 = AtomicU64::new(0);
 static EPOCH: OnceLock<Instant> = OnceLock::new();
-static BUFFERS: [Mutex<Vec<Event>>; SHARDS] = [const { Mutex::new(Vec::new()) }; SHARDS];
-/// Registered track names; a track's id is its index here. Track 0 is
-/// pre-registered as "main" lazily on first use.
-static TRACKS: Mutex<Vec<String>> = Mutex::new(Vec::new());
+static LOG: Mutex<Log> = Mutex::new(Log { tracks: Vec::new(), seq: 0 });
 /// Bumped whenever the track table is cleared ([`take_trace`]/[`reset`])
 /// so threads holding a cached track id re-register instead of recording
 /// onto a reassigned id.
 static TRACK_GEN: AtomicU64 = AtomicU64::new(1);
+static INTERNED: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
 
 thread_local! {
     /// This thread's `(track generation, track id)`, or `u32::MAX` if
@@ -47,8 +56,9 @@ thread_local! {
     static THREAD_TRACK: Cell<(u64, u32)> = const { Cell::new((0, u32::MAX)) };
 }
 
-/// A typed span/event argument value.
-#[derive(Debug, Clone, PartialEq)]
+/// A typed event argument. `Copy`, so events are too; runtime strings
+/// enter through [`intern`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArgValue {
     /// Unsigned integer argument (ids, counts).
     U64(u64),
@@ -56,8 +66,19 @@ pub enum ArgValue {
     I64(i64),
     /// Floating-point argument (clock periods, rates).
     F64(f64),
-    /// String argument (design names).
-    Str(String),
+    /// String argument (fault sites, interned design names).
+    Str(&'static str),
+}
+
+impl fmt::Display for ArgValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ArgValue::U64(v) => write!(f, "{v}"),
+            ArgValue::I64(v) => write!(f, "{v}"),
+            ArgValue::F64(v) => write!(f, "{v}"),
+            ArgValue::Str(v) => f.write_str(v),
+        }
+    }
 }
 
 /// What an [`Event`] marks: the start of a span, its end, or a point.
@@ -71,8 +92,19 @@ pub enum EventKind {
     Instant,
 }
 
+impl EventKind {
+    /// The one-letter code JSONL and Chrome traces use: `B`, `E` or `i`.
+    pub(crate) fn code(self) -> &'static str {
+        match self {
+            EventKind::Begin => "B",
+            EventKind::End => "E",
+            EventKind::Instant => "i",
+        }
+    }
+}
+
 /// One recorded telemetry event.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Event {
     /// Global sequence number: a total order across all tracks.
     pub seq: u64,
@@ -80,17 +112,63 @@ pub struct Event {
     pub track: u32,
     /// Begin / End / Instant.
     pub kind: EventKind,
-    /// Span name. Static because instrumentation sites name their spans
-    /// with literals; parsed traces use [`crate::OwnedEvent`] instead.
+    /// Span or note name. Static because instrumentation sites name their
+    /// spans with literals; parsed traces use [`crate::OwnedEvent`].
     pub name: &'static str,
     /// Monotonic nanoseconds since the process telemetry epoch.
     pub t_ns: u64,
-    /// Key/value arguments attached at `Begin` (empty on `End`).
-    pub args: Vec<(&'static str, ArgValue)>,
+    args: [(&'static str, ArgValue); MAX_ARGS],
+    arg_count: u8,
 }
 
-/// A drained trace: every event recorded since the last [`take_trace`]
-/// or [`reset`], in global sequence order, plus the track-name table.
+impl Event {
+    /// An event carrying `args`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `args` holds more than [`MAX_ARGS`] entries.
+    pub fn new(
+        seq: u64,
+        track: u32,
+        kind: EventKind,
+        name: &'static str,
+        t_ns: u64,
+        args: &[(&'static str, ArgValue)],
+    ) -> Event {
+        let mut event = Event {
+            seq,
+            track,
+            kind,
+            name,
+            t_ns,
+            args: [("", ArgValue::U64(0)); MAX_ARGS],
+            arg_count: args.len() as u8,
+        };
+        event.args[..args.len()].copy_from_slice(args);
+        event
+    }
+
+    /// Key/value arguments: a span's on its `Begin`, a note's on itself.
+    pub fn args(&self) -> &[(&'static str, ArgValue)] {
+        &self.args[..usize::from(self.arg_count)]
+    }
+}
+
+impl fmt::Display for Event {
+    /// Compact form for status tables: `name(B)`, `name(E)`,
+    /// `name(i k=v)`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}({}", self.name, self.kind.code())?;
+        for (key, value) in self.args() {
+            write!(f, " {key}={value}")?;
+        }
+        f.write_str(")")
+    }
+}
+
+/// A drained trace: every traced event recorded since the last
+/// [`take_trace`] or [`reset`], in global sequence order, plus the
+/// track-name table.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     /// Events in ascending `seq` order.
@@ -112,15 +190,55 @@ impl Trace {
     }
 }
 
-/// Returns whether span recording is currently enabled.
+/// One track: its name and its event log.
+struct Track {
+    name: String,
+    /// The newest events (at most [`FLIGHT_CAPACITY`]), oldest first,
+    /// each flagged with whether the trace keeps it.
+    ring: VecDeque<(Event, bool)>,
+    /// Traced events pushed out of the full ring, oldest first.
+    spilled: Vec<Event>,
+}
+
+impl Track {
+    fn new(name: String) -> Track {
+        Track { name, ring: VecDeque::with_capacity(FLIGHT_CAPACITY), spilled: Vec::new() }
+    }
+
+    fn push(&mut self, event: Event, traced: bool) {
+        if self.ring.len() == FLIGHT_CAPACITY {
+            if let Some((oldest, true)) = self.ring.pop_front() {
+                self.spilled.push(oldest);
+            }
+        }
+        self.ring.push_back((event, traced));
+    }
+}
+
+struct Log {
+    /// Registered tracks; a track's id is its index here. Track 0 is
+    /// "main".
+    tracks: Vec<Track>,
+    /// The one sequence counter. Never reset, so it orders every event the
+    /// process records.
+    seq: u64,
+}
+
+fn lock() -> MutexGuard<'static, Log> {
+    // Guards record their `End` while a panic unwinds; a poisoned lock
+    // must not turn that into a second panic.
+    LOG.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Returns whether tracing is currently enabled.
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Globally enables or disables span recording. Disabling does not drop
-/// already-buffered events; live guards still record their `End` so a
-/// mid-run toggle cannot unbalance the trace.
+/// Globally enables or disables tracing. Disabling keeps every event
+/// already traced; live guards still trace their `End` so a mid-run
+/// toggle cannot unbalance the trace.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::SeqCst);
 }
@@ -131,223 +249,206 @@ pub fn now_ns() -> u64 {
     epoch.elapsed().as_nanos() as u64
 }
 
+/// Returns a `'static` copy of `s`, storing each distinct string once.
+/// Runtime strings (design names, input paths) reach events this way.
+/// Interned strings live until the process exits, so intern
+/// low-cardinality values only.
+pub fn intern(s: &str) -> &'static str {
+    let mut set = INTERNED.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(&interned) = set.get(s) {
+        return interned;
+    }
+    let interned: &'static str = Box::leak(s.into());
+    set.insert(interned);
+    interned
+}
+
 /// Names the calling thread's track (shown as the thread name in
 /// Perfetto). Returns the track id. Batch workers call this once at
 /// spawn (`batch-worker-{i}`); unnamed threads get `thread-{id}` on
 /// their first recorded event.
 pub fn set_thread_track(name: impl Into<String>) -> u32 {
-    let (generation, id) = register_track(name.into());
+    let (generation, id) = register(Some(name.into()));
     THREAD_TRACK.with(|t| t.set((generation, id)));
     id
 }
 
-/// Registers `name`, returning `(generation, id)` read under the table
+/// Registers a track, returning `(generation, id)` read under the table
 /// lock so a concurrent clear cannot hand out an id from the wrong
-/// generation.
-fn register_track(name: String) -> (u64, u32) {
-    let mut tracks = TRACKS.lock().unwrap();
+/// generation. A named track reuses an existing track of that name; an
+/// unnamed one gets `thread-{id}`, except that the first thread to touch
+/// telemetry claims track 0, "main".
+fn register(name: Option<String>) -> (u64, u32) {
+    let mut log = lock();
     let generation = TRACK_GEN.load(Ordering::Relaxed);
-    if tracks.is_empty() {
-        tracks.push("main".to_string());
+    if log.tracks.is_empty() {
+        log.tracks.push(Track::new("main".to_string()));
+        if name.is_none() {
+            return (generation, 0);
+        }
     }
-    if name == "main" {
-        return (generation, 0);
-    }
-    if let Some(pos) = tracks.iter().position(|t| *t == name) {
-        return (generation, pos as u32);
-    }
-    tracks.push(name);
-    (generation, (tracks.len() - 1) as u32)
+    let id = match name {
+        Some(name) => log.tracks.iter().position(|t| t.name == name).unwrap_or_else(|| {
+            log.tracks.push(Track::new(name));
+            log.tracks.len() - 1
+        }),
+        None => {
+            let id = log.tracks.len();
+            log.tracks.push(Track::new(format!("thread-{id}")));
+            id
+        }
+    };
+    (generation, id as u32)
 }
 
-/// The calling thread's track id, assigning a fresh one if needed.
-pub(crate) fn current_track() -> u32 {
+/// The calling thread's track id, registering one if needed.
+fn current_track() -> u32 {
     THREAD_TRACK.with(|t| {
         let (generation, id) = t.get();
         if id != u32::MAX && generation == TRACK_GEN.load(Ordering::Relaxed) {
             return id;
         }
-        // First event from an unnamed thread (or one whose cached id
-        // predates a track-table clear): the thread that touches
-        // telemetry first claims track 0 ("main"), others get a
-        // synthesized name.
-        let mut tracks = TRACKS.lock().unwrap();
-        let generation = TRACK_GEN.load(Ordering::Relaxed);
-        let id = if tracks.is_empty() {
-            tracks.push("main".to_string());
-            0
-        } else {
-            let id = tracks.len();
-            tracks.push(format!("thread-{id}"));
-            id as u32
-        };
-        drop(tracks);
+        let (generation, id) = register(None);
         t.set((generation, id));
         id
     })
 }
 
-fn record(kind: EventKind, name: &'static str, track: u32, args: Vec<(&'static str, ArgValue)>) {
-    let event =
-        Event { seq: SEQ.fetch_add(1, Ordering::Relaxed), track, kind, name, t_ns: now_ns(), args };
-    let shard = track as usize % SHARDS;
-    BUFFERS[shard].lock().unwrap().push(event);
+/// Appends one event to `track`'s log. Events on a track the table no
+/// longer holds (a guard that outlived a [`take_trace`]) are dropped.
+fn record(
+    track: u32,
+    kind: EventKind,
+    name: &'static str,
+    args: &[(&'static str, ArgValue)],
+    traced: bool,
+) {
+    let mut log = lock();
+    let event = Event::new(log.seq, track, kind, name, now_ns(), args);
+    log.seq += 1;
+    if let Some(track) = log.tracks.get_mut(track as usize) {
+        track.push(event, traced);
+    }
 }
 
 /// A scoped span: records `Begin` on creation and the matching `End` on
-/// drop. The flight recorder sees both regardless of the tracing switch;
-/// the full trace buffers only see them while tracing is enabled.
+/// drop.
 #[must_use = "a span guard records its End when dropped; binding it to _ closes it immediately"]
 pub struct SpanGuard {
     name: &'static str,
     track: u32,
-    /// `true` iff a `Begin` was recorded into the full trace buffers.
-    live: bool,
+    /// Whether the `Begin` was traced; the `End` and notes follow it.
+    traced: bool,
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        crate::recorder::flight_record(self.track, EventKind::End, self.name, None);
-        // Record the End even if tracing was disabled mid-span: an open
-        // Begin with no End would fail trace validation.
-        if self.live {
-            record(EventKind::End, self.name, self.track, Vec::new());
-        }
+        record(self.track, EventKind::End, self.name, &[], self.traced);
     }
-}
-
-/// Opens a span named `name` on the calling thread's track.
-#[inline]
-pub fn span(name: &'static str) -> SpanGuard {
-    let track = current_track();
-    crate::recorder::flight_record(track, EventKind::Begin, name, None);
-    if !enabled() {
-        return SpanGuard { name, track, live: false };
-    }
-    span_slow(name, track, Vec::new())
-}
-
-/// Opens a span with one `u64` argument.
-#[inline]
-pub fn span_u64(name: &'static str, key: &'static str, value: u64) -> SpanGuard {
-    let track = current_track();
-    crate::recorder::flight_record(
-        track,
-        EventKind::Begin,
-        name,
-        Some(crate::FlightArg::U64(key, value)),
-    );
-    if !enabled() {
-        return SpanGuard { name, track, live: false };
-    }
-    span_slow(name, track, vec![(key, ArgValue::U64(value))])
-}
-
-/// Opens a span with one `f64` argument.
-#[inline]
-pub fn span_f64(name: &'static str, key: &'static str, value: f64) -> SpanGuard {
-    let track = current_track();
-    crate::recorder::flight_record(
-        track,
-        EventKind::Begin,
-        name,
-        Some(crate::FlightArg::F64(key, value)),
-    );
-    if !enabled() {
-        return SpanGuard { name, track, live: false };
-    }
-    span_slow(name, track, vec![(key, ArgValue::F64(value))])
-}
-
-/// Opens a span with one string argument. The flight recorder keeps the
-/// span but drops the argument (its ring entries cannot own a string).
-#[inline]
-pub fn span_str(name: &'static str, key: &'static str, value: &str) -> SpanGuard {
-    let track = current_track();
-    crate::recorder::flight_record(track, EventKind::Begin, name, None);
-    if !enabled() {
-        return SpanGuard { name, track, live: false };
-    }
-    span_slow(name, track, vec![(key, ArgValue::Str(value.to_string()))])
-}
-
-#[cold]
-fn span_slow(name: &'static str, track: u32, args: Vec<(&'static str, ArgValue)>) -> SpanGuard {
-    record(EventKind::Begin, name, track, args);
-    SpanGuard { name, track, live: true }
-}
-
-/// The first scalar argument, converted for the flight recorder; string
-/// arguments are not representable there.
-fn flight_arg(args: &[(&'static str, ArgValue)]) -> Option<crate::FlightArg> {
-    args.iter().find_map(|(k, v)| match v {
-        ArgValue::U64(v) => Some(crate::FlightArg::U64(k, *v)),
-        ArgValue::I64(v) => Some(crate::FlightArg::I64(k, *v)),
-        ArgValue::F64(v) => Some(crate::FlightArg::F64(k, *v)),
-        ArgValue::Str(_) => None,
-    })
 }
 
 impl SpanGuard {
-    /// Attaches extra arguments to an already-open span by recording an
-    /// instant event inside it (Chrome `ph: "i"`). Useful for values
-    /// only known after the span opened (e.g. drain counters).
-    pub fn note(&self, name: &'static str, args: Vec<(&'static str, ArgValue)>) {
-        crate::recorder::flight_record(self.track, EventKind::Instant, name, flight_arg(&args));
-        if self.live {
-            record(EventKind::Instant, name, self.track, args);
-        }
+    /// Records an instant event inside the span (Chrome `ph: "i"`) with
+    /// up to [`MAX_ARGS`] arguments: values only known after the span
+    /// opened, such as drain counters.
+    pub fn note(&self, name: &'static str, args: &[(&'static str, ArgValue)]) {
+        record(self.track, EventKind::Instant, name, args, self.traced);
     }
 }
 
-/// Drains all buffered events (sorted by global sequence number) and the
-/// track-name table. Buffered events are removed and the track table is
-/// cleared (its snapshot lives on in the returned [`Trace`]), so
-/// back-to-back in-process runs do not accumulate stale
-/// `batch-worker-*`/`thread-*` tracks; long-lived threads re-register
-/// lazily on their next event.
+fn span_with(name: &'static str, args: &[(&'static str, ArgValue)]) -> SpanGuard {
+    let track = current_track();
+    let traced = enabled();
+    record(track, EventKind::Begin, name, args, traced);
+    SpanGuard { name, track, traced }
+}
+
+/// Opens a span named `name` on the calling thread's track.
+pub fn span(name: &'static str) -> SpanGuard {
+    span_with(name, &[])
+}
+
+/// Opens a span with one `u64` argument.
+pub fn span_u64(name: &'static str, key: &'static str, value: u64) -> SpanGuard {
+    span_with(name, &[(key, ArgValue::U64(value))])
+}
+
+/// Opens a span with one `f64` argument.
+pub fn span_f64(name: &'static str, key: &'static str, value: f64) -> SpanGuard {
+    span_with(name, &[(key, ArgValue::F64(value))])
+}
+
+/// Opens a span with one runtime string argument, [interned](intern).
+pub fn span_str(name: &'static str, key: &'static str, value: &str) -> SpanGuard {
+    span_with(name, &[(key, ArgValue::Str(intern(value)))])
+}
+
+/// Records an instant `fault` event naming an injected-fault site on the
+/// calling thread's track. The fault-injection layer calls this the
+/// moment a fault trips, so post-mortem tails name the exact site.
+pub fn flight_fault(site: &'static str) {
+    let args = [("site", ArgValue::Str(site))];
+    record(current_track(), EventKind::Instant, "fault", &args, enabled());
+}
+
+/// Snapshots `track`'s newest events (at most [`FLIGHT_CAPACITY`]),
+/// oldest first. Allocates: this is the post-mortem read path.
+pub fn flight_tail(track: u32) -> Vec<Event> {
+    let log = lock();
+    log.tracks.get(track as usize).map_or_else(Vec::new, |t| t.ring.iter().map(|e| e.0).collect())
+}
+
+/// Snapshots the calling thread's own tail — what the batch engine
+/// attaches to a `JobError` right after catching a shard failure.
+pub fn flight_tail_current() -> Vec<Event> {
+    flight_tail(current_track())
+}
+
+/// Empties the track table and returns its tracks, bumping the generation
+/// so cached track ids re-register.
+fn take_tracks() -> Vec<Track> {
+    let mut log = lock();
+    TRACK_GEN.fetch_add(1, Ordering::Relaxed);
+    std::mem::take(&mut log.tracks)
+}
+
+/// Drains every traced event (sorted by sequence number) and the
+/// track-name table. The table is cleared (its snapshot lives on in the
+/// returned [`Trace`]), so back-to-back in-process runs do not
+/// accumulate stale `batch-worker-*`/`thread-*` tracks; long-lived
+/// threads re-register lazily on their next event.
 pub fn take_trace() -> Trace {
-    let mut events = Vec::new();
-    for shard in &BUFFERS {
-        events.append(&mut shard.lock().unwrap());
+    let mut trace = Trace::default();
+    for track in take_tracks() {
+        trace.events.extend(track.spilled);
+        trace.events.extend(track.ring.into_iter().filter_map(|(e, traced)| traced.then_some(e)));
+        trace.tracks.push(track.name);
     }
-    events.sort_by_key(|e| e.seq);
-    let tracks = {
-        let mut table = TRACKS.lock().unwrap();
-        TRACK_GEN.fetch_add(1, Ordering::Relaxed);
-        std::mem::take(&mut *table)
-    };
-    crate::recorder::flight_clear();
-    Trace { events, tracks }
+    trace.events.sort_unstable_by_key(|e| e.seq);
+    trace
 }
 
-/// Clears all buffered events without returning them, along with the
-/// track table and the flight-recorder rings. The epoch persists.
+/// Clears the track table and every log without returning them. The
+/// epoch and the sequence counter persist.
 pub fn reset() {
-    for shard in &BUFFERS {
-        shard.lock().unwrap().clear();
-    }
-    {
-        let mut table = TRACKS.lock().unwrap();
-        TRACK_GEN.fetch_add(1, Ordering::Relaxed);
-        table.clear();
-    }
-    crate::recorder::flight_clear();
+    take_tracks();
 }
-
-/// The collector is global, so tests that enable tracing, drain it, or
-/// inspect flight rings must not interleave; this lock serializes them
-/// across the crate's unit tests.
-#[cfg(test)]
-pub(crate) static TEST_LOCK: Mutex<()> = Mutex::new(());
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The log is global, so tests that enable tracing, drain it, or read
+    /// tails must not interleave.
+    static TEST_LOCK: Mutex<()> = Mutex::new(());
+
+    fn serial() -> MutexGuard<'static, ()> {
+        TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     #[test]
     fn disabled_span_records_nothing() {
-        let _guard = TEST_LOCK.lock().unwrap();
+        let _guard = serial();
         set_enabled(false);
         reset();
         {
@@ -359,13 +460,13 @@ mod tests {
 
     #[test]
     fn spans_nest_and_balance() {
-        let _guard = TEST_LOCK.lock().unwrap();
+        let _guard = serial();
         set_enabled(false);
         reset();
         set_enabled(true);
         {
             let outer = span("outer");
-            outer.note("mark", vec![("k", ArgValue::U64(7))]);
+            outer.note("mark", &[("k", ArgValue::U64(7))]);
             let _inner = span_str("inner", "design", "crc32");
         }
         set_enabled(false);
@@ -381,6 +482,7 @@ mod tests {
                 EventKind::End
             ]
         );
+        assert_eq!(trace.events[2].args(), &[("design", ArgValue::Str("crc32"))]);
         // Inner closes before outer (LIFO), names match.
         assert_eq!(trace.events[3].name, "inner");
         assert_eq!(trace.events[4].name, "outer");
@@ -391,13 +493,17 @@ mod tests {
 
     #[test]
     fn mid_span_disable_still_closes() {
-        let _guard = TEST_LOCK.lock().unwrap();
+        let _guard = serial();
         set_enabled(false);
         reset();
         set_enabled(true);
         let s = span("survivor");
         set_enabled(false);
         drop(s);
+        // Untraced events overflow the ring; the traced pair spills.
+        for _ in 0..2 * FLIGHT_CAPACITY {
+            let _untraced = span("untraced");
+        }
         let trace = take_trace();
         assert_eq!(trace.events.len(), 2);
         trace.validate().expect("End recorded despite disable");
@@ -405,7 +511,7 @@ mod tests {
 
     #[test]
     fn threads_get_distinct_tracks() {
-        let _guard = TEST_LOCK.lock().unwrap();
+        let _guard = serial();
         set_enabled(false);
         reset();
         set_enabled(true);
@@ -429,5 +535,80 @@ mod tests {
             assert!(trace.tracks.iter().any(|t| t == &format!("worker-{i}")));
         }
         trace.validate().expect("per-track balance across threads");
+    }
+
+    #[test]
+    fn traced_events_survive_more_tracks_than_the_ring_capacity() {
+        let _guard = serial();
+        set_enabled(false);
+        reset();
+        set_enabled(true);
+        std::thread::scope(|scope| {
+            for i in 0..70 {
+                scope.spawn(move || {
+                    set_thread_track(format!("many-{i}"));
+                    let _s = span("many");
+                });
+            }
+        });
+        set_enabled(false);
+        let trace = take_trace();
+        assert_eq!(trace.events.len(), 140, "every traced Begin/End of 70 tracks is kept");
+        trace.validate().expect("balanced across 70 tracks");
+    }
+
+    #[test]
+    fn ring_keeps_only_the_tail() {
+        let event = |seq| Event::new(seq, 0, EventKind::Instant, "e", 0, &[]);
+        let mut untraced = Track::new("untraced".into());
+        let mut traced = Track::new("traced".into());
+        for seq in 0..(FLIGHT_CAPACITY as u64 + 10) {
+            untraced.push(event(seq), false);
+            traced.push(event(seq), true);
+        }
+        for track in [&untraced, &traced] {
+            assert_eq!(track.ring.len(), FLIGHT_CAPACITY);
+            assert_eq!(track.ring.front().unwrap().0.seq, 10);
+            assert_eq!(track.ring.back().unwrap().0.seq, FLIGHT_CAPACITY as u64 + 9);
+        }
+        assert!(untraced.spilled.is_empty(), "untraced events are dropped");
+        let spilled: Vec<u64> = traced.spilled.iter().map(|e| e.seq).collect();
+        assert_eq!(spilled, (0..10).collect::<Vec<u64>>(), "traced events spill in order");
+    }
+
+    #[test]
+    fn disabled_tracing_still_records_a_tail() {
+        let _guard = serial();
+        set_enabled(false);
+        // Runs on its own named thread so other tests' events (the log is
+        // global) cannot interleave into the ring under test.
+        std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let id = set_thread_track("recorder-test");
+                    {
+                        let _outer = span("flight-outer");
+                        let _inner = span_u64("flight-inner", "i", 7);
+                    }
+                    flight_fault("test/site");
+                    let tail = flight_tail(id);
+                    let names: Vec<&str> = tail.iter().map(|e| e.name).collect();
+                    let outer = names.iter().position(|n| *n == "flight-outer").unwrap();
+                    assert_eq!(
+                        &names[outer..outer + 5],
+                        &["flight-outer", "flight-inner", "flight-inner", "flight-outer", "fault"]
+                    );
+                    let fault = tail.last().unwrap();
+                    assert_eq!(fault.args(), &[("site", ArgValue::Str("test/site"))]);
+                    assert_eq!(fault.to_string(), "fault(i site=test/site)");
+                    assert_eq!(
+                        tail[outer + 1].args(),
+                        &[("i", ArgValue::U64(7))],
+                        "span argument survives into the ring"
+                    );
+                })
+                .join()
+                .unwrap();
+        });
     }
 }

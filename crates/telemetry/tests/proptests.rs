@@ -43,8 +43,8 @@ fn arbitrary_frame() -> impl Strategy<Value = MetricsFrame> {
     })
 }
 
-/// Span-name and argument pools. [`Event`] names spans with `&'static
-/// str` literals, so random traces draw from literal pools; the string
+/// Span-name and argument pools. [`Event`] holds names and string
+/// arguments as `&'static str`, so random traces draw from literal pools; the string
 /// pools deliberately include every escape class the JSONL renderer
 /// handles (quotes, backslashes, newlines, tabs, control chars, and
 /// multi-byte UTF-8).
@@ -68,7 +68,7 @@ fn arbitrary_arg(state: &mut u64) -> ArgValue {
         4 => ArgValue::F64((lcg(state) % 10_000) as f64),
         5 => ArgValue::F64(if lcg(state).is_multiple_of(2) { f64::INFINITY } else { f64::NAN }),
         6 => ArgValue::F64(1e300 * if lcg(state).is_multiple_of(2) { 1.0 } else { -1.0 }),
-        _ => ArgValue::Str(ARG_STRS[lcg(state) as usize % ARG_STRS.len()].to_string()),
+        _ => ArgValue::Str(ARG_STRS[lcg(state) as usize % ARG_STRS.len()]),
     }
 }
 
@@ -88,17 +88,12 @@ fn arbitrary_trace() -> impl Strategy<Value = Trace> {
                     1 => EventKind::End,
                     _ => EventKind::Instant,
                 };
-                let args = (0..lcg(&mut state) % 3)
+                let args: Vec<_> = (0..lcg(&mut state) % 3)
                     .map(|i| (ARG_KEYS[i as usize], arbitrary_arg(&mut state)))
                     .collect();
-                Event {
-                    seq,
-                    track: (lcg(&mut state) as usize % num_tracks) as u32,
-                    kind,
-                    name: SPAN_NAMES[lcg(&mut state) as usize % SPAN_NAMES.len()],
-                    t_ns,
-                    args,
-                }
+                let track = (lcg(&mut state) as usize % num_tracks) as u32;
+                let name = SPAN_NAMES[lcg(&mut state) as usize % SPAN_NAMES.len()];
+                Event::new(seq, track, kind, name, t_ns, &args)
             })
             .collect();
         Trace { events, tracks }
@@ -117,7 +112,7 @@ fn expected_arg(v: &ArgValue) -> OwnedArg {
         ArgValue::I64(n) => OwnedArg::I64(*n),
         ArgValue::F64(x) if !x.is_finite() => OwnedArg::Null,
         ArgValue::F64(x) => OwnedArg::F64(*x),
-        ArgValue::Str(s) => OwnedArg::Str(s.clone()),
+        ArgValue::Str(s) => OwnedArg::Str(s.to_string()),
     }
 }
 
@@ -214,7 +209,7 @@ proptest! {
             prop_assert_eq!(&got.name, want.name);
             prop_assert_eq!(got.t_ns, want.t_ns);
             let expected: Vec<(String, OwnedArg)> =
-                want.args.iter().map(|(k, v)| (k.to_string(), expected_arg(v))).collect();
+                want.args().iter().map(|(k, v)| (k.to_string(), expected_arg(v))).collect();
             prop_assert_eq!(&got.args, &expected);
         }
     }

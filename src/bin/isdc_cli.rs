@@ -57,8 +57,8 @@
 //!   --cache-capacity <n>  bound the fleet cache to n entries (LRU eviction)
 //!   --cache-file <file>   load/save the fleet-wide cache snapshot
 //!   --out <file>          write the batch report as BENCH_batch-style JSON;
-//!                         failed jobs also dump their workers' flight-recorder
-//!                         tails to <out>.flight.jsonl
+//!                         failed jobs also dump their workers' flight tails
+//!                         to <out>.flight.jsonl
 //!
 //! report options: the sweep design/grid flags (--bench/--from/--to/--points,
 //!   --iterations/--subgraphs/--scoring/--shape) plus --out <file> for the
@@ -970,7 +970,7 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
         }
         if let JobStatus::Failed(error) = &job.status {
             println!("{:<28} |   -> {error}", "");
-            // The failing worker's flight-recorder tail: the last few
+            // The failing worker's flight tail: the last few
             // events before death, recorded even with tracing off.
             let skip = error.flight.len().saturating_sub(6);
             for event in error.flight.iter().skip(skip) {
@@ -1022,8 +1022,8 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
                          \"error\":\"{}\"}}\n",
                         error.job,
                         error.shard,
-                        isdc::cache::json::escape(&error.design),
-                        isdc::cache::json::escape(&error.message),
+                        isdc::telemetry::escape_json(&error.design),
+                        isdc::telemetry::escape_json(&error.message),
                     ),
                     &error.flight,
                 ),
@@ -1032,7 +1032,7 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
                         "{{\"kind\":\"job\",\"job\":{ji},\"design\":\"{}\",\
                          \"timed_out_after_ms\":{elapsed_ms},\
                          \"points_completed\":{points_completed}}}\n",
-                        isdc::cache::json::escape(&job.job.design),
+                        isdc::telemetry::escape_json(&job.job.design),
                     ),
                     flight,
                 ),

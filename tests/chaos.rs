@@ -268,10 +268,10 @@ fn retry_budget_is_spent_then_reported() {
     );
 }
 
-/// A failing job's error carries its worker's flight-recorder tail, and
-/// the tail names the fault site — the post-mortem the CLI prints and
-/// dumps to `<out>.flight.jsonl`. The recorder is always on, so this
-/// holds with tracing disabled (the default here).
+/// A failing job's error carries its worker's flight tail, and the tail
+/// names the fault site — the post-mortem the CLI prints and dumps to
+/// `<out>.flight.jsonl`. The event log keeps a tail with tracing off, so
+/// this holds with tracing disabled (the default here).
 #[test]
 fn failed_jobs_carry_a_flight_tail_naming_the_fault_site() {
     let _g = chaos_guard();
@@ -288,8 +288,8 @@ fn failed_jobs_carry_a_flight_tail_naming_the_fault_site() {
             .find(|e| e.name == "fault")
             .unwrap_or_else(|| panic!("{site}: no fault mark in the tail: {:?}", error.flight));
         assert_eq!(
-            fault_mark.arg,
-            Some(isdc::telemetry::FlightArg::Str("site", site)),
+            fault_mark.args(),
+            &[("site", isdc::telemetry::ArgValue::Str(site))],
             "{site}: the fault mark names its site"
         );
         // The surrounding events are the worker's real recent history:
@@ -410,8 +410,8 @@ fn stalled_job_times_out_and_siblings_stay_bit_identical() {
         .find(|e| e.name == "fault")
         .unwrap_or_else(|| panic!("no stall mark in the tail: {flight:?}"));
     assert_eq!(
-        mark.arg,
-        Some(isdc::telemetry::FlightArg::Str("site", "batch/shard-stall")),
+        mark.args(),
+        &[("site", isdc::telemetry::ArgValue::Str("batch/shard-stall"))],
         "the flight tail names the stall site"
     );
     assert_eq!(report.jobs_timed_out(), 1);
@@ -451,7 +451,7 @@ fn abort_policy_stops_the_queue_on_a_timeout() {
 
 /// The stall watchdog: no deadline is armed, but the stalled worker stops
 /// heartbeating, so the watchdog cancels its token after `stall_timeout`
-/// of flight-recorder silence. The stalled job lands as TimedOut and the
+/// of event-log silence. The stalled job lands as TimedOut and the
 /// siblings stay bit-identical.
 #[test]
 fn stall_watchdog_cancels_a_silent_worker() {
