@@ -281,17 +281,20 @@ fn bench_cold_vs_warm(c: &mut Criterion) {
         let (cold_ns, warm_ns) = (cold[0], warm[0]);
         let (cold_median_ns, warm_median_ns) = (median(&cold), median(&warm));
         let speedup = cold_median_ns as f64 / warm_median_ns.max(1) as f64;
-        // Sparsification composition of the LP this design solves: a fresh
-        // build at the final (feedback-relaxed) matrix, so emitted + pruned
-        // equals what the dense Eq. 2 emission would have carried.
-        let sparsity = IncrementalScheduler::new(&b.graph, final_m, &options)
-            .expect("schedulable")
-            .sparsify_stats();
+        // Sparsification composition and cold-drain search size of the LP
+        // this design solves: a fresh build at the final (feedback-relaxed)
+        // matrix, so emitted + pruned equals what the dense Eq. 2 emission
+        // would have carried, and its first solve is the timed cold one.
+        let mut fresh =
+            IncrementalScheduler::new(&b.graph, final_m, &options).expect("schedulable");
+        let sparsity = fresh.sparsify_stats();
+        fresh.reschedule(&b.graph, final_m, &DirtySet::new(n)).unwrap();
         rows.push(format!(
             "    {{\"name\": \"{}\", \"nodes\": {}, \"clock_ps\": {}, \
              \"cold_solve_ns\": {}, \"warm_solve_ns\": {}, \
              \"cold_solve_median_ns\": {cold_median_ns}, \
              \"warm_solve_median_ns\": {warm_median_ns}, \"speedup\": {:.2}, \
+             \"cold_nodes_settled\": {}, \
              \"constraints_emitted\": {}, \"constraints_pruned\": {}, \
              \"pruning_ratio\": {:.3}}}",
             b.name,
@@ -300,6 +303,7 @@ fn bench_cold_vs_warm(c: &mut Criterion) {
             cold_ns,
             warm_ns,
             speedup,
+            fresh.last_drain_stats().nodes_settled,
             sparsity.constraints_emitted,
             sparsity.pruned(),
             sparsity.pruning_ratio()

@@ -2,7 +2,8 @@
 //!
 //! Reads the freshly emitted `BENCH_solver.json`, `BENCH_cache.json`,
 //! `BENCH_sweep.json` and `BENCH_batch.json` from the workspace root,
-//! compares their speedups against the checked-in floors
+//! compares their speedups against the checked-in floors, and search counts
+//! against its ceilings
 //! (`crates/bench/floors.json`, keyed by the document's own `mode` field so
 //! CI's quick smokes and full release runs each gate against appropriate
 //! expectations), and exits nonzero on any regression. The batch document
@@ -106,19 +107,45 @@ fn parse_value(p: &mut Parser<'_>) -> Result<Value, String> {
     }
 }
 
-/// One floor violation (or pass) line.
+/// The bound one check holds a measured value to.
+#[derive(Clone, Copy, Debug)]
+enum Limit {
+    /// The value must be at least this (speedups, ratios).
+    Floor(f64),
+    /// The value must be at most this (search counts).
+    Ceiling(f64),
+}
+
+/// One floor or ceiling violation (or pass) line.
 struct Check {
     /// Which `BENCH_*.json` the check came from — on failure, that
     /// document is diffed against its `.baseline.json` for attribution.
     bench: &'static str,
     label: String,
-    floor: f64,
+    limit: Limit,
     actual: f64,
 }
 
 impl Check {
     fn ok(&self) -> bool {
-        self.actual >= self.floor
+        match self.limit {
+            Limit::Floor(floor) => self.actual >= floor,
+            Limit::Ceiling(ceiling) => self.actual <= ceiling,
+        }
+    }
+
+    /// The check's line: `= actual (floor x)` on a pass, `= actual below
+    /// floor x` on a failure.
+    fn describe(&self) -> String {
+        let (word, bound, missed) = match self.limit {
+            Limit::Floor(floor) => ("floor", floor, "below"),
+            Limit::Ceiling(ceiling) => ("ceiling", ceiling, "above"),
+        };
+        if self.ok() {
+            format!("{} = {:.2} ({word} {bound:.2})", self.label, self.actual)
+        } else {
+            format!("{} = {:.2} {missed} {word} {bound:.2}", self.label, self.actual)
+        }
     }
 }
 
@@ -198,13 +225,13 @@ fn gate_solver(doc: &Value, floors: &Value, checks: &mut Vec<Check>) -> Result<(
     checks.push(Check {
         bench: "solver",
         label: format!("solver[{mode}] min warm speedup"),
-        floor: floor_number(entry, "warm_speedup_min")?,
+        limit: Limit::Floor(floor_number(entry, "warm_speedup_min")?),
         actual: speedups.iter().copied().fold(f64::INFINITY, f64::min),
     });
     checks.push(Check {
         bench: "solver",
         label: format!("solver[{mode}] geomean warm speedup"),
-        floor: floor_number(entry, "warm_speedup_geomean")?,
+        limit: Limit::Floor(floor_number(entry, "warm_speedup_geomean")?),
         actual: geomean(&speedups),
     });
     // Eq. 2 sparsification: the densest design (crc32 — always in the
@@ -217,8 +244,18 @@ fn gate_solver(doc: &Value, floors: &Value, checks: &mut Vec<Check>) -> Result<(
     checks.push(Check {
         bench: "solver",
         label: format!("solver[{mode}] crc32 LP pruning ratio"),
-        floor: floor_number(entry, "pruning_ratio_min")?,
+        limit: Limit::Floor(floor_number(entry, "pruning_ratio_min")?),
         actual: crc32.number("pruning_ratio").ok_or("crc32 row lacks `pruning_ratio`")?,
+    });
+    // The cold solve's search size: the tightened start and the
+    // deficits-first tie rule cut crc32's cold drain to under a quarter of
+    // the nodes the plain Bellman-Ford start settled. A count, so it does
+    // not drift with the host's speed.
+    checks.push(Check {
+        bench: "solver",
+        label: format!("solver[{mode}] crc32 cold nodes settled"),
+        limit: Limit::Ceiling(floor_number(entry, "crc32_cold_nodes_settled_max")?),
+        actual: crc32.number("cold_nodes_settled").ok_or("crc32 row lacks `cold_nodes_settled`")?,
     });
     // The bulk-retarget drain rows: batched vs the retained serial
     // reference, plus the structural attestation that batching batches
@@ -231,7 +268,7 @@ fn gate_solver(doc: &Value, floors: &Value, checks: &mut Vec<Check>) -> Result<(
     checks.push(Check {
         bench: "solver",
         label: format!("solver[{mode}] min drain speedup (batched vs serial)"),
-        floor: floor_number(entry, "drain_speedup_min")?,
+        limit: Limit::Floor(floor_number(entry, "drain_speedup_min")?),
         actual: drain_speedups.iter().copied().fold(f64::INFINITY, f64::min),
     });
     for row in drain {
@@ -252,7 +289,7 @@ fn gate_cache(doc: &Value, floors: &Value, checks: &mut Vec<Check>) -> Result<()
         checks.push(Check {
             bench: "cache",
             label: format!("cache[{mode}] {key}"),
-            floor: floor_number(entry, key)?,
+            limit: Limit::Floor(floor_number(entry, key)?),
             actual: doc.number(key).ok_or_else(|| format!("cache doc lacks `{key}`"))?,
         });
     }
@@ -266,7 +303,7 @@ fn gate_sweep(doc: &Value, floors: &Value, checks: &mut Vec<Check>) -> Result<()
         checks.push(Check {
             bench: "sweep",
             label: format!("sweep[{mode}] {key}"),
-            floor: floor_number(entry, key)?,
+            limit: Limit::Floor(floor_number(entry, key)?),
             actual: doc.number(key).ok_or_else(|| format!("sweep doc lacks `{key}`"))?,
         });
     }
@@ -318,7 +355,7 @@ fn gate_batch(doc: &Value, floors: &Value, checks: &mut Vec<Check>) -> Result<()
     checks.push(Check {
         bench: "batch",
         label: format!("batch[{mode}] speedup vs cold @ {max_threads} threads"),
-        floor: floor_number(entry, "vs_cold_at_max_threads")?,
+        limit: Limit::Floor(floor_number(entry, "vs_cold_at_max_threads")?),
         actual: best.number("speedup_vs_cold").ok_or("batch scaling row lacks speedup_vs_cold")?,
     });
     // Wall-clock scaling against the serial session sweep is gated to what
@@ -332,7 +369,7 @@ fn gate_batch(doc: &Value, floors: &Value, checks: &mut Vec<Check>) -> Result<()
         label: format!(
             "batch[{mode}] speedup vs serial @ {max_threads} threads ({hardware} hw threads)"
         ),
-        floor,
+        limit: Limit::Floor(floor),
         actual: doc
             .number("speedup_at_max_threads")
             .ok_or("batch doc lacks speedup_at_max_threads")?,
@@ -423,9 +460,9 @@ fn main() -> ExitCode {
     }
     for check in &checks {
         if check.ok() {
-            println!("pass  {} = {:.2} (floor {:.2})", check.label, check.actual, check.floor);
+            println!("pass  {}", check.describe());
         } else {
-            eprintln!("FAIL  {} = {:.2} below floor {:.2}", check.label, check.actual, check.floor);
+            eprintln!("FAIL  {}", check.describe());
             failures += 1;
             red.push(check.bench);
         }
@@ -469,7 +506,7 @@ mod tests {
             r#"{{"mode": "quick",
                  "designs": [
                    {{"name": "crc32", "speedup": {speedup}, "pruning_ratio": 0.9,
-                     "warm_ns": {warm_ns}}},
+                     "cold_nodes_settled": 20000, "warm_ns": {warm_ns}}},
                    {{"name": "sha256", "speedup": 3.0, "warm_ns": 1000.0}}
                  ],
                  "drain": [{{"n": 64, "speedup": 2.0, "dijkstras_batched": 3, "paths": 9}}]}}"#
@@ -487,12 +524,33 @@ mod tests {
     }
 
     #[test]
+    fn ceiling_fails_above_its_bound() {
+        let floors = Value::parse(
+            r#"{"solver": {"quick": {
+                "warm_speedup_min": 1.0,
+                "warm_speedup_geomean": 1.0,
+                "pruning_ratio_min": 0.5,
+                "crc32_cold_nodes_settled_max": 10000,
+                "drain_speedup_min": 1.0}}}"#,
+        )
+        .unwrap();
+        let mut checks = Vec::new();
+        gate_solver(&doc(500.0, 4.0), &floors, &mut checks).expect("structurally valid doc");
+        let red: Vec<String> = checks.iter().filter(|c| !c.ok()).map(Check::describe).collect();
+        assert_eq!(
+            red,
+            ["solver[quick] crc32 cold nodes settled = 20000.00 above ceiling 10000.00"]
+        );
+    }
+
+    #[test]
     fn deliberately_failed_floor_prints_ranked_attribution() {
         let floors = Value::parse(
             r#"{"solver": {"quick": {
                 "warm_speedup_min": 1000.0,
                 "warm_speedup_geomean": 1000.0,
                 "pruning_ratio_min": 0.5,
+                "crc32_cold_nodes_settled_max": 50000,
                 "drain_speedup_min": 1.0}}}"#,
         )
         .unwrap();

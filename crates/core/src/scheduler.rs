@@ -1242,6 +1242,51 @@ mod tests {
         assert!(stats.dijkstras < stats.paths, "bulk retargets must batch: {stats:?}");
     }
 
+    /// A Table I design's naive delay matrix from the sky130 model.
+    fn naive(graph: &Graph) -> DelayMatrix {
+        let model = isdc_synth::OpDelayModel::new(isdc_techlib::TechLibrary::sky130());
+        DelayMatrix::initialize(graph, &model.all_node_delays(graph))
+    }
+
+    #[test]
+    fn cold_solve_search_stays_small() {
+        // The cold drain starts from the tightened start and pops deficits
+        // first: it must deliver exactly the objective's supply while
+        // settling well under half the nodes the plain Bellman-Ford start
+        // did (109,511 on crc32 and 70,604 on sha256).
+        for (graph, flow, settled_max) in [
+            (isdc_benchsuite::designs::crc32(), 8_480, 55_000),
+            (isdc_benchsuite::designs::sha256(), 4_320, 35_000),
+        ] {
+            let d = naive(&graph);
+            let options = ScheduleOptions { clock_period_ps: 2500.0, max_stages: None };
+            let mut engine = IncrementalScheduler::new(&graph, &d, &options).unwrap();
+            engine.reschedule(&graph, &d, &crate::delay::DirtySet::new(graph.len())).unwrap();
+            assert!(!engine.last_solve_was_warm());
+            let stats = engine.last_drain_stats();
+            assert_eq!(stats.flow_pushed, flow, "{}: {stats:?}", graph.name());
+            assert!(stats.nodes_settled <= settled_max, "{}: {stats:?}", graph.name());
+        }
+    }
+
+    #[test]
+    fn tightened_start_on_the_crc32_lp() {
+        // On the scheduler's LP the positively weighted variables are the
+        // last-use variables: Bellman-Ford leaves them at 0, and the
+        // tightened start drops each to its latest user. That point must
+        // stay feasible, raise nothing and strictly lower the objective.
+        let graph = isdc_benchsuite::designs::crc32();
+        let d = naive(&graph);
+        let options = ScheduleOptions { clock_period_ps: 2500.0, max_stages: None };
+        let BuiltLp { sys, weights, .. } = build_lp(&graph, &d, &options, true).unwrap();
+        let start = sys.solve_feasible().unwrap();
+        let lowered = sys.lower_weighted(&start, &weights);
+        assert_eq!(sys.first_violation(&lowered), None);
+        assert!(lowered.iter().zip(&start).all(|(l, s)| l <= s));
+        let objective = |x: &[i64]| -> i64 { weights.iter().zip(x).map(|(w, x)| w * x).sum() };
+        assert!(objective(&lowered) < objective(&start));
+    }
+
     #[test]
     fn schedules_are_deterministic() {
         let (g, _) = mac_graph();

@@ -127,7 +127,7 @@ pub struct IncrementalSolver {
     /// (zeroed for cached zero-delta solves and feasibility queries).
     last_drain: DrainStats,
     /// Test/bench hook: route solves through the retained serial reference
-    /// drain instead of the batched multi-source one.
+    /// drain, from the plain Bellman-Ford start.
     serial_drain: bool,
 }
 
@@ -194,9 +194,11 @@ impl IncrementalSolver {
     }
 
     /// Routes every subsequent solve through the retained single-source
-    /// reference drain instead of the batched multi-source one. Results
-    /// are bit-identical by construction; only search counts and time
-    /// change. A test/bench hook, not a tuning knob.
+    /// reference drain instead of the batched multi-source one, and starts
+    /// cold solves from the plain Bellman-Ford point instead of the
+    /// tightened one ([`DifferenceSystem::lower_weighted`]). Results are
+    /// bit-identical by construction; only search counts and time change.
+    /// A test/bench hook, not a tuning knob.
     #[doc(hidden)]
     pub fn use_reference_drain(&mut self, on: bool) {
         self.serial_drain = on;
@@ -421,7 +423,19 @@ impl IncrementalSolver {
             // Cold start: feasibility first — it also seeds the potentials
             // (pi_u = -x_u makes every reduced cost b - x_u + x_v >= 0).
             let _span = isdc_telemetry::span("solve:feasibility");
-            let feasible = self.system.solve_feasible()?;
+            let mut feasible = self.system.solve_feasible()?;
+            if !self.serial_drain {
+                // Tightened start: every deficit node drops to the lowest
+                // point its constraints allow, which zeroes the reduced
+                // cost of its tightest in-arc, so the drain's early-exit
+                // searches meet deficits sooner. The reference path keeps
+                // the plain Bellman-Ford point.
+                feasible = self.system.lower_weighted(&feasible, &self.weights);
+                debug_assert!(
+                    self.system.first_violation(&feasible).is_none(),
+                    "the tightened start must stay feasible"
+                );
+            }
             let mut net = FlowNetwork::new(n);
             for c in self.system.constraints() {
                 net.add_arc(c.u.index(), c.v.index(), c.bound);

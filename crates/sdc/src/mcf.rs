@@ -12,20 +12,33 @@
 //! becomes an arc `u -> v` with cost `b_uv`, and each variable `v` a node
 //! that must receive net inflow `w_v`. We solve it with successive shortest
 //! paths under node potentials (Dijkstra on reduced costs), seeding the
-//! potentials from a Bellman-Ford feasible point so all reduced costs start
+//! potentials from a feasible point so all reduced costs start
 //! nonnegative. At termination the potentials *are* an optimal primal
 //! solution — integral, because all bounds are integers (total
 //! unimodularity, the property the paper's §II leans on).
+//!
+//! **The cold start.** A cold solve takes the Bellman-Ford feasible point
+//! and then lowers every positively weighted variable (every deficit node
+//! of the flow) at once to the largest lower bound its constraints allow
+//! ([`DifferenceSystem::lower_weighted`]). The point stays feasible, the
+//! objective never rises, and each deficit's tightest in-arc becomes
+//! reduced-cost zero, so the drain starts closer to the optimum (the
+//! primal-dual warm start of Ahuja, Magnanti & Orlin, *Network Flows*,
+//! 1993, ch. 9). In the scheduler these variables are the last-use
+//! variables, which Bellman-Ford leaves at 0 and the tightened start drops
+//! to their latest user.
 //!
 //! The drain itself ([`ssp_drain`]) is **batched and multi-source**: a
 //! bulk re-drain seeds all current excess nodes at distance 0 in one
 //! Dijkstra pass and pushes a blocking flow over the resulting admissible
 //! subgraph, delivering many source->deficit paths per pass instead of one
-//! single-source search per augmentation (retained as
-//! [`ssp_drain_serial`], the reference the batched path is proven
-//! bit-identical against). The strategy adapts to the excess shape — see
-//! [`DrainProfile`] and the adaptive fallback inside [`ssp_drain`] — and
-//! [`DrainStats`] counts what actually ran.
+//! single-source search per augmentation. A full-supply drain instead runs
+//! early-exit single-source searches that pop deficits first among equal
+//! distances ([`drain_single_source`]). [`ssp_drain_serial`] is the retained
+//! reference: the pre-batching algorithm, run from the plain Bellman-Ford
+//! start, that both paths are proven bit-identical against. The strategy adapts to the
+//! excess shape — see [`DrainProfile`] and the adaptive fallback inside
+//! [`ssp_drain`] — and [`DrainStats`] counts what actually ran.
 //!
 //! Because the LP can have many optimal vertices, the raw SSP potentials
 //! depend on pivot order. To make every solve path (cold, and the
@@ -289,7 +302,11 @@ pub(crate) enum DrainProfile {
     Bulk,
     /// Full supply on every weighted node (a cold start or imported
     /// potentials): diffuse, heterogeneous distances — early-exit
-    /// single-source searches win.
+    /// single-source searches win. From the tightened cold start most
+    /// deficits sit at reduced distance zero from a nearby source, and
+    /// the searches pop deficits before other nodes at equal distance, so
+    /// each one stops at the first deficit level it reaches (see
+    /// [`drain_single_source`] for why that tie rule is sound).
     Diffuse,
 }
 
@@ -537,6 +554,19 @@ pub(crate) fn ssp_drain(
 /// persistent versioned scratch (no allocation) and with the O(settled)
 /// offset-deferred potential update. Deficits are dense in SDC scheduling
 /// duals, so each search settles a small neighbourhood of its source.
+///
+/// **Deficits first.** At equal reduced distance the heap pops deficits
+/// before every other node (ties within each class go to the smaller
+/// index), so a search stops at the first distance where a deficit is
+/// reachable instead of settling that whole distance level first. From a
+/// tightened cold start most routes to a deficit are reduced-cost zero,
+/// so this is where the search saves the most. The potential update stays
+/// sound: entries still pop in distance order, so every settled node has
+/// `dist <= dt` (the target's distance) and everything left in the heap,
+/// hence every unsettled node's true distance, is `>= dt`. The rule can
+/// change which deficit a search stops at, and so which optimal flow the
+/// drain ends with, but never the canonical assignment (see
+/// [`canonical_assignment`]).
 fn drain_single_source(
     net: &mut FlowNetwork,
     excess: &mut [i64],
@@ -545,6 +575,9 @@ fn drain_single_source(
     stats: &mut DrainStats,
 ) -> Result<(), SolveError> {
     let n = excess.len();
+    // Heap key of a node: itself if it is a deficit, `n` past it otherwise,
+    // so deficits sort first at equal distance (see the doc comment).
+    let key = |v: usize, excess: &[i64]| if excess[v] < 0 { v } else { v + n };
     let mut sources: Vec<usize> = (0..n).filter(|&v| excess[v] > 0).collect();
     let mut offset: i64 = 0;
     while let Some(&source) = sources.last() {
@@ -558,15 +591,16 @@ fn drain_single_source(
         scratch.dist[source] = 0;
         scratch.parent[source] = usize::MAX;
         scratch.stamp[source] = version;
-        scratch.heap.push(Reverse((0, source)));
+        scratch.heap.push(Reverse((0, key(source, excess))));
         let mut target = None;
-        while let Some(Reverse((d, u))) = scratch.heap.pop() {
+        while let Some(Reverse((d, k))) = scratch.heap.pop() {
+            let (u, deficit) = if k < n { (k, true) } else { (k - n, false) };
             if scratch.settled[u] == version || d > scratch.dist[u] {
                 continue;
             }
             scratch.settled[u] = version;
             scratch.settle_order.push(u);
-            if excess[u] < 0 {
+            if deficit {
                 target = Some(u);
                 break;
             }
@@ -582,7 +616,7 @@ fn drain_single_source(
                     scratch.dist[v] = nd;
                     scratch.parent[v] = arc;
                     scratch.stamp[v] = version;
-                    scratch.heap.push(Reverse((nd, v)));
+                    scratch.heap.push(Reverse((nd, key(v, excess))));
                 }
             }
         }

@@ -150,6 +150,37 @@ impl DifferenceSystem {
             .position(|c| assignment[c.u.index()] - assignment[c.v.index()] > c.bound)
     }
 
+    /// Lowers every variable with a positive weight, all at once, to the
+    /// largest lower bound its constraints allow at `feasible`: variable `v`
+    /// becomes `max(feasible[c.u] - c.bound)` over the constraints `c` with
+    /// `c.v == v`, or keeps its value when no constraint bounds it from
+    /// below. This is the cold solve's tightened start.
+    ///
+    /// For a feasible input the result is feasible and raises no variable;
+    /// only positively weighted variables move, so it never raises
+    /// `sum weights[v] * x_v` either. Take `c = (u, v, b)`: if `v`
+    /// is lowered, its new value is at least `feasible[u] - b`, which is at
+    /// least the new `x_u - b` because `u` only ever moves down; if `v` is
+    /// not lowered, `x_u - x_v` can only have fallen. And each lowered value
+    /// is at most `feasible[v]`, since `feasible` meets every bound it was
+    /// taken from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `feasible` or `weights` is shorter than
+    /// [`DifferenceSystem::num_vars`].
+    pub fn lower_weighted(&self, feasible: &[i64], weights: &[i64]) -> Vec<i64> {
+        let mut lowest: Vec<Option<i64>> = vec![None; self.num_vars];
+        for c in &self.constraints {
+            let v = c.v.index();
+            if weights[v] > 0 {
+                let floor = feasible[c.u.index()].saturating_sub(c.bound);
+                lowest[v] = Some(lowest[v].map_or(floor, |l| l.max(floor)));
+            }
+        }
+        feasible[..self.num_vars].iter().zip(lowest).map(|(&x, l)| l.unwrap_or(x)).collect()
+    }
+
     /// Finds an integral feasible assignment via Bellman-Ford, or a negative
     /// cycle certificate.
     ///

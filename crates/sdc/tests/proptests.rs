@@ -1,6 +1,6 @@
 //! Property-based tests for the difference-constraint solver: feasibility
-//! certificates, optimality against brute force, structural invariants, and
-//! the batched-drain bit-identity guarantee.
+//! certificates, optimality against brute force, structural invariants, the
+//! tightened cold start, and the batched-drain bit-identity guarantee.
 
 use isdc_sdc::{minimize, DifferenceSystem, IncrementalSolver, SolveError, VarId};
 use proptest::prelude::*;
@@ -129,8 +129,10 @@ proptest! {
     /// The batched multi-source drain is bit-identical to the retained
     /// serial reference drain — across the initial solve and arbitrary
     /// mixed relax/tighten bound sequences (relaxations re-drain warm in
-    /// both; tightenings force both onto the cold path). Also pinned
-    /// against a from-scratch `minimize` at every step.
+    /// both; tightenings force both onto the cold path, where the reference
+    /// starts from the plain Bellman-Ford point and the solver from the
+    /// tightened one). Also pinned against a from-scratch `minimize` at
+    /// every step.
     #[test]
     fn batched_drain_matches_reference_drain(
         n in 3usize..8,
@@ -186,6 +188,37 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// The cold solve's tightened start, taken from the Bellman-Ford point,
+    /// violates no constraint, raises no variable, moves only positively
+    /// weighted ones and never increases the objective.
+    #[test]
+    fn tightened_start_is_feasible_and_no_worse(
+        n in 2usize..8,
+        hidden in prop::collection::vec(-8i64..8, 8),
+        edges in prop::collection::vec((0usize..8, 0usize..8, 0i64..3), 0..24),
+        raw_weights in prop::collection::vec(-3i64..4, 8),
+    ) {
+        let mut sys = DifferenceSystem::new(n);
+        for &(u, v, slack) in &edges {
+            let (u, v) = (u % n, v % n);
+            if u != v {
+                sys.add_constraint(VarId(u as u32), VarId(v as u32), hidden[u] - hidden[v] + slack);
+            }
+        }
+        let weights: Vec<i64> = raw_weights.into_iter().take(n).collect();
+        let start = sys.solve_feasible().expect("feasible by construction");
+        let lowered = sys.lower_weighted(&start, &weights);
+        prop_assert_eq!(sys.first_violation(&lowered), None);
+        for v in 0..n {
+            prop_assert!(lowered[v] <= start[v], "x{} rose", v);
+            if weights[v] <= 0 {
+                prop_assert_eq!(lowered[v], start[v], "x{} has no positive weight", v);
+            }
+        }
+        let objective = |x: &[i64]| -> i64 { weights.iter().zip(x).map(|(&w, &x)| w * x).sum() };
+        prop_assert!(objective(&lowered) <= objective(&start));
     }
 
     /// Adding a redundant (implied) constraint never changes the optimum.

@@ -81,6 +81,9 @@
 //! one deterministic fault before the command runs — e.g.
 //! `ISDC_FAULT_PLAN=batch/shard:0:panic isdc-cli batch --keep-going ...`.
 //!
+//! Every subcommand declares its flags: an unknown flag, a flag given twice,
+//! a missing flag value or a stray argument is a usage error.
+//!
 //! Exit codes: 0 success; 2 usage, spec, or I/O errors; 3 one or more
 //! batch jobs failed (the report still prints, and `--out`/`--cache-file`
 //! artifacts are still written — see README § Robustness); 4 a deadline
@@ -195,28 +198,90 @@ fn load_graph(path: &str) -> Result<Graph, String> {
     text::parse(&src).map_err(|e| format!("parsing {path}: {e}"))
 }
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
+// Flag tables: each subcommand declares its flags as space-separated
+// names, where a trailing `=` marks a flag that takes a value.
+/// The extraction/iteration flags of every command that runs the loop.
+const LOOP_FLAGS: &str = "--iterations= --subgraphs= --scoring= --shape=";
+/// The telemetry flags of `schedule`, `sweep` and `batch`.
+const TRACE_FLAGS: &str = "--trace= --trace-format= --profile";
+/// The design, grid and output flags of the sweep-shaped commands.
+const SWEEP_FLAGS: &str = "--bench= --from= --to= --points= --out=";
+
+/// One subcommand's command line, checked against the flag tables the
+/// subcommand declares and how many positional arguments it takes.
+struct Args {
+    positional: Vec<String>,
+    /// Each flag given, with its value (`None` for a switch).
+    flags: Vec<(String, Option<String>)>,
 }
 
-/// Parses a millisecond-duration flag (`--deadline`, `--fleet-deadline`,
-/// `--stall-timeout`).
-fn flag_ms(args: &[String], flag: &str) -> Result<Option<std::time::Duration>, String> {
-    flag_value(args, flag)
-        .map(|v| {
-            v.parse::<u64>()
-                .map(std::time::Duration::from_millis)
-                .map_err(|_| format!("bad {flag} `{v}`"))
-        })
-        .transpose()
-}
+impl Args {
+    /// Parses `args` for `command`. An unknown flag, a flag given twice, a
+    /// value flag followed by nothing or by another `--` flag, and a
+    /// positional argument past `max_positional` are all errors.
+    fn parse(
+        command: &str,
+        args: &[String],
+        tables: &[&str],
+        max_positional: usize,
+    ) -> Result<Self, String> {
+        let takes_value = |arg: &str| {
+            tables.iter().flat_map(|t| t.split_whitespace()).find_map(|f| {
+                match f.strip_suffix('=') {
+                    Some(name) => (name == arg).then_some(true),
+                    None => (f == arg).then_some(false),
+                }
+            })
+        };
+        let mut parsed = Args { positional: Vec::new(), flags: Vec::new() };
+        let mut rest = args.iter();
+        while let Some(arg) = rest.next() {
+            if !arg.starts_with('-') {
+                if parsed.positional.len() == max_positional {
+                    return Err(format!("{command}: unexpected argument `{arg}`"));
+                }
+                parsed.positional.push(arg.clone());
+                continue;
+            }
+            if parsed.has(arg) {
+                return Err(format!("{command}: {arg} given twice"));
+            }
+            let value = match takes_value(arg) {
+                None => return Err(format!("{command}: unknown flag `{arg}`")),
+                Some(false) => None,
+                Some(true) => match rest.next() {
+                    Some(value) if !value.starts_with("--") => Some(value.clone()),
+                    _ => return Err(format!("{command}: {arg} needs a value")),
+                },
+            };
+            parsed.flags.push((arg.clone(), value));
+        }
+        Ok(parsed)
+    }
 
-/// Parses `--cache-capacity <entries>` (0 = unbounded, the default).
-fn flag_cache_capacity(args: &[String]) -> Result<usize, String> {
-    Ok(flag_value(args, "--cache-capacity")
-        .map(|v| v.parse().map_err(|_| format!("bad --cache-capacity `{v}`")))
-        .transpose()?
-        .unwrap_or(0))
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.flags.iter().find(|(f, _)| f == flag).and_then(|(_, v)| v.as_deref())
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(f, _)| f == flag)
+    }
+
+    /// A value flag parsed as `T`; a value that does not parse is an error.
+    fn parsed<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        self.value(flag).map(|v| v.parse().map_err(|_| format!("bad {flag} `{v}`"))).transpose()
+    }
+
+    /// A millisecond-duration flag (`--deadline`, `--fleet-deadline`,
+    /// `--stall-timeout`).
+    fn millis(&self, flag: &str) -> Result<Option<std::time::Duration>, String> {
+        Ok(self.parsed(flag)?.map(std::time::Duration::from_millis))
+    }
+
+    /// `--cache-capacity <entries>` (0 = unbounded, the default).
+    fn cache_capacity(&self) -> Result<usize, String> {
+        Ok(self.parsed("--cache-capacity")?.unwrap_or(0))
+    }
 }
 
 /// Classifies a scheduling failure for the exit code: a tripped deadline
@@ -245,9 +310,9 @@ struct TelemetryOpts {
 }
 
 impl TelemetryOpts {
-    fn parse(args: &[String]) -> Result<Self, String> {
-        let path = flag_value(args, "--trace").map(std::path::PathBuf::from);
-        let format = match flag_value(args, "--trace-format") {
+    fn parse(args: &Args) -> Result<Self, String> {
+        let path = args.value("--trace").map(std::path::PathBuf::from);
+        let format = match args.value("--trace-format") {
             None => TraceFormat::Jsonl,
             Some(_) if path.is_none() => {
                 return Err("--trace-format requires --trace <file>".to_string());
@@ -256,10 +321,7 @@ impl TelemetryOpts {
             Some("chrome") => TraceFormat::Chrome,
             Some(other) => return Err(format!("bad --trace-format `{other}` (jsonl|chrome)")),
         };
-        let opts = Self {
-            trace: path.map(|p| (p, format)),
-            profile: args.iter().any(|a| a == "--profile"),
-        };
+        let opts = Self { trace: path.map(|p| (p, format)), profile: args.has("--profile") };
         if opts.trace.is_some() {
             isdc::telemetry::set_thread_track("main");
             isdc::telemetry::set_enabled(true);
@@ -302,9 +364,10 @@ fn print_profile(frames: &[&isdc::telemetry::MetricsFrame]) {
 /// `trace check <file.jsonl>` — parse an exported JSONL trace and run the
 /// well-formedness validator over it.
 fn cmd_trace(args: &[String]) -> Result<(), String> {
-    match args.first().map(String::as_str) {
+    let args = Args::parse("trace", args, &[], 2)?;
+    match args.positional.first().map(String::as_str) {
         Some("check") => {
-            let path = args.get(1).ok_or("trace check requires a .jsonl trace file")?;
+            let path = args.positional.get(1).ok_or("trace check requires a .jsonl trace file")?;
             let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
             let (events, tracks) = isdc::telemetry::parse_jsonl(&text)?;
             let summary = isdc::telemetry::validate_events(
@@ -330,7 +393,8 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_show(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("show requires a .ir file")?;
+    let args = Args::parse("show", args, &[], 1)?;
+    let path = args.positional.first().ok_or("show requires a .ir file")?;
     let g = load_graph(path)?;
     g.validate().map_err(|e| e.to_string())?;
     println!("name:    {}", g.name());
@@ -357,23 +421,15 @@ fn cmd_show(args: &[String]) -> Result<(), String> {
 }
 
 /// The extraction/iteration knobs shared by `schedule` and `sweep`.
-fn parse_loop_opts(
-    args: &[String],
-) -> Result<(usize, usize, ScoringStrategy, ShapeStrategy), String> {
-    let iterations: usize = flag_value(args, "--iterations")
-        .map(|v| v.parse().map_err(|_| format!("bad --iterations `{v}`")))
-        .transpose()?
-        .unwrap_or(15);
-    let subgraphs: usize = flag_value(args, "--subgraphs")
-        .map(|v| v.parse().map_err(|_| format!("bad --subgraphs `{v}`")))
-        .transpose()?
-        .unwrap_or(16);
-    let scoring = match flag_value(args, "--scoring").unwrap_or("fd") {
+fn parse_loop_opts(args: &Args) -> Result<(usize, usize, ScoringStrategy, ShapeStrategy), String> {
+    let iterations = args.parsed("--iterations")?.unwrap_or(15);
+    let subgraphs = args.parsed("--subgraphs")?.unwrap_or(16);
+    let scoring = match args.value("--scoring").unwrap_or("fd") {
         "dd" => ScoringStrategy::DelayDriven,
         "fd" => ScoringStrategy::FanoutDriven,
         other => return Err(format!("bad --scoring `{other}` (dd|fd)")),
     };
-    let shape = match flag_value(args, "--shape").unwrap_or("window") {
+    let shape = match args.value("--shape").unwrap_or("window") {
         "path" => ShapeStrategy::Path,
         "cone" => ShapeStrategy::Cone,
         "window" => ShapeStrategy::Window,
@@ -383,13 +439,13 @@ fn parse_loop_opts(
 }
 
 fn cmd_schedule(args: &[String]) -> Result<(), CliError> {
-    let path = args.first().ok_or_else(|| "schedule requires a .ir file".to_string())?;
+    let own = "--clock= --cache-file= --deadline= --cache-capacity= --dot= \
+               --feedback --cache --cold-solver";
+    let args = &Args::parse("schedule", args, &[LOOP_FLAGS, TRACE_FLAGS, own], 1)?;
+    let path = args.positional.first().ok_or_else(|| "schedule requires a .ir file".to_string())?;
     let g = load_graph(path)?;
-    let clock: f64 = flag_value(args, "--clock")
-        .map(|v| v.parse().map_err(|_| format!("bad --clock `{v}`")))
-        .transpose()?
-        .unwrap_or(2500.0);
-    let feedback = args.iter().any(|a| a == "--feedback");
+    let clock: f64 = args.parsed("--clock")?.unwrap_or(2500.0);
+    let feedback = args.has("--feedback");
     let (iterations, subgraphs, scoring, shape) = parse_loop_opts(args)?;
     let telemetry = TelemetryOpts::parse(args)?;
     // Arm the wall-clock budget before any scheduling work: every
@@ -397,16 +453,16 @@ fn cmd_schedule(args: &[String]) -> Result<(), CliError> {
     // solver drain) polls it; without the flag checks stay one disarmed
     // atomic load.
     let deadline_scope =
-        flag_ms(args, "--deadline")?.map(|d| isdc::cancel::CancelToken::with_deadline(d).install());
+        args.millis("--deadline")?.map(|d| isdc::cancel::CancelToken::with_deadline(d).install());
     let session_span = isdc::telemetry::span_str("session", "design", path);
 
-    let cache_file = flag_value(args, "--cache-file").map(std::path::PathBuf::from);
-    let cache = args.iter().any(|a| a == "--cache") || cache_file.is_some();
-    let cache_capacity = flag_cache_capacity(args)?;
+    let cache_file = args.value("--cache-file").map(std::path::PathBuf::from);
+    let cache = args.has("--cache") || cache_file.is_some();
+    let cache_capacity = args.cache_capacity()?;
     if cache && !feedback {
         eprintln!("note: --cache/--cache-file only apply with --feedback; ignoring");
     }
-    let incremental = !args.iter().any(|a| a == "--cold-solver");
+    let incremental = !args.has("--cold-solver");
 
     let lib = TechLibrary::sky130();
     let model = OpDelayModel::new(lib.clone());
@@ -491,7 +547,7 @@ fn cmd_schedule(args: &[String]) -> Result<(), CliError> {
     println!("stages:        {}", schedule.num_stages());
     println!("register bits: {}", schedule.register_bits(&g));
     println!("slack:         {:.0}ps", post_synthesis_slack(&g, &schedule, &oracle, clock));
-    if let Some(dot_path) = flag_value(args, "--dot") {
+    if let Some(dot_path) = args.value("--dot") {
         let rendered = dot::to_dot_with_stages(&g, schedule.cycles());
         std::fs::write(dot_path, rendered).map_err(|e| format!("writing {dot_path}: {e}"))?;
         println!("dot:           {dot_path}");
@@ -501,8 +557,11 @@ fn cmd_schedule(args: &[String]) -> Result<(), CliError> {
 
 /// Resolves the design a sweep-shaped command (`sweep`, `report`) runs
 /// over: a `.ir` file, or a bundled benchmark via `--bench`.
-fn load_sweep_design(args: &[String], command: &str) -> Result<(Graph, f64, String), String> {
-    match flag_value(args, "--bench") {
+fn load_sweep_design(args: &Args, command: &str) -> Result<(Graph, f64, String), String> {
+    match args.value("--bench") {
+        Some(_) if !args.positional.is_empty() => {
+            Err(format!("{command} takes a .ir file or --bench <name>, not both"))
+        }
         Some(bench_name) => {
             let suite = isdc::benchsuite::suite();
             let b = suite
@@ -513,8 +572,8 @@ fn load_sweep_design(args: &[String], command: &str) -> Result<(Graph, f64, Stri
         }
         None => {
             let path = args
+                .positional
                 .first()
-                .filter(|a| !a.starts_with("--"))
                 .ok_or(format!("{command} requires a .ir file or --bench <name>"))?;
             let g = load_graph(path)?;
             Ok((g, 2500.0, path.clone()))
@@ -523,33 +582,23 @@ fn load_sweep_design(args: &[String], command: &str) -> Result<(Graph, f64, Stri
 }
 
 fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
+    let own = "--tol= --cache-file= --deadline= --cache-capacity= --min-period";
+    let args = &Args::parse("sweep", args, &[SWEEP_FLAGS, LOOP_FLAGS, TRACE_FLAGS, own], 1)?;
     let (g, default_clock, name) = load_sweep_design(args, "sweep")?;
-    let from: f64 = flag_value(args, "--from")
-        .map(|v| v.parse().map_err(|_| format!("bad --from `{v}`")))
-        .transpose()?
-        .unwrap_or(default_clock);
-    let to: f64 = flag_value(args, "--to")
-        .map(|v| v.parse().map_err(|_| format!("bad --to `{v}`")))
-        .transpose()?
-        .unwrap_or(from * 2.0);
-    let points: usize = flag_value(args, "--points")
-        .map(|v| v.parse().map_err(|_| format!("bad --points `{v}`")))
-        .transpose()?
-        .unwrap_or(10);
+    let from: f64 = args.parsed("--from")?.unwrap_or(default_clock);
+    let to: f64 = args.parsed("--to")?.unwrap_or(from * 2.0);
+    let points: usize = args.parsed("--points")?.unwrap_or(10);
     if points == 0 || to < from {
         return Err("sweep needs --points >= 1 and --to >= --from".to_string().into());
     }
     let (iterations, subgraphs, scoring, shape) = parse_loop_opts(args)?;
-    let tol: f64 = flag_value(args, "--tol")
-        .map(|v| v.parse().map_err(|_| format!("bad --tol `{v}`")))
-        .transpose()?
-        .unwrap_or(10.0);
+    let tol: f64 = args.parsed("--tol")?.unwrap_or(10.0);
     let telemetry = TelemetryOpts::parse(args)?;
     // Armed before the session starts; a cut-short sweep keeps its
     // completed prefix (bit-identical to an unbounded run's first points),
     // saves artifacts, and exits with EXIT_DEADLINE.
     let deadline_scope =
-        flag_ms(args, "--deadline")?.map(|d| isdc::cancel::CancelToken::with_deadline(d).install());
+        args.millis("--deadline")?.map(|d| isdc::cancel::CancelToken::with_deadline(d).install());
     let session_span = isdc::telemetry::span_str("session", "design", &name);
 
     let lib = TechLibrary::sky130();
@@ -562,10 +611,9 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
         shape,
         ..IsdcConfig::paper_defaults(from)
     };
-    let cache =
-        std::sync::Arc::new(isdc::cache::DelayCache::with_capacity(flag_cache_capacity(args)?));
+    let cache = std::sync::Arc::new(isdc::cache::DelayCache::with_capacity(args.cache_capacity()?));
     let mut session = IsdcSession::with_cache(&g, &model, &oracle, cache);
-    let snapshot = flag_value(args, "--cache-file").map(std::path::PathBuf::from);
+    let snapshot = args.value("--cache-file").map(std::path::PathBuf::from);
     if let Some(path) = &snapshot {
         report_snapshot_load(session.load_snapshot_resilient(path), path);
     }
@@ -594,7 +642,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
         );
     }
 
-    if args.iter().any(|a| a == "--min-period") && !timed_out {
+    if args.has("--min-period") && !timed_out {
         match min_feasible_period(&mut session, &base, 1.0, to, tol) {
             Ok(search) => match search.min_period_ps {
                 Some(p) => println!(
@@ -618,7 +666,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
         session.save_snapshot(path).map_err(|e| e.to_string())?;
         println!("saved session snapshot (delays + potentials) to {}", path.display());
     }
-    if let Some(out) = flag_value(args, "--out") {
+    if let Some(out) = args.value("--out") {
         let json = render_sweep_json(&name, g.len(), "cli", &sweep, &[]);
         std::fs::write(out, json).map_err(|e| format!("writing {out}: {e}"))?;
         println!("wrote {out}");
@@ -738,8 +786,9 @@ fn flatten_json_file(path: &str) -> Result<std::collections::BTreeMap<String, f6
 /// runs a sweep and emits the structured run report (text; JSON with
 /// `--out`).
 fn cmd_report(args: &[String]) -> Result<(), String> {
-    if let Some(pos) = args.iter().position(|a| a == "--baseline") {
-        let (Some(old_path), Some(new_path)) = (args.get(pos + 1), args.get(pos + 2)) else {
+    if args.iter().any(|a| a == "--baseline") {
+        let args = Args::parse("report --baseline", args, &["--baseline"], 2)?;
+        let [old_path, new_path] = &args.positional[..] else {
             return Err("usage: isdc-cli report --baseline <old.json> <new.json>".to_string());
         };
         let old = flatten_json_file(old_path)?;
@@ -751,19 +800,11 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
 
+    let args = &Args::parse("report", args, &[SWEEP_FLAGS, LOOP_FLAGS], 1)?;
     let (g, default_clock, name) = load_sweep_design(args, "report")?;
-    let from: f64 = flag_value(args, "--from")
-        .map(|v| v.parse().map_err(|_| format!("bad --from `{v}`")))
-        .transpose()?
-        .unwrap_or(default_clock);
-    let to: f64 = flag_value(args, "--to")
-        .map(|v| v.parse().map_err(|_| format!("bad --to `{v}`")))
-        .transpose()?
-        .unwrap_or(from * 2.0);
-    let points: usize = flag_value(args, "--points")
-        .map(|v| v.parse().map_err(|_| format!("bad --points `{v}`")))
-        .transpose()?
-        .unwrap_or(10);
+    let from: f64 = args.parsed("--from")?.unwrap_or(default_clock);
+    let to: f64 = args.parsed("--to")?.unwrap_or(from * 2.0);
+    let points: usize = args.parsed("--points")?.unwrap_or(10);
     if points == 0 || to < from {
         return Err("report needs --points >= 1 and --to >= --from".to_string());
     }
@@ -786,7 +827,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
     let report = isdc::telemetry::RunReport::from_frames(sweep.iter().map(|p| &p.metrics));
     println!("{name}: {} nodes, {} points, {from}ps..{to}ps", g.len(), points);
     print!("{}", report.render_text());
-    if let Some(out) = flag_value(args, "--out") {
+    if let Some(out) = args.value("--out") {
         std::fs::write(out, report.render_json()).map_err(|e| format!("writing {out}: {e}"))?;
         println!("wrote {out}");
     }
@@ -821,6 +862,10 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
     use isdc::cache::DelayCache;
     use std::sync::Arc;
 
+    let own = "--jobs= --points= --threads= --shard-points= --max-retries= --deadline= \
+               --fleet-deadline= --stall-timeout= --cache-capacity= --cache-file= --out= \
+               --all-designs --keep-going";
+    let args = &Args::parse("batch", args, &[LOOP_FLAGS, TRACE_FLAGS, own], 0)?;
     let (iterations, subgraphs, scoring, shape) = parse_loop_opts(args)?;
     let suite = isdc::benchsuite::suite();
     let designs: Vec<BatchDesign> = suite
@@ -839,16 +884,13 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
         })
         .collect();
 
-    let jobs: Vec<Job> = match flag_value(args, "--jobs") {
+    let jobs: Vec<Job> = match args.value("--jobs") {
         Some(path) => {
             let spec = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
             parse_jobs(&spec)?
         }
-        None if args.iter().any(|a| a == "--all-designs") => {
-            let points: usize = flag_value(args, "--points")
-                .map(|v| v.parse().map_err(|_| format!("bad --points `{v}`")))
-                .transpose()?
-                .unwrap_or(10);
+        None if args.has("--all-designs") => {
+            let points: usize = args.parsed("--points")?.unwrap_or(10);
             if points == 0 {
                 return Err("batch needs --points >= 1".to_string().into());
             }
@@ -870,28 +912,16 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
         return Err("the job spec contains no jobs".to_string().into());
     }
 
-    let threads: usize = flag_value(args, "--threads")
-        .map(|v| v.parse().map_err(|_| format!("bad --threads `{v}`")))
-        .transpose()?
-        .unwrap_or(0);
-    let shard_points: usize = flag_value(args, "--shard-points")
-        .map(|v| v.parse().map_err(|_| format!("bad --shard-points `{v}`")))
-        .transpose()?
-        .unwrap_or(0);
-    let fail_policy = if args.iter().any(|a| a == "--keep-going") {
-        FailPolicy::KeepGoing
-    } else {
-        FailPolicy::Abort
-    };
-    let max_retries: u32 = flag_value(args, "--max-retries")
-        .map(|v| v.parse().map_err(|_| format!("bad --max-retries `{v}`")))
-        .transpose()?
-        .unwrap_or(0);
-    let fleet_deadline = flag_ms(args, "--fleet-deadline")?;
-    let stall_timeout = flag_ms(args, "--stall-timeout")?;
+    let threads: usize = args.parsed("--threads")?.unwrap_or(0);
+    let shard_points: usize = args.parsed("--shard-points")?.unwrap_or(0);
+    let fail_policy =
+        if args.has("--keep-going") { FailPolicy::KeepGoing } else { FailPolicy::Abort };
+    let max_retries: u32 = args.parsed("--max-retries")?.unwrap_or(0);
+    let fleet_deadline = args.millis("--fleet-deadline")?;
+    let stall_timeout = args.millis("--stall-timeout")?;
     // `--deadline` is the per-job budget applied to every job; jobs whose
     // spec carries its own `deadline_ms` keep the tighter of the two.
-    let job_deadline_ms = flag_ms(args, "--deadline")?.map(|d| d.as_millis() as u64);
+    let job_deadline_ms = args.millis("--deadline")?.map(|d| d.as_millis() as u64);
     let jobs: Vec<Job> = match job_deadline_ms {
         Some(ms) => jobs
             .into_iter()
@@ -908,8 +938,8 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
     let lib = TechLibrary::sky130();
     let model = OpDelayModel::new(lib.clone());
     let oracle = SynthesisOracle::new(lib);
-    let cache = Arc::new(DelayCache::with_capacity(flag_cache_capacity(args)?));
-    let snapshot = flag_value(args, "--cache-file").map(std::path::PathBuf::from);
+    let cache = Arc::new(DelayCache::with_capacity(args.cache_capacity()?));
+    let snapshot = args.value("--cache-file").map(std::path::PathBuf::from);
     if let Some(path) = &snapshot {
         use isdc::synth::DelayOracle as _;
         report_snapshot_load(cache.load_resilient(path, oracle.name()), path);
@@ -995,7 +1025,7 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
         cache.save(path, oracle.name()).map_err(|e| e.to_string())?;
         println!("saved fleet cache snapshot to {}", path.display());
     }
-    if let Some(out) = flag_value(args, "--out") {
+    if let Some(out) = args.value("--out") {
         let doc = BatchBenchDoc {
             mode: "cli",
             designs: designs.len(),
@@ -1084,11 +1114,12 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_aiger(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("aiger requires a .ir file")?;
+    let args = Args::parse("aiger", args, &["-o="], 1)?;
+    let path = args.positional.first().ok_or("aiger requires a .ir file")?;
     let g = load_graph(path)?;
     let lowered = lower_graph(&g);
     let aag = aiger::write_aag(&lowered.aig);
-    match flag_value(args, "-o") {
+    match args.value("-o") {
         Some(out) => {
             std::fs::write(out, aag).map_err(|e| format!("writing {out}: {e}"))?;
             println!(
@@ -1104,15 +1135,16 @@ fn cmd_aiger(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_bench(args: &[String]) -> Result<(), String> {
+    let args = Args::parse("bench", args, &["--emit= -o="], 0)?;
     let suite = isdc::benchsuite::suite();
-    match flag_value(args, "--emit") {
+    match args.value("--emit") {
         Some(name) => {
             let b = suite
                 .iter()
                 .find(|b| b.name == name)
                 .ok_or_else(|| format!("unknown benchmark `{name}`"))?;
             let rendered = text::print(&b.graph);
-            match flag_value(args, "-o") {
+            match args.value("-o") {
                 Some(out) => {
                     std::fs::write(out, rendered).map_err(|e| format!("writing {out}: {e}"))?;
                     println!("wrote {out}");
