@@ -1,7 +1,7 @@
 //! # isdc-cancel — cooperative cancellation and deadlines
 //!
 //! The workspace's hot loops (pipeline iterations, per-subgraph oracle
-//! evaluations, sweep points, SSP drain phases) poll [`checkpoint`] so a
+//! evaluations, sweep points, SSP drain searches) poll [`checkpoint`] so a
 //! runaway solve can be stopped *cleanly*: the loop unwinds through its
 //! normal error path, already-completed work is kept, and no partially
 //! mutated solver/cache state survives (callers discard in-flight state on

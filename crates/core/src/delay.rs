@@ -27,17 +27,18 @@ const NOT_CONNECTED: f64 = -1.0;
 /// The entries of a [`DelayMatrix`] that changed, tracked both as exact
 /// `(row, col)` pairs and as dirty-row/dirty-column index sets.
 ///
-/// Feedback application and reformulation report their writes here; the
-/// incremental scheduling engine consumes the set twice — the rows/columns
-/// drive the worklist of [`DelayMatrix::reformulate_incremental`], and the
-/// exact pairs tell the scheduler precisely which timing bounds to re-emit
-/// ([`DirtySet::pairs`]; the `rows × cols` product is a sound
-/// over-approximation, but on window-shaped feedback it is quadratically
-/// larger than the true write set).
+/// Feedback application and reformulation report their writes here. The
+/// rows and columns drive the worklist of
+/// [`DelayMatrix::reformulate_incremental`], and the dirty rows tell the
+/// incremental scheduler which sources' Eq. 2 sweeps to re-run; a sweep
+/// re-derives every pair of its row from the matrix, so it needs no pairs.
+/// The exact pairs ([`DirtySet::pairs`]) record the true write set, which
+/// on window-shaped feedback is quadratically smaller than the
+/// `rows × cols` product; only tests and the repo benchmark's per-layer
+/// counters read them.
 ///
 /// Pairs may repeat when the same entry is written more than once (merged
-/// sets, forward + backward sweep); consumers must be idempotent per pair,
-/// which bound re-emission is.
+/// sets, forward + backward sweep).
 #[derive(Clone, Debug)]
 pub struct DirtySet {
     rows: Vec<bool>,

@@ -157,11 +157,11 @@ pub struct IterationRecord {
     /// with [`IsdcConfig::incremental`] off, for the initial schedule, and
     /// after any cold fallback).
     pub solver_warm: bool,
-    /// SSP drain counters of this iteration's LP solve: Dijkstra passes,
-    /// nodes settled, augmenting paths, flow pushed. The batched
-    /// multi-source drain keeps `dijkstras` at or below `paths`; all zero
-    /// with [`IsdcConfig::incremental`] off (the one-shot solver's
-    /// counters are not retrievable) and for cached zero-delta re-solves.
+    /// SSP drain counters of this iteration's LP solve: Dijkstra searches,
+    /// nodes settled, augmenting paths, flow pushed. The drain runs one
+    /// search per path, so `dijkstras == paths`; all zero with
+    /// [`IsdcConfig::incremental`] off (the one-shot solver's counters are
+    /// not retrievable) and for cached zero-delta re-solves.
     pub drain: DrainStats,
     /// Wall-clock time spent in this iteration.
     pub elapsed: Duration,

@@ -16,11 +16,11 @@
 //! | Table I metrics | [`Schedule::register_bits`], [`metrics`] |
 //!
 //! On top of the paper, the crate exploits Alg. 1's monotonicity for speed:
-//! feedback and reformulation report their writes as a [`DirtySet`] (exact
-//! pairs), Alg. 2 runs as a worklist sweep over just the dirty region
-//! ([`DelayMatrix::reformulate_incremental`]), and the SDC LP persists
-//! across iterations in an [`IncrementalScheduler`] that re-emits only
-//! changed timing bounds and re-solves warm
+//! feedback and reformulation report their writes as a [`DirtySet`] (dirty
+//! rows and columns), Alg. 2 runs as a worklist sweep over just the dirty
+//! region ([`DelayMatrix::reformulate_incremental`]), and the SDC LP
+//! persists across iterations in an [`IncrementalScheduler`] that re-sweeps
+//! only dirty rows' timing bounds and re-solves warm
 //! ([`isdc_sdc::IncrementalSolver`]). Results are bit-identical to the
 //! from-scratch pipeline; only solver time changes
 //! ([`IsdcConfig::incremental`]).

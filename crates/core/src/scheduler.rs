@@ -721,9 +721,9 @@ impl IncrementalScheduler {
     }
 
     /// Drain counters of the most recent solve (see
-    /// [`isdc_sdc::DrainStats`]): how many Dijkstra passes the SSP drain
-    /// ran and how many augmenting paths they delivered. On a bulk
-    /// retarget the batched drain keeps `dijkstras` far below `paths`.
+    /// [`isdc_sdc::DrainStats`]): how many augmenting paths the SSP drain
+    /// delivered, one Dijkstra search each, and how many nodes those
+    /// searches settled.
     pub fn last_drain_stats(&self) -> isdc_sdc::DrainStats {
         self.solver.last_drain_stats()
     }
@@ -1209,12 +1209,11 @@ mod tests {
     }
 
     #[test]
-    fn bulk_retarget_batches_the_drain() {
+    fn bulk_retarget_redrains_warm() {
         // Widen the clock on a design with many flow-carrying timing
         // constraints: the retarget relaxes them all at once, so the warm
-        // re-solve's excess arrives in bulk and the batched drain must
-        // deliver its augmenting paths in fewer Dijkstra passes than paths
-        // (the serial reference pays exactly one per path).
+        // re-solve's excess arrives in bulk, and the re-drain must still
+        // match a fresh schedule bit for bit.
         let mut g = Graph::new("t");
         let a = g.param("a", 8);
         for _ in 0..10 {
@@ -1238,8 +1237,7 @@ mod tests {
         assert_eq!(got, schedule_with_matrix(&g, &d, 2500.0).unwrap());
         let stats = engine.last_drain_stats();
         assert!(stats.paths > 1, "the bulk retarget must re-route flow: {stats:?}");
-        assert!(stats.dijkstras <= stats.paths, "{stats:?}");
-        assert!(stats.dijkstras < stats.paths, "bulk retargets must batch: {stats:?}");
+        assert_eq!(stats.dijkstras, stats.paths, "one search per path: {stats:?}");
     }
 
     /// A Table I design's naive delay matrix from the sky130 model.
@@ -1266,6 +1264,48 @@ mod tests {
             let stats = engine.last_drain_stats();
             assert_eq!(stats.flow_pushed, flow, "{}: {stats:?}", graph.name());
             assert!(stats.nodes_settled <= settled_max, "{}: {stats:?}", graph.name());
+        }
+    }
+
+    #[test]
+    fn warm_drain_search_stays_small() {
+        // Warm re-drains run the same deficits-first single-source searches
+        // as cold ones. Pins, at 2500 ps on the naive matrix: a warm
+        // retarget to 3000 ps, then the warm iterations of a feedback run.
+        // The flow each delivers is exact; the settles stay under about
+        // twice what was measured (retarget 22,260 on crc32 and 3,094 on
+        // sha256, feedback run 29,087 and 3,151).
+        let lib = isdc_techlib::TechLibrary::sky130();
+        let model = isdc_synth::OpDelayModel::new(lib.clone());
+        let oracle = isdc_synth::SynthesisOracle::new(lib);
+        let config = crate::IsdcConfig {
+            threads: 1,
+            iteration_metrics: false,
+            ..crate::IsdcConfig::paper_defaults(2500.0)
+        };
+        for (graph, retarget_flow, retarget_max, run_flow, run_max) in [
+            (isdc_benchsuite::designs::crc32(), 678, 45_000, 950, 58_000),
+            (isdc_benchsuite::designs::sha256(), 612, 6_200, 1_176, 6_300),
+        ] {
+            let d = naive(&graph);
+            let options = ScheduleOptions { clock_period_ps: 2500.0, max_stages: None };
+            let mut engine = IncrementalScheduler::new(&graph, &d, &options).unwrap();
+            let empty = crate::delay::DirtySet::new(graph.len());
+            engine.reschedule(&graph, &d, &empty).unwrap();
+            engine.retarget(&graph, &d, 3000.0);
+            engine.reschedule(&graph, &d, &empty).unwrap();
+            assert!(engine.last_solve_was_warm());
+            let stats = engine.last_drain_stats();
+            assert_eq!(stats.flow_pushed, retarget_flow, "{} retarget: {stats:?}", graph.name());
+            assert!(stats.nodes_settled <= retarget_max, "{} retarget: {stats:?}", graph.name());
+
+            let result = crate::run_isdc(&graph, &model, &oracle, &config).unwrap();
+            let mut warm = isdc_sdc::DrainStats::default();
+            for record in result.history.iter().filter(|r| r.solver_warm) {
+                warm += record.drain;
+            }
+            assert_eq!(warm.flow_pushed, run_flow, "{} run: {warm:?}", graph.name());
+            assert!(warm.nodes_settled <= run_max, "{} run: {warm:?}", graph.name());
         }
     }
 

@@ -2,7 +2,6 @@
 
 use crate::op::OpKind;
 use crate::value::BitVecValue;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -10,7 +9,7 @@ use std::fmt;
 ///
 /// Node ids are dense indices assigned in creation order, which is always a
 /// valid topological order because operands must exist before their users.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -33,7 +32,7 @@ impl fmt::Display for NodeId {
 }
 
 /// A single operation node.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Node {
     /// What the node computes.
     pub kind: OpKind,
@@ -104,18 +103,12 @@ impl std::error::Error for GraphError {}
 /// assert_eq!(g.node(sum).width, 16);
 /// assert_eq!(g.users(prod), &[sum]);
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Graph {
     name: String,
     nodes: Vec<Node>,
     params: Vec<NodeId>,
     outputs: Vec<NodeId>,
-    #[serde(skip)]
-    users: UsersCache,
-}
-
-#[derive(Clone, Debug, Default)]
-struct UsersCache {
     /// `users[v]` = ids of nodes that consume `v`, deduplicated, ascending.
     users: Vec<Vec<NodeId>>,
 }
@@ -128,7 +121,7 @@ impl Graph {
             nodes: Vec::new(),
             params: Vec::new(),
             outputs: Vec::new(),
-            users: UsersCache::default(),
+            users: Vec::new(),
         }
     }
 
@@ -276,9 +269,9 @@ impl Graph {
 
     fn push(&mut self, node: Node) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        self.users.users.push(Vec::new());
+        self.users.push(Vec::new());
         for &op in node.operands.clone().iter() {
-            let list = &mut self.users.users[op.index()];
+            let list = &mut self.users[op.index()];
             if list.last() != Some(&id) {
                 list.push(id);
             }
@@ -295,7 +288,7 @@ impl Graph {
     ///
     /// Panics if `id` is out of range.
     pub fn users(&self, id: NodeId) -> &[NodeId] {
-        &self.users.users[id.index()]
+        &self.users[id.index()]
     }
 
     /// Checks structural invariants: output presence, operand ordering, unique
@@ -342,20 +335,6 @@ impl Graph {
             }
         }
         Ok(())
-    }
-
-    /// Rebuilds the (serde-skipped) users cache; called after deserialization.
-    pub fn rebuild_users(&mut self) {
-        self.users.users = vec![Vec::new(); self.nodes.len()];
-        for (i, node) in self.nodes.iter().enumerate() {
-            let id = NodeId(i as u32);
-            for &op in &node.operands {
-                let list = &mut self.users.users[op.index()];
-                if list.last() != Some(&id) {
-                    list.push(id);
-                }
-            }
-        }
     }
 
     /// Total number of result bits across all non-free nodes — a rough size
@@ -457,23 +436,6 @@ mod tests {
         let (mut g, _, sum) = mac();
         g.set_output(sum);
         assert_eq!(g.outputs().len(), 1);
-    }
-
-    #[test]
-    fn rebuild_users_matches_incremental() {
-        let (mut g, prod, _) = mac();
-        let before = g.users(prod).to_vec();
-        g.rebuild_users();
-        assert_eq!(g.users(prod), before.as_slice());
-    }
-
-    #[test]
-    fn clone_then_rebuild_users_is_equal() {
-        let (g, prod, _) = mac();
-        let mut g2 = g.clone();
-        g2.rebuild_users();
-        assert_eq!(g, g2);
-        assert_eq!(g.users(prod), g2.users(prod));
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! `(kind, operands)`.
 
 use crate::value::BitVecValue;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The kind of an IR operation node.
@@ -21,7 +20,7 @@ use std::fmt;
 /// assert!(OpKind::Mul.is_arithmetic());
 /// assert_eq!(OpKind::Concat.arity(), None); // n-ary
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// A graph input with no operands.
     Param,

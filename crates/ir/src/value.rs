@@ -4,7 +4,6 @@
 //! are fixed per value (like hardware wires); all arithmetic wraps modulo
 //! `2^width`, matching the semantics of the corresponding [`crate::OpKind`]s.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Number of bits per storage limb.
@@ -26,7 +25,7 @@ const LIMB_BITS: u32 = 64;
 /// assert_eq!(a.xor(&b).to_u64(), 0b1100);
 /// assert_eq!(a.add(&b).to_u64(), 0b0000); // wraps modulo 2^4
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct BitVecValue {
     width: u32,
     limbs: Vec<u64>,

@@ -28,17 +28,12 @@
 //! variables, which Bellman-Ford leaves at 0 and the tightened start drops
 //! to their latest user.
 //!
-//! The drain itself ([`ssp_drain`]) is **batched and multi-source**: a
-//! bulk re-drain seeds all current excess nodes at distance 0 in one
-//! Dijkstra pass and pushes a blocking flow over the resulting admissible
-//! subgraph, delivering many source->deficit paths per pass instead of one
-//! single-source search per augmentation. A full-supply drain instead runs
-//! early-exit single-source searches that pop deficits first among equal
-//! distances ([`drain_single_source`]). [`ssp_drain_serial`] is the retained
-//! reference: the pre-batching algorithm, run from the plain Bellman-Ford
-//! start, that both paths are proven bit-identical against. The strategy adapts to the
-//! excess shape — see [`DrainProfile`] and the adaptive fallback inside
-//! [`ssp_drain`] — and [`DrainStats`] counts what actually ran.
+//! The drain itself ([`ssp_drain`]) runs one early-exit single-source
+//! Dijkstra per augmenting path, popping deficits first among equal
+//! distances, for cold full-supply drains and warm re-drains alike.
+//! [`ssp_drain_serial`] is the retained reference: the original algorithm,
+//! run from the plain Bellman-Ford start, that the drain is proven
+//! bit-identical against. [`DrainStats`] counts what the search did.
 //!
 //! Because the LP can have many optimal vertices, the raw SSP potentials
 //! depend on pivot order. To make every solve path (cold, and the
@@ -65,15 +60,14 @@ pub struct LpSolution {
 }
 
 /// Counters from the successive-shortest-paths drain of one solve: how much
-/// search the solver actually ran. The batched multi-source drain delivers
-/// many augmenting paths per Dijkstra pass, so `dijkstras <= paths` always,
-/// and `dijkstras << paths` on bulk relaxations (a clock-period retarget)
-/// is exactly the win it exists for.
+/// search the solver actually ran. Every augmenting path costs one
+/// early-exit Dijkstra, so `dijkstras == paths`; `nodes_settled` is the
+/// measure of search effort.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DrainStats {
-    /// Dijkstra passes run (each one grows a full shortest-path forest).
+    /// Dijkstra searches run, one per augmenting path.
     pub dijkstras: u64,
-    /// Nodes settled across all passes.
+    /// Nodes settled across all searches.
     pub nodes_settled: u64,
     /// Augmenting source->deficit paths pushed along.
     pub paths: u64,
@@ -189,8 +183,8 @@ impl FlowNetwork {
     /// Dijkstra plus a min-scan would pick it). Returns distances, the
     /// settled set, the arc used to reach each node, and the deficit found.
     ///
-    /// Only used by [`ssp_drain_serial`], the retained reference drain the
-    /// batched path is proven bit-identical against.
+    /// Only used by [`ssp_drain_serial`], the retained reference drain
+    /// [`ssp_drain`] is proven bit-identical against.
     fn dijkstra_to_deficit(
         &self,
         source: usize,
@@ -232,31 +226,23 @@ impl FlowNetwork {
 }
 
 /// Persistent scratch for [`ssp_drain`]: the Dijkstra working set, reused
-/// across drain rounds *and* across solves (it lives in the warm state), so
-/// a warm re-drain allocates nothing. Buffers are versioned — `stamp[v]`
+/// across searches *and* across solves (it lives in the warm state), so a
+/// re-drain allocates no search buffers. Buffers are versioned — `stamp[v]`
 /// marks `dist`/`parent` valid and `settled[v]` marks settlement for the
-/// round whose counter matches — so clearing between rounds is O(1), not
-/// O(n).
+/// search whose counter matches — so clearing between searches is O(1),
+/// not O(n).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct SolverScratch {
     dist: Vec<i64>,
     stamp: Vec<u32>,
     settled: Vec<u32>,
-    /// Position in `settle_order` (valid while `settled` matches): the
-    /// acyclic order the blocking-flow DFS walks admissible arcs in.
-    settle_idx: Vec<u32>,
-    /// Current-arc pointer into the node's adjacency (valid while
-    /// `settled` matches): arcs before it are exhausted for this phase.
-    cur: Vec<u32>,
-    /// Shortest-path forest parent arc (valid while `stamp` matches);
-    /// used by the single-source finisher's augmentation walk.
+    /// Shortest-path tree parent arc (valid while `stamp` matches); the
+    /// augmentation walks it back from the deficit to the source.
     parent: Vec<usize>,
     version: u32,
     heap: BinaryHeap<Reverse<(i64, usize)>>,
-    /// Nodes settled this round, in settle (= distance) order.
+    /// Nodes settled this search, in settle (= distance) order.
     settle_order: Vec<usize>,
-    /// The DFS path as a stack of arc indices.
-    path: Vec<usize>,
 }
 
 impl SolverScratch {
@@ -265,21 +251,18 @@ impl SolverScratch {
             dist: vec![0; n],
             stamp: vec![0; n],
             settled: vec![0; n],
-            settle_idx: vec![0; n],
-            cur: vec![0; n],
             parent: vec![usize::MAX; n],
             version: 0,
             heap: BinaryHeap::new(),
             settle_order: Vec::new(),
-            path: Vec::new(),
         }
     }
 
-    /// Starts a fresh Dijkstra phase: bumps the version (invalidating every
-    /// stamp at once) and empties the per-phase lists.
-    fn begin_phase(&mut self) {
+    /// Starts a fresh Dijkstra search: bumps the version (invalidating every
+    /// stamp at once) and empties the heap and the settle list.
+    fn begin_search(&mut self) {
         if self.version == u32::MAX {
-            // Stamp wraparound: reset all stamps once every 2^32 phases so
+            // Stamp wraparound: reset all stamps once every 2^32 searches so
             // a stale stamp can never alias the new version.
             self.stamp.iter_mut().for_each(|s| *s = 0);
             self.settled.iter_mut().for_each(|s| *s = 0);
@@ -288,305 +271,65 @@ impl SolverScratch {
         self.version += 1;
         self.heap.clear();
         self.settle_order.clear();
-        self.path.clear();
     }
 }
 
-/// What shape of excess a drain call is asked to deliver — the caller
-/// knows, and the two shapes want opposite search strategies.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum DrainProfile {
-    /// Excess re-exposed by canceling flow on relaxed arcs (a retarget or
-    /// a feedback iteration): localized, symmetric, many disjoint tight
-    /// routes — the batched multi-source phases pay off.
-    Bulk,
-    /// Full supply on every weighted node (a cold start or imported
-    /// potentials): diffuse, heterogeneous distances — early-exit
-    /// single-source searches win. From the tightened cold start most
-    /// deficits sit at reduced distance zero from a nearby source, and
-    /// the searches pop deficits before other nodes at equal distance, so
-    /// each one stops at the first deficit level it reaches (see
-    /// [`drain_single_source`] for why that tie rule is sound).
-    Diffuse,
-}
-
-/// Batched multi-source successive-shortest-paths drain: delivers all
-/// positive excess to deficits, maintaining the potential invariant (all
-/// residual arcs keep nonnegative reduced cost).
+/// Successive-shortest-paths drain: delivers all positive excess to
+/// deficits with one early-exit single-source Dijkstra over reduced costs
+/// per augmenting path, keeping every residual arc's reduced cost
+/// nonnegative. A cold solve drains the objective's full supply; a warm
+/// re-solve drains only the excess that canceling flow on relaxed arcs
+/// re-exposed. Deficits are dense in SDC scheduling duals, so each search
+/// settles a small neighbourhood of its source.
 ///
-/// Where the serial drain ran one single-source Dijkstra **per augmenting
-/// path**, each phase here seeds *every* current excess node at distance 0
-/// (a virtual super-source), grows one shortest-path forest until the
-/// settled deficits can absorb the whole remaining supply, then pushes a
-/// **blocking flow** over the admissible subgraph — the reduced-cost-zero
-/// residual arcs between settled nodes — so one Dijkstra pass delivers
-/// many source->deficit paths, rerouting around saturated arcs instead of
-/// paying a fresh search for each. A bulk relaxation (a retarget, or a
-/// whole feedback iteration's worth of dirty bounds) usually re-drains in
-/// a handful of phases.
+/// - **Potential update.** Let `dt` be the distance of the deficit a
+///   search stops at. Settled nodes get `pi += dist` and every other node
+///   `pi += dt` (its true distance is `>= dt`), which keeps all residual
+///   reduced costs nonnegative and makes the path just found
+///   reduced-cost zero. The unsettled share is applied as a **global
+///   offset** folded into `pi` once at the end of the drain, so each
+///   update is O(settled), not O(n): offsets cancel in the `pi[u] - pi[v]`
+///   differences every scan reads.
+/// - **Deficits first.** At equal reduced distance the heap pops deficits
+///   before every other node (ties within each class go to the smaller
+///   index), so a search stops at the first distance where a deficit is
+///   reachable instead of settling that whole distance level first. From a
+///   tightened cold start most routes to a deficit are reduced-cost zero,
+///   so this is where the search saves the most. The potential update
+///   stays sound: entries still pop in distance order, so every settled
+///   node has `dist <= dt` and everything left in the heap, hence every
+///   unsettled node's true distance, is `>= dt`.
 ///
-/// Correctness is the classic primal-dual argument, proven once per phase:
-///
-/// - **Potential update.** Let `dt` be the distance of the last settled
-///   node. Settled nodes get `pi += dist` and everything else `pi += dt`
-///   (every unsettled node's true distance is >= `dt`), which keeps all
-///   residual reduced costs nonnegative and turns every shortest-path arc
-///   between settled nodes reduced-cost zero. The unsettled-node share is
-///   applied as a **global offset** folded into `pi` once at the end of
-///   the drain, so each phase's update is O(settled), not O(n) — offsets
-///   cancel in the `pi[u] - pi[v]` differences every scan reads, so
-///   deferring them is invisible.
-/// - **Blocking flow.** Augmentations run only along arcs that are
-///   reduced-cost zero *after* the update, so any push order and amount
-///   preserves dual feasibility (the reverse arcs they open are
-///   reduced-cost zero too). The DFS walks admissible arcs in settle
-///   order — parents settle before children, so the restriction is
-///   acyclic even though tight 0-cost constraint cycles exist — with a
-///   current-arc pointer per node, the standard blocking-flow device. The
-///   first settled deficit's shortest path is always intact when the
-///   phase starts, so every phase pushes flow and the drain terminates.
-///   Reordering augmentations can only trade one optimal flow for
-///   another, and the canonical assignment is the same for every optimal
-///   flow (see [`canonical_assignment`]).
-///
-/// Batching is **adaptive**: when a phase delivers less than a quarter of
-/// the remaining supply — the diffuse-excess shape of a cold full drain,
-/// where essentially one route wins per phase — the drain switches to
-/// [`drain_single_source`], early-exit searches that touch only each
-/// source's neighbourhood. Every path through here ends at the same
-/// canonical optimum.
-///
-/// Counters for the whole call are accumulated into `stats`.
+/// The tie rule can change which deficit a search stops at, and so which
+/// optimal flow the drain ends with, but never the canonical assignment
+/// (see [`canonical_assignment`]). Counters are accumulated into `stats`.
 pub(crate) fn ssp_drain(
     net: &mut FlowNetwork,
     excess: &mut [i64],
     pi: &mut [i64],
-    profile: DrainProfile,
     scratch: &mut SolverScratch,
     stats: &mut DrainStats,
 ) -> Result<(), SolveError> {
     let n = excess.len();
     debug_assert_eq!(scratch.dist.len(), n, "scratch sized for this network");
-    if profile == DrainProfile::Diffuse || n < 128 {
-        // A full-supply drain (cold start or imported potentials): excess
-        // sits on every weighted node at heterogeneous distances, so a
-        // multi-source phase would mostly part-fill deficits along the few
-        // globally-shortest routes — fragmenting the remaining supply into
-        // more, smaller paths. Early-exit single-source searches are the
-        // right shape from the start. Tiny systems take the same path:
-        // their searches are already a handful of settles, so a batch
-        // phase's fixed overhead can never amortize.
-        return drain_single_source(net, excess, pi, scratch, stats);
-    }
-    // Pushes only ever move excess from a phase's roots toward its deficits
-    // (a target's excess rises toward zero, never past it), so the initial
-    // source list is complete and only shrinks.
-    let mut sources: Vec<usize> = (0..n).filter(|&v| excess[v] > 0).collect();
-    let mut supply: i64 = sources.iter().map(|&v| excess[v]).sum();
-    // Deferred unsettled-node potential share (see the doc comment).
-    let mut offset: i64 = 0;
-    while supply > 0 {
-        // Per-phase cancellation poll: one relaxed load when disarmed. The
-        // caller discards partial drain state on the error, so bailing
-        // between phases never leaks a half-applied potential update.
-        isdc_cancel::checkpoint().map_err(|_| SolveError::Cancelled)?;
-        let supply_before = supply;
-        // One multi-source Dijkstra pass over reduced costs. The deferred
-        // offset shifts every node's potential equally, so raw `pi` values
-        // give the same reduced costs the fully-updated potentials would.
-        scratch.begin_phase();
-        let version = scratch.version;
-        for &s in &sources {
-            scratch.dist[s] = 0;
-            scratch.stamp[s] = version;
-            scratch.heap.push(Reverse((0, s)));
-        }
-        let mut absorbable: i64 = 0;
-        let mut dt = 0;
-        let mut any_deficit = false;
-        while let Some(Reverse((d, u))) = scratch.heap.pop() {
-            if scratch.settled[u] == version || d > scratch.dist[u] {
-                continue;
-            }
-            scratch.settled[u] = version;
-            scratch.settle_idx[u] = scratch.settle_order.len() as u32;
-            scratch.cur[u] = 0;
-            scratch.settle_order.push(u);
-            dt = d;
-            if excess[u] < 0 {
-                any_deficit = true;
-                absorbable += -excess[u];
-                if absorbable >= supply {
-                    // Enough deficits settled to absorb everything that is
-                    // left; the potential cap `dt` covers the rest.
-                    break;
-                }
-            }
-            for &arc in &net.adj[u] {
-                let (v, cost, cap) = net.arcs[arc];
-                if cap <= 0 {
-                    continue;
-                }
-                let reduced = cost + pi[u] - pi[v];
-                debug_assert!(reduced >= 0, "reduced cost must stay nonnegative");
-                let nd = d + reduced;
-                if scratch.stamp[v] != version || nd < scratch.dist[v] {
-                    scratch.dist[v] = nd;
-                    scratch.stamp[v] = version;
-                    scratch.heap.push(Reverse((nd, v)));
-                }
-            }
-        }
-        if !any_deficit {
-            // Some supply cannot reach any deficit: the dual is infeasible,
-            // so the primal objective is unbounded below.
-            return Err(SolveError::Unbounded);
-        }
-        stats.dijkstras += 1;
-        stats.nodes_settled += scratch.settle_order.len() as u64;
-        // Settled-capped potential update, once for the phase: settled
-        // nodes (dist <= dt by settle order) owe `dist - dt` relative to
-        // the global `+dt` share deferred into `offset`.
-        offset += dt;
-        for &v in &scratch.settle_order {
-            pi[v] += scratch.dist[v] - dt;
-        }
-        // Blocking flow over the admissible subgraph: DFS from each root
-        // with remaining excess, walking settled, reduced-cost-zero,
-        // settle-order-increasing residual arcs under a current-arc
-        // pointer. Every deficit reached absorbs what the path supports;
-        // saturated arcs retreat the walk, exhausted arcs are never
-        // rescanned within the phase.
-        for &root in &sources {
-            if excess[root] <= 0 || scratch.settled[root] != version {
-                continue; // drained this phase, or cut off by the early stop
-            }
-            scratch.path.clear();
-            let mut u = root;
-            'dfs: loop {
-                if excess[u] < 0 {
-                    // Augment along the DFS path.
-                    let mut amount = excess[root].min(-excess[u]);
-                    for &arc in &scratch.path {
-                        amount = amount.min(net.residual_cap(arc));
-                    }
-                    debug_assert!(amount > 0);
-                    for &arc in &scratch.path {
-                        net.push(arc, amount);
-                    }
-                    excess[root] -= amount;
-                    excess[u] += amount;
-                    supply -= amount;
-                    stats.paths += 1;
-                    stats.flow_pushed += amount as u64;
-                    if excess[root] == 0 {
-                        break 'dfs;
-                    }
-                    // Retreat to the tail of the first saturated arc (the
-                    // prefix up to it still has capacity).
-                    if let Some(cut) =
-                        scratch.path.iter().position(|&arc| net.residual_cap(arc) == 0)
-                    {
-                        u = net.arc_from(scratch.path[cut]);
-                        scratch.path.truncate(cut);
-                        continue;
-                    }
-                    // Path intact: the target absorbed all it needed and
-                    // is now an ordinary intermediate node; keep walking.
-                }
-                // Advance u's current arc to the next admissible one.
-                let mut advanced = false;
-                while (scratch.cur[u] as usize) < net.adj[u].len() {
-                    let arc = net.adj[u][scratch.cur[u] as usize];
-                    let (v, cost, cap) = net.arcs[arc];
-                    if cap > 0
-                        && scratch.settled[v] == version
-                        && scratch.settle_idx[v] > scratch.settle_idx[u]
-                        && cost + pi[u] - pi[v] == 0
-                    {
-                        scratch.path.push(arc);
-                        u = v;
-                        advanced = true;
-                        break;
-                    }
-                    scratch.cur[u] += 1;
-                }
-                if advanced {
-                    continue;
-                }
-                // Dead end: retreat one arc (and exhaust it), or give up
-                // on this root for the phase.
-                match scratch.path.pop() {
-                    Some(arc) => {
-                        u = net.arc_from(arc);
-                        scratch.cur[u] += 1;
-                    }
-                    None => break 'dfs,
-                }
-            }
-        }
-        sources.retain(|&v| excess[v] > 0);
-        // Batching pays off only while the admissible subgraph carries a
-        // real share of the supply — the bulk-relaxation shape, where many
-        // disjoint tight routes drain in parallel. When a phase delivers
-        // under a quarter of what was left (diffuse excess at
-        // heterogeneous distances: essentially one winning route per
-        // phase), stop paying full-forest passes and finish with
-        // early-exit single-source searches, which touch only the small
-        // neighbourhood around each remaining source.
-        if supply > 0 && (supply_before - supply) * 4 < supply_before {
-            break;
-        }
-    }
-    if offset != 0 {
-        // Fold the deferred share into the real potentials — one O(n) pass
-        // per drain call instead of one per augmentation.
-        pi.iter_mut().for_each(|p| *p += offset);
-    }
-    if supply > 0 {
-        drain_single_source(net, excess, pi, scratch, stats)?;
-    }
-    Ok(())
-}
-
-/// The drain finisher for diffuse excess: one early-exit single-source
-/// Dijkstra per augmenting path — the serial algorithm, but on the
-/// persistent versioned scratch (no allocation) and with the O(settled)
-/// offset-deferred potential update. Deficits are dense in SDC scheduling
-/// duals, so each search settles a small neighbourhood of its source.
-///
-/// **Deficits first.** At equal reduced distance the heap pops deficits
-/// before every other node (ties within each class go to the smaller
-/// index), so a search stops at the first distance where a deficit is
-/// reachable instead of settling that whole distance level first. From a
-/// tightened cold start most routes to a deficit are reduced-cost zero,
-/// so this is where the search saves the most. The potential update stays
-/// sound: entries still pop in distance order, so every settled node has
-/// `dist <= dt` (the target's distance) and everything left in the heap,
-/// hence every unsettled node's true distance, is `>= dt`. The rule can
-/// change which deficit a search stops at, and so which optimal flow the
-/// drain ends with, but never the canonical assignment (see
-/// [`canonical_assignment`]).
-fn drain_single_source(
-    net: &mut FlowNetwork,
-    excess: &mut [i64],
-    pi: &mut [i64],
-    scratch: &mut SolverScratch,
-    stats: &mut DrainStats,
-) -> Result<(), SolveError> {
-    let n = excess.len();
     // Heap key of a node: itself if it is a deficit, `n` past it otherwise,
     // so deficits sort first at equal distance (see the doc comment).
     let key = |v: usize, excess: &[i64]| if excess[v] < 0 { v } else { v + n };
+    // Pushes only move excess from a source toward a deficit (a target's
+    // excess rises toward zero, never past it), so the initial source list
+    // is complete.
     let mut sources: Vec<usize> = (0..n).filter(|&v| excess[v] > 0).collect();
     let mut offset: i64 = 0;
     while let Some(&source) = sources.last() {
+        // Per-search cancellation poll: one relaxed load when disarmed. The
+        // caller discards partial drain state on the error, so bailing
+        // between searches never leaks a half-applied potential update.
         isdc_cancel::checkpoint().map_err(|_| SolveError::Cancelled)?;
         if excess[source] <= 0 {
             sources.pop();
             continue;
         }
-        scratch.begin_phase();
+        scratch.begin_search();
         let version = scratch.version;
         scratch.dist[source] = 0;
         scratch.parent[source] = usize::MAX;
@@ -621,12 +364,14 @@ fn drain_single_source(
             }
         }
         let Some(target) = target else {
+            // Supply cannot reach any deficit: the dual is infeasible, so
+            // the primal objective is unbounded below.
             return Err(SolveError::Unbounded);
         };
         stats.dijkstras += 1;
         stats.nodes_settled += scratch.settle_order.len() as u64;
-        // Settled-capped potential update, offset-deferred exactly as in
-        // the batched phase (settled nodes have dist <= dist[target]).
+        // Settled-capped potential update; the `+dt` every node owes is
+        // deferred into `offset` (see the doc comment).
         let dt = scratch.dist[target];
         offset += dt;
         for &v in &scratch.settle_order {
@@ -652,16 +397,18 @@ fn drain_single_source(
         stats.flow_pushed += amount as u64;
     }
     if offset != 0 {
+        // Fold the deferred share into the real potentials: one O(n) pass
+        // per drain call instead of one per augmentation.
         pi.iter_mut().for_each(|p| *p += offset);
     }
     Ok(())
 }
 
 /// The retained reference drain: one single-source, early-exit Dijkstra per
-/// augmenting path — the exact pre-batching implementation, kept verbatim
-/// (per-call allocations included) as the semantic and performance baseline
-/// that [`ssp_drain`] is tested bit-identical against and benched under the
-/// `drain` group.
+/// augmenting path with index-only ties — the original implementation, kept
+/// verbatim (per-search allocations and O(n) potential updates included) as
+/// the semantic and performance baseline that [`ssp_drain`] is tested
+/// bit-identical against and benched under the `drain` group.
 pub(crate) fn ssp_drain_serial(
     net: &mut FlowNetwork,
     excess: &mut [i64],

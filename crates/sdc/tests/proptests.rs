@@ -1,6 +1,6 @@
 //! Property-based tests for the difference-constraint solver: feasibility
 //! certificates, optimality against brute force, structural invariants, the
-//! tightened cold start, and the batched-drain bit-identity guarantee.
+//! tightened cold start, and the drain's bit-identity guarantee.
 
 use isdc_sdc::{minimize, DifferenceSystem, IncrementalSolver, SolveError, VarId};
 use proptest::prelude::*;
@@ -126,15 +126,14 @@ proptest! {
         }
     }
 
-    /// The batched multi-source drain is bit-identical to the retained
-    /// serial reference drain — across the initial solve and arbitrary
-    /// mixed relax/tighten bound sequences (relaxations re-drain warm in
-    /// both; tightenings force both onto the cold path, where the reference
-    /// starts from the plain Bellman-Ford point and the solver from the
-    /// tightened one). Also pinned against a from-scratch `minimize` at
-    /// every step.
+    /// The deficits-first drain is bit-identical to the retained reference
+    /// drain — across the initial solve and arbitrary mixed relax/tighten
+    /// bound sequences (relaxations re-drain warm in both; tightenings force
+    /// both onto the cold path, where the reference starts from the plain
+    /// Bellman-Ford point and the solver from the tightened one). Also
+    /// pinned against a from-scratch `minimize` at every step.
     #[test]
-    fn batched_drain_matches_reference_drain(
+    fn drain_matches_reference_drain(
         n in 3usize..8,
         hidden in prop::collection::vec(-8i64..8, 8),
         edges in prop::collection::vec((0usize..8, 0usize..8, 0i64..3), 4..24),
@@ -162,21 +161,21 @@ proptest! {
         let total: i64 = weights.iter().sum();
         weights[0] -= total;
 
-        let mut batched = IncrementalSolver::new(sys.clone(), weights.clone()).unwrap();
+        let mut drained = IncrementalSolver::new(sys.clone(), weights.clone()).unwrap();
         let mut serial = IncrementalSolver::new(sys.clone(), weights.clone()).unwrap();
         serial.use_reference_drain(true);
-        prop_assert_eq!(batched.solve(), serial.solve(), "initial solves diverged");
+        prop_assert_eq!(drained.solve(), serial.solve(), "initial solves diverged");
 
         let m = sys.constraints().len();
         for (step, &(ci, delta)) in deltas.iter().enumerate() {
             let ci = ci % m;
             let bound = sys.constraints()[ci].bound + delta;
-            batched.update_bound(ci, bound);
+            drained.update_bound(ci, bound);
             serial.update_bound(ci, bound);
             sys.set_bound(ci, bound);
-            let b = batched.solve();
+            let b = drained.solve();
             let s = serial.solve();
-            prop_assert_eq!(&b, &s, "step {}: batched vs serial diverged", step);
+            prop_assert_eq!(&b, &s, "step {}: drain vs reference diverged", step);
             prop_assert_eq!(
                 b.is_ok(), minimize(&sys, &weights).is_ok(),
                 "step {}: solvability changed under the drain", step
@@ -244,18 +243,16 @@ proptest! {
     }
 }
 
-// Large systems: above the drain's small-system cutoff, so warm re-solves
-// actually run the batched multi-source blocking-flow phases (small draws
-// route to the single-source finisher). Fewer cases — each one solves a
-// few-hundred-constraint LP three ways per step.
+// Large systems with a many-sourced objective, so each re-drain runs many
+// searches through the one persistent, versioned search scratch. Fewer
+// cases — each one solves a few-hundred-constraint LP three ways per step.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// Same bit-identity property as `batched_drain_matches_reference_drain`,
-    /// on systems large enough (>= 128 vars) to exercise the multi-source
-    /// batched phases themselves.
+    /// Same bit-identity property as `drain_matches_reference_drain`, on
+    /// systems of 128 to 149 variables.
     #[test]
-    fn batched_drain_matches_reference_drain_large(
+    fn drain_matches_reference_drain_large(
         n in 128usize..150,
         seed in any::<u64>(),
         deltas in prop::collection::vec((0usize..4096, -2i64..4), 1..8),
@@ -294,21 +291,21 @@ proptest! {
         let total: i64 = weights.iter().sum();
         weights[0] -= total;
 
-        let mut batched = IncrementalSolver::new(sys.clone(), weights.clone()).unwrap();
+        let mut drained = IncrementalSolver::new(sys.clone(), weights.clone()).unwrap();
         let mut serial = IncrementalSolver::new(sys.clone(), weights.clone()).unwrap();
         serial.use_reference_drain(true);
-        prop_assert_eq!(batched.solve(), serial.solve(), "initial solves diverged");
+        prop_assert_eq!(drained.solve(), serial.solve(), "initial solves diverged");
 
         let m = sys.constraints().len();
         for (step, &(ci, delta)) in deltas.iter().enumerate() {
             let ci = ci % m;
             let bound = sys.constraints()[ci].bound + delta;
-            batched.update_bound(ci, bound);
+            drained.update_bound(ci, bound);
             serial.update_bound(ci, bound);
             sys.set_bound(ci, bound);
-            let b = batched.solve();
+            let b = drained.solve();
             let s = serial.solve();
-            prop_assert_eq!(&b, &s, "step {}: batched vs serial diverged", step);
+            prop_assert_eq!(&b, &s, "step {}: drain vs reference diverged", step);
             if let Ok(sol) = b {
                 prop_assert_eq!(
                     sol, minimize(&sys, &weights).unwrap(),

@@ -27,7 +27,6 @@
 
 #![warn(missing_docs)]
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Delay in picoseconds.
@@ -38,7 +37,7 @@ pub type Picos = f64;
 /// The AIG-based flow maps onto `{Nand2, Inv}` plus registers, but richer
 /// cells are characterized so alternative mappers and the op-delay
 /// pre-characterization can use them.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum GateKind {
     /// Inverter.
     Inv,
@@ -93,7 +92,7 @@ impl fmt::Display for GateKind {
 }
 
 /// Timing and area data for one cell.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CellTiming {
     /// Fixed propagation delay in picoseconds at fanout 1.
     pub intrinsic_ps: Picos,
@@ -104,7 +103,7 @@ pub struct CellTiming {
 }
 
 /// Sequential (register) characteristics.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RegisterTiming {
     /// Setup time in picoseconds.
     pub setup_ps: Picos,
@@ -119,7 +118,7 @@ pub struct RegisterTiming {
 /// Constructed via [`TechLibrary::sky130`] (the default, SKY130-flavoured
 /// numbers) or [`TechLibrary::uniform`] (every gate identical — useful for
 /// tests where only structure should matter).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TechLibrary {
     name: String,
     cells: Vec<(GateKind, CellTiming)>,
@@ -233,7 +232,7 @@ impl TechLibrary {
 }
 
 /// Process/voltage/temperature corner selector for [`TechLibrary::sky130_corner`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Corner {
     /// Fast-fast, high voltage, low temperature: ~20% faster than typical.
     Fast,

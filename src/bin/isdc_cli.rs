@@ -272,6 +272,18 @@ impl Args {
         self.value(flag).map(|v| v.parse().map_err(|_| format!("bad {flag} `{v}`"))).transpose()
     }
 
+    /// A picosecond flag (`--clock`, `--from`, `--to`, `--tol`); a value
+    /// that is not a finite number above zero is an error.
+    fn picos(&self, flag: &str) -> Result<Option<f64>, String> {
+        match self.parsed::<f64>(flag)? {
+            Some(ps) if !(ps.is_finite() && ps > 0.0) => Err(format!(
+                "bad {flag} `{}` (want a finite number of ps above 0)",
+                self.value(flag).unwrap_or_default()
+            )),
+            ps => Ok(ps),
+        }
+    }
+
     /// A millisecond-duration flag (`--deadline`, `--fleet-deadline`,
     /// `--stall-timeout`).
     fn millis(&self, flag: &str) -> Result<Option<std::time::Duration>, String> {
@@ -443,8 +455,8 @@ fn cmd_schedule(args: &[String]) -> Result<(), CliError> {
                --feedback --cache --cold-solver";
     let args = &Args::parse("schedule", args, &[LOOP_FLAGS, TRACE_FLAGS, own], 1)?;
     let path = args.positional.first().ok_or_else(|| "schedule requires a .ir file".to_string())?;
+    let clock = args.picos("--clock")?.unwrap_or(2500.0);
     let g = load_graph(path)?;
-    let clock: f64 = args.parsed("--clock")?.unwrap_or(2500.0);
     let feedback = args.has("--feedback");
     let (iterations, subgraphs, scoring, shape) = parse_loop_opts(args)?;
     let telemetry = TelemetryOpts::parse(args)?;
@@ -585,14 +597,14 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
     let own = "--tol= --cache-file= --deadline= --cache-capacity= --min-period";
     let args = &Args::parse("sweep", args, &[SWEEP_FLAGS, LOOP_FLAGS, TRACE_FLAGS, own], 1)?;
     let (g, default_clock, name) = load_sweep_design(args, "sweep")?;
-    let from: f64 = args.parsed("--from")?.unwrap_or(default_clock);
-    let to: f64 = args.parsed("--to")?.unwrap_or(from * 2.0);
+    let from = args.picos("--from")?.unwrap_or(default_clock);
+    let to = args.picos("--to")?.unwrap_or(from * 2.0);
     let points: usize = args.parsed("--points")?.unwrap_or(10);
     if points == 0 || to < from {
         return Err("sweep needs --points >= 1 and --to >= --from".to_string().into());
     }
     let (iterations, subgraphs, scoring, shape) = parse_loop_opts(args)?;
-    let tol: f64 = args.parsed("--tol")?.unwrap_or(10.0);
+    let tol = args.picos("--tol")?.unwrap_or(10.0);
     let telemetry = TelemetryOpts::parse(args)?;
     // Armed before the session starts; a cut-short sweep keeps its
     // completed prefix (bit-identical to an unbounded run's first points),
@@ -802,8 +814,8 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
 
     let args = &Args::parse("report", args, &[SWEEP_FLAGS, LOOP_FLAGS], 1)?;
     let (g, default_clock, name) = load_sweep_design(args, "report")?;
-    let from: f64 = args.parsed("--from")?.unwrap_or(default_clock);
-    let to: f64 = args.parsed("--to")?.unwrap_or(from * 2.0);
+    let from = args.picos("--from")?.unwrap_or(default_clock);
+    let to = args.picos("--to")?.unwrap_or(from * 2.0);
     let points: usize = args.parsed("--points")?.unwrap_or(10);
     if points == 0 || to < from {
         return Err("report needs --points >= 1 and --to >= --from".to_string());

@@ -52,6 +52,33 @@ fn unparsable_value_exits_2() {
 }
 
 #[test]
+fn non_positive_or_non_finite_period_exits_2() {
+    let want = "(want a finite number of ps above 0)";
+    for clock in ["nan", "inf", "0", "-5"] {
+        assert_usage_error(
+            &["schedule", "x.ir", "--clock", clock],
+            &format!("bad --clock `{clock}` {want}"),
+        );
+    }
+    for (flag, value) in [("--from", "nan"), ("--from", "-1"), ("--to", "inf"), ("--to", "0")] {
+        assert_usage_error(
+            &["sweep", "--bench", "rrot", flag, value],
+            &format!("bad {flag} `{value}`"),
+        );
+        assert_usage_error(
+            &["report", "--bench", "rrot", flag, value],
+            &format!("bad {flag} `{value}`"),
+        );
+    }
+    for tol in ["0", "nan", "-inf"] {
+        assert_usage_error(
+            &["sweep", "--bench", "rrot", "--min-period", "--tol", tol],
+            &format!("bad --tol `{tol}` {want}"),
+        );
+    }
+}
+
+#[test]
 fn well_formed_sweep_runs() {
     let out = cli(&["sweep", "--bench", "rrot", "--points", "1", "--iterations", "1"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
