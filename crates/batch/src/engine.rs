@@ -653,7 +653,7 @@ fn run_shard<O: DelayOracle + ?Sized>(
 }
 
 /// Executes `jobs` over `designs` on a pool of worker threads sharing
-/// `cache`. See the [module docs](self) for the execution model, the
+/// `cache`. See the [crate docs](crate) for the execution model, the
 /// determinism guarantee, and the fault-tolerance contract.
 ///
 /// Execution failures do **not** fail the call: each job carries its

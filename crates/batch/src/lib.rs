@@ -12,10 +12,11 @@
 //!   inside each shard while still filling a pool from a single wide
 //!   sweep;
 //! - a **worker pool** ([`run_batch`]) of scoped threads drawing shards
-//!   from a shared-index queue, each worker running one [`IsdcSession`] at
-//!   a time, all sessions sharing one [`isdc_cache::DelayCache`] — delay
-//!   reports and LP potentials discovered by any worker are instantly
-//!   visible fleet-wide (and per-process caches fold together through
+//!   from a shared-index queue, each worker running one
+//!   [`IsdcSession`](isdc_core::IsdcSession) at a time, all sessions
+//!   sharing one [`isdc_cache::DelayCache`] — delay reports and LP
+//!   potentials discovered by any worker are instantly visible fleet-wide
+//!   (and per-process caches fold together through
 //!   [`isdc_cache::DelayCache::merge`]);
 //! - a deterministic **aggregator** ([`BatchReport`]) stitching shard
 //!   outputs back into per-job records — the same

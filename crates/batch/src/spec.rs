@@ -20,9 +20,12 @@
 //!
 //! Sweep jobs give either an explicit `periods` array (run in the given
 //! order — ascending recommended, so shards warm-start internally) or a
-//! `from`/`to`/`points` linear grid. Unknown keys are ignored so the format
-//! can grow. The codec is hand-rolled on [`isdc_cache::json`] (the build
-//! environment has no `serde_json`).
+//! `from`/`to`/`points` linear grid. Every period-valued field (`periods`
+//! entries, `from`, `to`, `lo`, `hi`, `tol`) must be a finite number of
+//! picoseconds above 0, the rule the CLI applies to its period flags.
+//! Unknown keys are ignored so the format can grow. The codec is
+//! hand-rolled on [`isdc_cache::json`] (the build environment has no
+//! `serde_json`).
 
 use isdc_cache::json::Parser;
 use isdc_core::linear_grid;
@@ -138,8 +141,9 @@ pub fn render_jobs(jobs: &[Job]) -> String {
 /// # Errors
 ///
 /// Returns a description of the first malformed construct: unknown job
-/// types, sweeps without periods, grids with `points == 0` or `to < from`,
-/// searches with a nonpositive tolerance or `lo > hi`.
+/// types, sweeps without periods, a period-valued field that is not a
+/// finite number above 0, grids with `points == 0` or `to < from`, searches
+/// with `lo > hi`.
 pub fn parse_jobs(json: &str) -> Result<Vec<Job>, String> {
     let mut p = Parser::new(json);
     let mut jobs: Vec<Job> = Vec::new();
@@ -214,6 +218,12 @@ fn parse_job(p: &mut Parser<'_>) -> Result<Job, String> {
         }
     }
     let design = design.ok_or("job without a design name")?;
+    for (key, value) in [("from", from), ("to", to), ("lo", lo), ("hi", hi), ("tol", tol)] {
+        value.map_or(Ok(()), |v| check_picos(&design, key, v))?;
+    }
+    for &period in periods.iter().flatten() {
+        check_picos(&design, "periods", period)?;
+    }
     let kind = match kind.as_deref() {
         Some("sweep") | None => {
             let periods = match (periods, from) {
@@ -239,14 +249,23 @@ fn parse_job(p: &mut Parser<'_>) -> Result<Job, String> {
             let hi = hi.ok_or_else(|| format!("job `{design}`: min_period needs `hi`"))?;
             let lo = lo.unwrap_or(1.0);
             let tol_ps = tol.unwrap_or(10.0);
-            if tol_ps <= 0.0 || tol_ps.is_nan() || lo > hi {
-                return Err(format!("job `{design}`: min_period needs tol > 0 and lo <= hi"));
+            if lo > hi {
+                return Err(format!("job `{design}`: min_period needs lo <= hi"));
             }
             JobKind::MinPeriod { lo, hi, tol_ps }
         }
         Some(other) => return Err(format!("job `{design}`: unknown type `{other}`")),
     };
     Ok(Job { design, kind, deadline_ms })
+}
+
+/// Checks one period-valued field: a finite number of picoseconds above 0.
+fn check_picos(design: &str, key: &str, value: Picos) -> Result<(), String> {
+    if value.is_finite() && value > 0.0 {
+        Ok(())
+    } else {
+        Err(format!("job `{design}`: bad {key} `{value}` (want a finite number of ps above 0)"))
+    }
 }
 
 #[cfg(test)]
@@ -304,6 +323,23 @@ mod tests {
             r#"{"jobs":[{"type":"sweep","from":1000}]}"#,
         ] {
             assert!(parse_jobs(bad).is_err(), "accepted: {bad}");
+        }
+    }
+
+    #[test]
+    fn non_positive_or_non_finite_periods_rejected() {
+        for (bad, key) in [
+            (r#"{"jobs":[{"design":"d","periods":[-2500,0]}]}"#, "periods `-2500`"),
+            (r#"{"jobs":[{"design":"d","periods":[2500,0]}]}"#, "periods `0`"),
+            (r#"{"jobs":[{"design":"d","periods":[1e999]}]}"#, "periods `inf`"),
+            (r#"{"jobs":[{"design":"d","from":-1000}]}"#, "from `-1000`"),
+            (r#"{"jobs":[{"design":"d","from":1000,"to":0}]}"#, "to `0`"),
+            (r#"{"jobs":[{"design":"d","type":"min_period","lo":-50,"hi":10}]}"#, "lo `-50`"),
+            (r#"{"jobs":[{"design":"d","type":"min_period","hi":-1e999}]}"#, "hi `-inf`"),
+            (r#"{"jobs":[{"design":"d","type":"min_period","hi":10,"tol":0}]}"#, "tol `0`"),
+        ] {
+            let err = parse_jobs(bad).expect_err(bad);
+            assert!(err.contains(&format!("job `d`: bad {key}")), "{bad}: {err}");
         }
     }
 

@@ -204,8 +204,7 @@ pub trait Stage<O: DelayOracle + ?Sized> {
     ///
     /// # Errors
     ///
-    /// Only the LP-backed stages fail; see
-    /// [`ScheduleError`](crate::ScheduleError).
+    /// Only the LP-backed stages fail; see [`ScheduleError`].
     fn run(
         &mut self,
         state: &mut PipelineState<'_, O>,
@@ -293,7 +292,7 @@ impl<'a, O: DelayOracle + ?Sized> PipelineState<'a, O> {
     ///
     /// # Errors
     ///
-    /// See [`ScheduleError`](crate::ScheduleError).
+    /// See [`ScheduleError`].
     pub fn new(
         graph: &'a Graph,
         model: &OpDelayModel,

@@ -30,13 +30,16 @@
 //!
 //! Dropped pairs stay droppable only while their dominators hold, so the
 //! incremental engine re-runs the same sweep over dirty rows (or every row
-//! on a [`IncrementalScheduler::retarget`]) and *promotes* a former bucket
-//! member to its own constraint the moment the chain no longer covers it —
-//! see [`isdc_sdc::IncrementalSolver::add_constraint`]. The sparse and dense
-//! systems describe the same polyhedron, and `canonical_assignment` is a
-//! geometric property of that polyhedron, so schedules are bit-identical
-//! ([`schedule_with_matrix_dense`] retains the dense emission as the test
-//! reference).
+//! on a [`IncrementalScheduler::retarget`]) and reconciles by one rule: a
+//! pair that has a timing constraint keeps it at its current Eq. 2 bound,
+//! and a pair that newly needs one is *promoted* to its own constraint (see
+//! [`isdc_sdc::IncrementalSolver::add_constraint`]). Nothing is ever
+//! demoted: a kept constraint the sweep no longer emits is implied by the
+//! chain, so it moves neither the polyhedron nor any shortest-path distance
+//! of the canonicalization. The sparse and dense systems describe the same
+//! polyhedron, and `canonical_assignment` is a geometric property of that
+//! polyhedron, so schedules are bit-identical ([`schedule_with_matrix_dense`]
+//! retains the dense emission as the test reference).
 
 use crate::delay::{DelayMatrix, DirtySet};
 use crate::schedule::Schedule;
@@ -177,13 +180,11 @@ pub fn schedule_with_options(
     delays: &DelayMatrix,
     options: &ScheduleOptions,
 ) -> Result<Schedule, ScheduleError> {
-    let built = build_lp(graph, delays, options, true)?;
-    // Move the system into the solver instead of going through `minimize`,
-    // which would clone the system it is handed by ref.
-    let solution = IncrementalSolver::new(built.sys, built.weights)
-        .and_then(|mut solver| solver.solve())
-        .map_err(|e| map_solve_error(e, options.max_stages))?;
-    Ok(solution_to_schedule(graph, &solution.assignment))
+    IncrementalScheduler::new(graph, delays, options)?.reschedule(
+        graph,
+        delays,
+        &DirtySet::new(graph.len()),
+    )
 }
 
 /// [`schedule_with_matrix`] through the *dense* Eq. 2 emission — one
@@ -261,31 +262,16 @@ impl SparsifyStats {
     }
 }
 
-/// A timing constraint the LP actually carries for one (source, sink) pair.
-#[derive(Clone, Copy, Debug)]
-struct TimingArc {
-    /// Constraint id in the solver's difference system.
-    id: usize,
-    /// The bound currently written into the solver for this constraint.
-    bound: i64,
-    /// Whether the pair is currently a non-representative (its bound is
-    /// implied by the chain, and the solver's canonicalization edge for it
-    /// is pruned). Mirrors the solver-side flag; kept here because
-    /// [`isdc_sdc::IncrementalSolver::update_bound`] clears the solver's
-    /// flag on any bound change.
-    implied: bool,
-}
-
 /// The SDC LP plus the bookkeeping the incremental engine needs: which
 /// constraint (if any) encodes the timing bound of each node pair.
 struct BuiltLp {
     sys: DifferenceSystem,
     weights: Vec<i64>,
-    /// Per source `u`: sink index -> the emitted timing constraint. Sparse —
-    /// only pairs that ever emitted a constraint have entries, keyed by node
-    /// index in a `BTreeMap` so iteration (and thus constraint ids) stays
-    /// deterministic.
-    timing: Vec<BTreeMap<u32, TimingArc>>,
+    /// Per source `u`: sink index -> the id of the pair's timing constraint
+    /// (the solver holds its bound). Sparse — only pairs that ever emitted a
+    /// constraint have entries, keyed by node index in a `BTreeMap` so
+    /// iteration (and thus constraint ids) stays deterministic.
+    timing: Vec<BTreeMap<u32, usize>>,
     stats: SparsifyStats,
     chain: ChainScratch,
 }
@@ -417,16 +403,7 @@ fn build_lp(
     if n == 0 {
         return Err(ScheduleError::EmptyGraph);
     }
-    for v in graph.node_ids() {
-        let d = delays.node_delay(v);
-        if d > clock_period_ps {
-            return Err(ScheduleError::OperationExceedsClock {
-                node: v,
-                delay_ps: d,
-                clock_period_ps,
-            });
-        }
-    }
+    check_node_delays(graph, delays, clock_period_ps)?;
 
     // Variable layout: [0, n) node cycles; [n, 2n) last-use; 2n sink.
     let x = |v: NodeId| VarId(v.0);
@@ -434,7 +411,7 @@ fn build_lp(
     let sink = VarId(2 * n as u32);
     let mut sys = DifferenceSystem::new(2 * n + 1);
     let mut weights = vec![0i64; 2 * n + 1];
-    let mut timing: Vec<BTreeMap<u32, TimingArc>> = vec![BTreeMap::new(); n];
+    let mut timing: Vec<BTreeMap<u32, usize>> = vec![BTreeMap::new(); n];
     let mut stats = SparsifyStats::default();
     let mut chain = ChainScratch::new(n);
 
@@ -451,8 +428,7 @@ fn build_lp(
             let map = &mut timing[u.index()];
             sweep_source(graph, delays, clock_period_ps, u, &mut chain, &mut stats, |w, b, e| {
                 if e {
-                    let id = sys.add_constraint(x(u), x(w), b);
-                    map.insert(w.0, TimingArc { id, bound: b, implied: false });
+                    map.insert(w.0, sys.add_constraint(x(u), x(w), b));
                 }
             });
         }
@@ -464,8 +440,7 @@ fn build_lp(
                 let bound = timing_bound(d, clock_period_ps);
                 if bound < 0 {
                     stats.constraints_emitted += 1;
-                    let id = sys.add_constraint(x(u), x(v), bound);
-                    timing[u.index()].insert(v.0, TimingArc { id, bound, implied: false });
+                    timing[u.index()].insert(v.0, sys.add_constraint(x(u), x(v), bound));
                 }
             }
         }
@@ -524,21 +499,19 @@ fn build_lp(
     Ok(BuiltLp { sys, weights, timing, stats, chain })
 }
 
-/// Re-runs the emission sweep for source `u` against the live solver,
-/// reconciling what the sweep wants with what the system carries:
+/// Re-runs the emission sweep for source `u` against the live solver and
+/// reconciles what the sweep wants with what the system carries, by one
+/// rule:
 ///
-/// - bound changes go through `update_bound` (relaxations stay warm,
-///   tightenings cold-fall on their own);
+/// - a pair that has a timing constraint keeps it at its current Eq. 2
+///   bound through `update_bound` (a no-op when the bound is unchanged;
+///   relaxations stay warm, tightenings cold-fall on their own), whether or
+///   not the sweep still emits it — a constraint it no longer emits is
+///   implied by the chain, so keeping it changes no schedule;
 /// - a pair that needs a constraint it never had is **promoted** via
 ///   `add_constraint` (warm-safe under monotone feedback: the old optimum
 ///   satisfied the chain bound that used to dominate the pair, which is at
-///   least as tight as the promoted bound);
-/// - a pair whose constraint the sweep no longer emits is **demoted**: the
-///   constraint stays in the system at its (implied) Eq. 2 bound, so the
-///   polyhedron is unchanged, but its canonicalization edge is pruned.
-///
-/// Demotions and restorations are batched into `implied` / `restored`; the
-/// caller applies them once after all sweeps.
+///   least as tight as the promoted bound).
 #[allow(clippy::too_many_arguments)]
 fn reconcile_source(
     graph: &Graph,
@@ -546,43 +519,39 @@ fn reconcile_source(
     clock_period_ps: Picos,
     u: NodeId,
     solver: &mut IncrementalSolver,
-    map: &mut BTreeMap<u32, TimingArc>,
+    map: &mut BTreeMap<u32, usize>,
     chain: &mut ChainScratch,
     stats: &mut SparsifyStats,
-    implied: &mut Vec<usize>,
-    restored: &mut Vec<usize>,
 ) {
     sweep_source(graph, delays, clock_period_ps, u, chain, stats, |w, bound, emitted| {
-        match map.get_mut(&w.0) {
-            Some(arc) => {
-                let bound_changed = bound != arc.bound;
-                if bound_changed {
-                    solver.update_bound(arc.id, bound);
-                    arc.bound = bound;
-                }
-                // `update_bound` clears the solver-side implied flag on any
-                // change, so the solver agrees with `arc.implied` only when
-                // the bound did not move.
-                let solver_implied_now = arc.implied && !bound_changed;
-                if emitted {
-                    if solver_implied_now {
-                        restored.push(arc.id);
-                    }
-                    arc.implied = false;
-                } else {
-                    if !solver_implied_now {
-                        implied.push(arc.id);
-                    }
-                    arc.implied = true;
-                }
-            }
+        match map.get(&w.0) {
+            Some(&id) => solver.update_bound(id, bound),
             None if emitted => {
-                let id = solver.add_constraint(VarId(u.0), VarId(w.0), bound);
-                map.insert(w.0, TimingArc { id, bound, implied: false });
+                map.insert(w.0, solver.add_constraint(VarId(u.0), VarId(w.0), bound));
             }
             None => {}
         }
     });
+}
+
+/// Rejects a delay matrix in which a single operation's own delay exceeds
+/// the clock period: no schedule can meet timing there.
+fn check_node_delays(
+    graph: &Graph,
+    delays: &DelayMatrix,
+    clock_period_ps: Picos,
+) -> Result<(), ScheduleError> {
+    for v in graph.node_ids() {
+        let d = delays.node_delay(v);
+        if d > clock_period_ps {
+            return Err(ScheduleError::OperationExceedsClock {
+                node: v,
+                delay_ps: d,
+                clock_period_ps,
+            });
+        }
+    }
+    Ok(())
 }
 
 fn map_solve_error(e: SolveError, max_stages: Option<u32>) -> ScheduleError {
@@ -621,6 +590,7 @@ fn solution_to_schedule(graph: &Graph, assignment: &[i64]) -> Schedule {
 /// per iteration re-runs the emission sweep over only the delay matrix's
 /// dirty rows and re-solves through a warm-started [`IncrementalSolver`].
 ///
+/// Timing constraints are only ever re-bounded or appended, never removed.
 /// Because Alg. 1 keeps delay updates monotonically non-increasing, the
 /// re-emitted bounds are relaxations and promoted constraints are already
 /// satisfied by the old optimum, so the warm path applies end to end; any
@@ -632,9 +602,9 @@ fn solution_to_schedule(graph: &Graph, assignment: &[i64]) -> Schedule {
 pub struct IncrementalScheduler {
     options: ScheduleOptions,
     solver: IncrementalSolver,
-    /// Per source: sink index -> live timing constraint (see
+    /// Per source: sink index -> timing constraint id (see
     /// [`BuiltLp::timing`]).
-    timing: Vec<BTreeMap<u32, TimingArc>>,
+    timing: Vec<BTreeMap<u32, usize>>,
     chain: ChainScratch,
     stats: SparsifyStats,
 }
@@ -677,23 +647,12 @@ impl IncrementalScheduler {
         delays: &DelayMatrix,
         dirty: &DirtySet,
     ) -> Result<Schedule, ScheduleError> {
-        for v in graph.node_ids() {
-            let d = delays.node_delay(v);
-            if d > self.options.clock_period_ps {
-                return Err(ScheduleError::OperationExceedsClock {
-                    node: v,
-                    delay_ps: d,
-                    clock_period_ps: self.options.clock_period_ps,
-                });
-            }
-        }
+        check_node_delays(graph, delays, self.options.clock_period_ps)?;
         // A sweep's decisions depend only on its source's delay row, so
         // dirty *rows* are exactly the sweeps whose inputs changed; within
         // a row the sweep re-derives every pair from the matrix, making
         // repeated marks and row/col shapes equally cheap to honor.
         let Self { options, solver, timing, chain, stats } = self;
-        let mut implied: Vec<usize> = Vec::new();
-        let mut restored: Vec<usize> = Vec::new();
         for u in dirty.rows() {
             reconcile_source(
                 graph,
@@ -704,12 +663,8 @@ impl IncrementalScheduler {
                 &mut timing[u.index()],
                 chain,
                 stats,
-                &mut implied,
-                &mut restored,
             );
         }
-        solver.mark_implied(&implied);
-        solver.clear_implied(&restored);
         let solution = solver.solve().map_err(|e| map_solve_error(e, options.max_stages))?;
         Ok(solution_to_schedule(graph, &solution.assignment))
     }
@@ -771,8 +726,6 @@ impl IncrementalScheduler {
     pub fn retarget(&mut self, graph: &Graph, delays: &DelayMatrix, clock_period_ps: Picos) {
         self.options.clock_period_ps = clock_period_ps;
         let Self { solver, timing, chain, stats, .. } = self;
-        let mut implied: Vec<usize> = Vec::new();
-        let mut restored: Vec<usize> = Vec::new();
         for u in graph.node_ids() {
             reconcile_source(
                 graph,
@@ -783,12 +736,8 @@ impl IncrementalScheduler {
                 &mut timing[u.index()],
                 chain,
                 stats,
-                &mut implied,
-                &mut restored,
             );
         }
-        solver.mark_implied(&implied);
-        solver.clear_implied(&restored);
     }
 
     /// Seeds the engine's first solve from previously-exported potentials
@@ -1325,6 +1274,41 @@ mod tests {
         assert!(lowered.iter().zip(&start).all(|(l, s)| l <= s));
         let objective = |x: &[i64]| -> i64 { weights.iter().zip(x).map(|(w, x)| w * x).sum() };
         assert!(objective(&lowered) < objective(&start));
+    }
+
+    #[test]
+    fn held_constraints_carry_their_eq2_bound() {
+        // One engine on crc32's naive matrix, retargeted down, up, back and
+        // far up. Every pair that holds a timing constraint carries exactly
+        // its current Eq. 2 bound, whether the sweep still emits it or not,
+        // and the schedule matches both fresh emissions.
+        let graph = isdc_benchsuite::designs::crc32();
+        let d = naive(&graph);
+        let options = ScheduleOptions { clock_period_ps: 2500.0, max_stages: None };
+        let empty = crate::delay::DirtySet::new(graph.len());
+        let mut engine = IncrementalScheduler::new(&graph, &d, &options).unwrap();
+        for clock in [2500.0, 2000.0, 3500.0, 2500.0, 5000.0] {
+            engine.retarget(&graph, &d, clock);
+            let got = engine.reschedule(&graph, &d, &empty).unwrap();
+            for (u, map) in engine.timing.iter().enumerate() {
+                for (&w, &id) in map {
+                    let delay = d.get(NodeId(u as u32), NodeId(w)).expect("constrained pair");
+                    assert_eq!(
+                        engine.solver.bound(id),
+                        timing_bound(delay, clock),
+                        "pair ({u}, {w}) at {clock}ps"
+                    );
+                }
+            }
+            assert_eq!(got, schedule_with_matrix(&graph, &d, clock).unwrap(), "at {clock}ps");
+            assert_eq!(got, schedule_with_matrix_dense(&graph, &d, clock).unwrap(), "at {clock}ps");
+        }
+        // The ladder left constraints behind that a fresh build at the last
+        // period would not emit, so the held-but-implied path was exercised.
+        let held: usize = engine.timing.iter().map(BTreeMap::len).sum();
+        let options = ScheduleOptions { clock_period_ps: 5000.0, max_stages: None };
+        let fresh = IncrementalScheduler::new(&graph, &d, &options).unwrap();
+        assert!(held as u64 > fresh.sparsify_stats().constraints_emitted, "{held}");
     }
 
     #[test]

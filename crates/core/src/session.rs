@@ -110,7 +110,9 @@ impl SessionRun {
 /// A persistent scheduling engine for one design: runs the staged ISDC
 /// pipeline any number of times (different clock periods, strategies,
 /// iteration budgets) while carrying the learned delay cache and LP
-/// potentials across runs. See the [module docs](self) for the guarantees.
+/// potentials across runs. Both are pure accelerators: every run yields
+/// exactly the schedule an independent cold [`run_isdc`](crate::run_isdc)
+/// would.
 pub struct IsdcSession<'a, O: ?Sized> {
     graph: &'a Graph,
     model: &'a OpDelayModel,

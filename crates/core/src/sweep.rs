@@ -64,9 +64,10 @@ pub struct SweepPoint {
     pub elapsed: Duration,
     /// The final schedule, for bit-identity checks (absent if infeasible).
     pub schedule: Option<Schedule>,
-    /// The run's full telemetry frame ([`IsdcResult::metrics`]
-    /// (crate::IsdcResult::metrics)): per-stage wall-clock, drain totals,
-    /// iteration counts. Empty for infeasible points.
+    /// The run's full telemetry frame
+    /// ([`IsdcResult::metrics`](crate::IsdcResult::metrics)): per-stage
+    /// wall-clock, drain totals, iteration counts. Empty for infeasible
+    /// points.
     pub metrics: MetricsFrame,
 }
 

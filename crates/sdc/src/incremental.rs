@@ -48,6 +48,12 @@ struct WarmState {
 /// A reusable SDC LP solver that persists the min-cost-flow state across
 /// solves and re-solves bound relaxations incrementally.
 ///
+/// Constraints are re-bounded ([`IncrementalSolver::update_bound`]) or
+/// appended ([`IncrementalSolver::add_constraint`]), never removed or
+/// flagged: every solve canonicalizes over the whole current system, so its
+/// result depends only on that system, never on the route of updates that
+/// led to it.
+///
 /// Beyond in-process warm re-solves, the solver's dual state can cross
 /// solver (and process) boundaries: [`IncrementalSolver::potentials`]
 /// exports the final node potentials, and
@@ -110,13 +116,9 @@ pub struct IncrementalSolver {
     /// zero-delta solve may reuse the cached assignment.
     pending: bool,
     last_was_warm: bool,
-    /// Constraints the caller has proven implied by the rest of the system
-    /// ([`IncrementalSolver::mark_implied`]); their primal edges are pruned
-    /// from the canonicalization graph. A bound change clears the flag (the
-    /// caller's implication proof referred to the old bound).
-    implied: Vec<bool>,
-    /// The warm state's canonicalization graph no longer reflects
-    /// `implied`; rebuilt lazily at the next solve.
+    /// The warm state's canonicalization graph predates a constraint
+    /// appended by [`IncrementalSolver::add_constraint`]; rebuilt lazily at
+    /// the next solve.
     canon_stale: bool,
     /// Drain counters of the most recent [`IncrementalSolver::solve`]
     /// (zeroed for cached zero-delta solves and feasibility queries).
@@ -144,7 +146,6 @@ impl IncrementalSolver {
             return Err(SolveError::UnbalancedObjective { weight_sum });
         }
         let zero_objective = weights.iter().all(|&w| w == 0);
-        let implied = vec![false; system.constraints().len()];
         Ok(Self {
             system,
             weights,
@@ -153,16 +154,10 @@ impl IncrementalSolver {
             cached: None,
             pending: true,
             last_was_warm: false,
-            implied,
             canon_stale: false,
             last_drain: DrainStats::default(),
             serial_drain: false,
         })
-    }
-
-    /// The wrapped system (bounds reflect all updates applied so far).
-    pub fn system(&self) -> &DifferenceSystem {
-        &self.system
     }
 
     /// The current bound of a constraint.
@@ -201,13 +196,6 @@ impl IncrementalSolver {
         self.serial_drain = on;
     }
 
-    /// Forces the next solve to run cold, discarding warm state.
-    pub fn invalidate(&mut self) {
-        self.state = None;
-        self.cached = None;
-        self.pending = true;
-    }
-
     /// The current node potentials, when warm state exists (i.e. after a
     /// successful non-trivial solve). `-potentials` is an optimal primal
     /// assignment of the most recent solve, suitable for re-seeding another
@@ -243,67 +231,13 @@ impl IncrementalSolver {
             net.add_arc(c.u.index(), c.v.index(), c.bound);
         }
         let excess: Vec<i64> = self.weights.iter().map(|&w| -w).collect();
-        let canon = CanonGraph::new_pruned(&self.system, &self.implied);
+        let canon = CanonGraph::new(&self.system);
         self.canon_stale = false;
         let scratch = SolverScratch::new(n);
         self.state = Some(WarmState { net, pi: pi.to_vec(), excess, canon, scratch });
         self.cached = None;
         self.pending = true;
         true
-    }
-
-    /// Declares constraints **implied** by the rest of the system: for each
-    /// id, some chain of *other* constraints already enforces a bound at
-    /// least as tight (e.g. a difference bound of 0 between two variables
-    /// connected by a path of 0-bound constraints — the scheduler's
-    /// relaxed-to-zero timing arcs, implied by dependency transitivity).
-    ///
-    /// The solver prunes the primal canonicalization edges of implied
-    /// constraints, so re-solves of a heavily-relaxed system stop paying
-    /// the canonicalization Dijkstra for constraints that no longer
-    /// constrain anything. Results are bit-identical: removing a primal
-    /// edge dominated by an equal-or-tighter path cannot move any
-    /// shortest-path distance, and the constraint's tight reverse edge (the
-    /// complementary-slackness fence, live only while its arc carries flow)
-    /// is kept. The flag is dropped automatically if the constraint's bound
-    /// changes later, since the implication was proven against the old
-    /// bound.
-    ///
-    /// **Contract:** the caller must only flag genuinely implied
-    /// constraints; the solver cannot verify the implication cheaply, and a
-    /// wrong flag can move the canonical optimum.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an id is out of range.
-    pub fn mark_implied(&mut self, ids: &[usize]) {
-        for &ci in ids {
-            assert!(ci < self.implied.len(), "constraint id {ci} out of range");
-            if !self.implied[ci] {
-                self.implied[ci] = true;
-                self.canon_stale = true;
-            }
-        }
-    }
-
-    /// Clears implication flags set by [`IncrementalSolver::mark_implied`],
-    /// restoring the constraints' primal canonicalization edges. Always
-    /// sound (the edges belong to real constraints of the system); used when
-    /// a constraint that was dominated stops being so — e.g. the sparsified
-    /// scheduler promotes a former bucket member back to representative
-    /// after the constraint that dominated it relaxed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an id is out of range.
-    pub fn clear_implied(&mut self, ids: &[usize]) {
-        for &ci in ids {
-            assert!(ci < self.implied.len(), "constraint id {ci} out of range");
-            if self.implied[ci] {
-                self.implied[ci] = false;
-                self.canon_stale = true;
-            }
-        }
     }
 
     /// Appends a new constraint `x_u - x_v <= bound` to the system,
@@ -326,7 +260,6 @@ impl IncrementalSolver {
     /// Panics if `u` or `v` is out of range.
     pub fn add_constraint(&mut self, u: VarId, v: VarId, bound: i64) -> usize {
         let id = self.system.add_constraint(u, v, bound);
-        self.implied.push(false);
         self.cached = None;
         self.pending = true;
         self.canon_stale = true;
@@ -361,12 +294,6 @@ impl IncrementalSolver {
         }
         self.cached = None;
         self.pending = true;
-        if self.implied[constraint_id] {
-            // The implication was proven against the old bound; restore the
-            // constraint's primal canonicalization edge.
-            self.implied[constraint_id] = false;
-            self.canon_stale = true;
-        }
         if new_bound < old {
             // Tightening: not covered by the warm-start invariant.
             self.state = None;
@@ -440,17 +367,16 @@ impl IncrementalSolver {
             // Node v needs net inflow w_v; excess = -w (positive = source).
             let excess: Vec<i64> = self.weights.iter().map(|&w| -w).collect();
             let pi: Vec<i64> = feasible.iter().map(|&x| -x).collect();
-            let canon = CanonGraph::new_pruned(&self.system, &self.implied);
+            let canon = CanonGraph::new(&self.system);
             self.canon_stale = false;
             let scratch = SolverScratch::new(n);
             self.state = Some(WarmState { net, pi, excess, canon, scratch });
         }
         if self.canon_stale {
-            // Implication flags changed since the canonicalization graph was
-            // built; re-derive it (cheap counting sort) so the Dijkstra
-            // below skips every pruned primal edge.
+            // Constraints were appended since the canonicalization graph was
+            // built; re-derive its adjacency (a cheap counting sort).
             let state = self.state.as_mut().expect("state just ensured");
-            state.canon = CanonGraph::new_pruned(&self.system, &self.implied);
+            state.canon = CanonGraph::new(&self.system);
             self.canon_stale = false;
         }
         let state = self.state.as_mut().expect("state just ensured");
@@ -578,16 +504,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_forces_cold() {
-        let (sys, weights, _) = chain_system();
-        let mut solver = IncrementalSolver::new(sys, weights).unwrap();
-        solver.solve().unwrap();
-        solver.invalidate();
-        solver.solve().unwrap();
-        assert!(!solver.last_solve_was_warm());
-    }
-
-    #[test]
     fn unbalanced_weights_rejected_at_construction() {
         let sys = DifferenceSystem::new(2);
         assert!(matches!(
@@ -691,11 +607,11 @@ mod tests {
     }
 
     #[test]
-    fn implied_constraints_prune_without_moving_the_canonical_point() {
+    fn relax_to_zero_then_tighten_matches_minimize() {
         // Dependency chain 0 -> 1 -> 2 -> 3 (all 0-bounds) plus timing
-        // constraints that the chain implies once relaxed to 0. Pruning
-        // their primal canonicalization edges must leave every solve
-        // bit-identical to a from-scratch minimize.
+        // constraints that the chain implies once relaxed to 0: the warm
+        // relaxation, a zero-delta re-solve and a cold tightening must each
+        // stay bit-identical to a from-scratch minimize.
         let mut sys = DifferenceSystem::new(4);
         for i in 0..3u32 {
             sys.add_constraint(VarId(i), VarId(i + 1), 0);
@@ -711,17 +627,15 @@ mod tests {
             solver.update_bound(ci, 0);
             sys.set_bound(ci, 0);
         }
-        solver.mark_implied(&[t02, t13]);
-        let pruned = solver.solve().unwrap();
+        let relaxed = solver.solve().unwrap();
         assert!(solver.last_solve_was_warm());
-        assert_eq!(pruned, minimize(&sys, &weights).unwrap(), "pruning moved the optimum");
+        assert_eq!(relaxed, minimize(&sys, &weights).unwrap(), "relaxing moved the optimum");
 
-        // Marking again is a no-op; re-solving returns the cached solution.
-        solver.mark_implied(&[t02, t13]);
-        assert_eq!(solver.solve().unwrap(), pruned);
+        // Re-solving with no change returns the cached solution.
+        assert_eq!(solver.solve().unwrap(), relaxed);
 
-        // Tightening an implied constraint clears its flag and the cold
-        // rebuild restores its primal edge — still bit-identical.
+        // Tightening a relaxed constraint again runs cold — still
+        // bit-identical.
         solver.update_bound(t02, -2);
         sys.set_bound(t02, -2);
         let tightened = solver.solve().unwrap();
@@ -730,11 +644,10 @@ mod tests {
     }
 
     #[test]
-    fn implied_pruning_keeps_flow_carrying_tight_edges() {
+    fn relax_to_zero_beside_a_zero_chain_matches_minimize() {
         // A zero-bound constraint parallel to a zero-bound chain, with an
         // objective that pushes flow somewhere: whichever arc the drain
-        // routes through, the pruned canonicalization must agree with a
-        // fresh solver (which routes identically) and with `minimize`.
+        // routes through, the canonicalization must agree with `minimize`.
         let mut sys = DifferenceSystem::new(3);
         sys.add_constraint(VarId(0), VarId(1), 0);
         sys.add_constraint(VarId(1), VarId(2), 0);
@@ -744,7 +657,6 @@ mod tests {
         solver.solve().unwrap();
         solver.update_bound(direct, 0);
         sys.set_bound(direct, 0);
-        solver.mark_implied(&[direct]);
         let got = solver.solve().unwrap();
         assert_eq!(got, minimize(&sys, &weights).unwrap());
     }
@@ -805,32 +717,28 @@ mod tests {
     }
 
     #[test]
-    fn clear_implied_restores_the_canonical_edge() {
-        // Mark a constraint implied while it genuinely is, then relax the
-        // constraint that dominated it and clear the flag: every solve must
-        // stay bit-identical to a from-scratch minimize.
+    fn relaxing_a_dominator_rebinds_its_member_and_matches_minimize() {
+        // A constraint implied by a tighter one, then the constraint that
+        // dominated it relaxes so the member binds on its own: every solve
+        // must stay bit-identical to a from-scratch minimize.
         let mut sys = DifferenceSystem::new(3);
         sys.add_constraint(VarId(0), VarId(1), 0);
         sys.add_constraint(VarId(1), VarId(2), 0);
         let dominator = sys.add_constraint(VarId(0), VarId(1), -2);
-        let member = sys.add_constraint(VarId(0), VarId(2), -2);
+        // The member: implied by the dominator (-2) plus the 1->2 zero-edge.
+        sys.add_constraint(VarId(0), VarId(2), -2);
         let weights = vec![-1, 0, 1];
         let mut solver = IncrementalSolver::new(sys.clone(), weights.clone()).unwrap();
-        solver.solve().unwrap();
-        // `member` is implied: dominator (-2) plus the 1->2 zero-edge.
-        solver.mark_implied(&[member]);
-        let pruned = solver.solve().unwrap();
-        assert_eq!(pruned, minimize(&sys, &weights).unwrap());
-        // Relax the dominator: `member` must become a real constraint again.
+        let dominated = solver.solve().unwrap();
+        assert_eq!(dominated, minimize(&sys, &weights).unwrap());
+        // Relax the dominator: `member` now binds on its own.
         solver.update_bound(dominator, 0);
         sys.set_bound(dominator, 0);
-        solver.clear_implied(&[member]);
-        let restored = solver.solve().unwrap();
+        let rebound = solver.solve().unwrap();
         assert!(solver.last_solve_was_warm(), "the relaxation path stays warm");
-        assert_eq!(restored, minimize(&sys, &weights).unwrap());
-        // Clearing an unset flag is a no-op.
-        solver.clear_implied(&[member]);
-        assert_eq!(solver.solve().unwrap(), restored);
+        assert_eq!(rebound, minimize(&sys, &weights).unwrap());
+        // A zero-delta re-solve returns the same point.
+        assert_eq!(solver.solve().unwrap(), rebound);
     }
 
     #[test]

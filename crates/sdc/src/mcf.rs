@@ -465,9 +465,12 @@ pub(crate) fn ssp_drain_serial(
 /// *topology* is fixed by the constraint set — constraint `(u, v, b)`
 /// contributes a primal edge `v -> u` always, and a tight reverse edge
 /// `u -> v` exactly while its dual arc carries flow — so an incremental
-/// solver builds this once per warm state and every canonicalization pass
-/// reuses it, instead of re-allocating an adjacency list per solve
-/// (`O(m)` on systems that are ~90% timing constraints).
+/// solver builds this once per warm state (again only after
+/// [`IncrementalSolver::add_constraint`](crate::IncrementalSolver::add_constraint)
+/// appends) and every canonicalization pass reuses it, instead of
+/// re-allocating an adjacency list per solve (`O(m)` on systems that are
+/// ~90% timing constraints). Bound changes never touch it: edge weights are
+/// read from the system at solve time.
 #[derive(Clone, Debug)]
 pub(crate) struct CanonGraph {
     /// CSR over variables: constraints in which the variable is `v`.
@@ -479,44 +482,27 @@ pub(crate) struct CanonGraph {
 }
 
 impl CanonGraph {
-    /// Builds the CSR adjacency, omitting the **primal** edge of every
-    /// constraint flagged in `pruned` (missing indices count as unflagged,
-    /// so `&[]` builds the full graph).
-    ///
-    /// Dropping a primal edge is sound exactly when the constraint is
-    /// *implied* by the rest of the system — some other primal path from its
-    /// `v` to its `u` already enforces a bound at least as tight — because
-    /// removing an edge dominated by an equal-or-shorter path never changes
-    /// shortest-path distances. The caller asserts that implication; see
-    /// [`IncrementalSolver::mark_implied`](crate::IncrementalSolver::mark_implied).
-    /// Tight reverse edges are **never** pruned: they encode complementary
-    /// slackness for flow the pruned constraint's arc may still carry, which
-    /// no other constraint implies.
-    pub(crate) fn new_pruned(system: &DifferenceSystem, pruned: &[bool]) -> Self {
+    /// Builds the CSR adjacency over every constraint of `system`.
+    pub(crate) fn new(system: &DifferenceSystem) -> Self {
         let n = system.num_vars();
         let m = system.constraints().len();
-        let is_pruned = |ci: usize| pruned.get(ci).copied().unwrap_or(false);
         let mut primal_start = vec![0u32; n + 1];
         let mut tight_start = vec![0u32; n + 1];
-        for (ci, c) in system.constraints().iter().enumerate() {
-            if !is_pruned(ci) {
-                primal_start[c.v.index() + 1] += 1;
-            }
+        for c in system.constraints() {
+            primal_start[c.v.index() + 1] += 1;
             tight_start[c.u.index() + 1] += 1;
         }
         for i in 0..n {
             primal_start[i + 1] += primal_start[i];
             tight_start[i + 1] += tight_start[i];
         }
-        let mut primal = vec![0u32; primal_start[n] as usize];
+        let mut primal = vec![0u32; m];
         let mut tight = vec![0u32; m];
         let mut primal_at = primal_start.clone();
         let mut tight_at = tight_start.clone();
         for (ci, c) in system.constraints().iter().enumerate() {
-            if !is_pruned(ci) {
-                primal[primal_at[c.v.index()] as usize] = ci as u32;
-                primal_at[c.v.index()] += 1;
-            }
+            primal[primal_at[c.v.index()] as usize] = ci as u32;
+            primal_at[c.v.index()] += 1;
             tight[tight_at[c.u.index()] as usize] = ci as u32;
             tight_at[c.u.index()] += 1;
         }

@@ -3,7 +3,7 @@
 //! One coherent layer replacing the scattered counters that used to live
 //! in four crates: hierarchical **spans** (`session → run → iteration →
 //! stage → solver drain phase`) recorded into one per-track **event
-//! log**; a **metrics registry** of counters, gauges and histograms whose
+//! log**; a **metrics registry** of counters and histograms whose
 //! snapshots merge with a deterministic, commutative, associative and
 //! idempotent join (the same contract as `DelayCache::merge`, so batch
 //! workers record locally and the aggregator folds fleet totals
@@ -45,7 +45,7 @@ pub use export::{
     escape_json, parse_jsonl, render_chrome_trace, render_jsonl, OwnedArg, OwnedEvent,
 };
 pub use registry::{
-    histogram_quantile, Counter, Gauge, Histogram, MetricKind, MetricValue, MetricsFrame, Registry,
+    histogram_quantile, Counter, Histogram, MetricKind, MetricValue, MetricsFrame, Registry,
     HISTOGRAM_BUCKETS,
 };
 pub use report::{attribute, render_attribution, AttributionRow, QuantileRow, RunReport, StageRow};

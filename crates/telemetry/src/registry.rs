@@ -1,8 +1,8 @@
-//! The metrics registry: counters, gauges and histograms with a
+//! The metrics registry: counters and histograms with a
 //! deterministic, commutative, associative, idempotent snapshot merge.
 //!
 //! A [`Registry`] hands out cheap clonable handles ([`Counter`],
-//! [`Gauge`], [`Histogram`]) backed by atomics; recording is lock-free.
+//! [`Histogram`]) backed by atomics; recording is lock-free.
 //! [`Registry::snapshot`] freezes the current values into a
 //! [`MetricsFrame`] — an ordered name → value map — and frames combine
 //! with [`MetricsFrame::merge`], which follows the same contract as
@@ -25,7 +25,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Number of power-of-two buckets in a [`Histogram`]: bucket 0 counts
@@ -39,15 +39,12 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 pub enum MetricKind {
     /// Monotonically increasing `u64`.
     Counter,
-    /// Last-written `i64` level.
-    Gauge,
     /// Power-of-two bucketed distribution of `u64` samples.
     Histogram,
 }
 
 enum Cell {
     Counter(Arc<AtomicU64>),
-    Gauge(Arc<AtomicI64>),
     Histogram(Arc<Buckets>),
 }
 
@@ -55,7 +52,6 @@ impl Cell {
     fn kind(&self) -> MetricKind {
         match self {
             Cell::Counter(_) => MetricKind::Counter,
-            Cell::Gauge(_) => MetricKind::Gauge,
             Cell::Histogram(_) => MetricKind::Histogram,
         }
     }
@@ -63,7 +59,6 @@ impl Cell {
     fn value(&self) -> MetricValue {
         match self {
             Cell::Counter(c) => MetricValue::Counter(c.load(Ordering::Relaxed)),
-            Cell::Gauge(g) => MetricValue::Gauge(g.load(Ordering::Relaxed)),
             Cell::Histogram(h) => {
                 MetricValue::Histogram(h.0.iter().map(|b| b.load(Ordering::Relaxed)).collect())
             }
@@ -107,40 +102,6 @@ impl fmt::Debug for Counter {
     }
 }
 
-/// A last-write-wins level handle. Clones share the cell.
-#[derive(Clone)]
-pub struct Gauge(Arc<AtomicI64>);
-
-impl Gauge {
-    /// A gauge not attached to any registry.
-    pub fn detached() -> Self {
-        Gauge(Arc::new(AtomicI64::new(0)))
-    }
-
-    /// Sets the gauge.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Raises the gauge to `v` if below it (high-water mark).
-    #[inline]
-    pub fn raise(&self, v: i64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-impl fmt::Debug for Gauge {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Gauge({})", self.get())
-    }
-}
-
 /// A power-of-two bucketed histogram handle. Clones share the cell.
 #[derive(Clone)]
 pub struct Histogram(Arc<Buckets>);
@@ -179,8 +140,6 @@ impl fmt::Debug for Histogram {
 pub enum MetricValue {
     /// Counter reading.
     Counter(u64),
-    /// Gauge reading.
-    Gauge(i64),
     /// Histogram bucket counts (normally [`HISTOGRAM_BUCKETS`] long;
     /// the join pads shorter vectors with zeros).
     Histogram(Vec<u64>),
@@ -191,7 +150,6 @@ impl MetricValue {
     pub fn kind(&self) -> MetricKind {
         match self {
             MetricValue::Counter(_) => MetricKind::Counter,
-            MetricValue::Gauge(_) => MetricKind::Gauge,
             MetricValue::Histogram(_) => MetricKind::Histogram,
         }
     }
@@ -203,7 +161,6 @@ impl MetricValue {
     pub fn join(&self, other: &MetricValue) -> MetricValue {
         match (self, other) {
             (MetricValue::Counter(a), MetricValue::Counter(b)) => MetricValue::Counter(*a.max(b)),
-            (MetricValue::Gauge(a), MetricValue::Gauge(b)) => MetricValue::Gauge(*a.max(b)),
             (MetricValue::Histogram(a), MetricValue::Histogram(b)) => {
                 let n = a.len().max(b.len());
                 MetricValue::Histogram(
@@ -362,18 +319,6 @@ impl Registry {
         }
     }
 
-    /// Gets or registers the gauge `name`. Panics on kind mismatch.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut cells = self.cells.lock().unwrap();
-        match cells
-            .entry(name.to_string())
-            .or_insert_with(|| Cell::Gauge(Arc::new(AtomicI64::new(0))))
-        {
-            Cell::Gauge(g) => Gauge(Arc::clone(g)),
-            other => panic!("metric {name:?} already registered as {:?}", other.kind()),
-        }
-    }
-
     /// Gets or registers the histogram `name`. Panics on kind mismatch.
     pub fn histogram(&self, name: &str) -> Histogram {
         let mut cells = self.cells.lock().unwrap();
@@ -431,7 +376,7 @@ mod tests {
     fn kind_mismatch_panics() {
         let reg = Registry::new();
         let _c = reg.counter("x");
-        let _g = reg.gauge("x");
+        let _h = reg.histogram("x");
     }
 
     #[test]
@@ -527,7 +472,6 @@ mod tests {
     fn merge_is_idempotent_on_equal_frames() {
         let reg = Registry::new();
         reg.counter("a").add(5);
-        reg.gauge("b").set(-2);
         reg.histogram("c").record(9);
         let frame = reg.snapshot();
         let mut twice = frame.clone();

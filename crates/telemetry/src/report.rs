@@ -106,7 +106,6 @@ impl RunReport {
                             *a += b;
                         }
                     }
-                    MetricValue::Gauge(_) => {}
                 }
             }
         }

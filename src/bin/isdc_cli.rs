@@ -655,7 +655,8 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
     }
 
     if args.has("--min-period") && !timed_out {
-        match min_feasible_period(&mut session, &base, 1.0, to, tol) {
+        // The search starts at 1 ps, or at `to` itself when that is lower.
+        match min_feasible_period(&mut session, &base, to.min(1.0), to, tol) {
             Ok(search) => match search.min_period_ps {
                 Some(p) => println!(
                     "minimum feasible period: {p:.0}ps (+-{tol}ps, {} probes)",

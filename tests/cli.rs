@@ -86,3 +86,34 @@ fn well_formed_sweep_runs() {
     assert!(stdout.contains("rrot: "), "{stdout}");
     assert!(stdout.contains("|      yes |"), "the one point must be feasible: {stdout}");
 }
+
+#[test]
+fn sub_picosecond_min_period_search_finds_no_period() {
+    // Both grids end below 1 ps, the search's usual lower end.
+    for range in [&["--from", "0.4", "--points", "2"][..], &["--from", "0.9", "--to", "0.95"]] {
+        let mut args = vec!["sweep", "--bench", "rrot", "--iterations", "1", "--min-period"];
+        args.extend(range);
+        let out = cli(&args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(stdout.contains("no feasible period at or below"), "{args:?}: {stdout}");
+    }
+}
+
+#[test]
+fn batch_spec_with_non_positive_periods_exits_2() {
+    let spec = std::env::temp_dir()
+        .join(format!("isdc-cli-nonpositive-periods-{}.json", std::process::id()));
+    std::fs::write(&spec, r#"{"jobs":[{"design":"rrot","periods":[-2500,0]}]}"#).unwrap();
+    let path = spec.to_str().expect("utf-8 temp path");
+    assert_usage_error(
+        &["batch", "--jobs", path, "--threads", "1", "--iterations", "1"],
+        "job `rrot`: bad periods `-2500` (want a finite number of ps above 0)",
+    );
+    let _ = std::fs::remove_file(&spec);
+}
