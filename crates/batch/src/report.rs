@@ -38,9 +38,10 @@ pub struct BatchBenchDoc<'a> {
     /// measures it; a lone CLI batch run has nothing to compare against and
     /// omits the speedup fields.
     pub serial_total: Option<Duration>,
-    /// Optional wall-clock of the independent-cold-runs baseline (the
-    /// paper-reference semantics), for the long-lever speedup.
-    pub cold_total: Option<Duration>,
+    /// Optional wall-clock of the independent-runs baseline
+    /// ([`isdc_core::sweep_clock_period_independent`] per job: no cache, no
+    /// session), for the long-lever speedup.
+    pub independent_total: Option<Duration>,
     /// One row per measured thread count.
     pub scaling: &'a [ScalingRow],
     /// Whether every batch schedule was verified bit-identical to the
@@ -82,8 +83,8 @@ pub fn render_batch_json(doc: &BatchBenchDoc<'_>) -> String {
     if let Some(serial) = doc.serial_total {
         let _ = writeln!(out, "  \"serial_total_ns\": {},", serial.as_nanos());
     }
-    if let Some(cold) = doc.cold_total {
-        let _ = writeln!(out, "  \"cold_total_ns\": {},", cold.as_nanos());
+    if let Some(independent) = doc.independent_total {
+        let _ = writeln!(out, "  \"independent_total_ns\": {},", independent.as_nanos());
     }
     out.push_str("  \"scaling\": [\n");
     for (i, row) in doc.scaling.iter().enumerate() {
@@ -99,8 +100,9 @@ pub fn render_batch_json(doc: &BatchBenchDoc<'_>) -> String {
         if let Some(serial) = doc.serial_total {
             let _ = write!(out, ", \"speedup_vs_serial\": {:.2}", speedup(serial, row.total));
         }
-        if let Some(cold) = doc.cold_total {
-            let _ = write!(out, ", \"speedup_vs_cold\": {:.2}", speedup(cold, row.total));
+        if let Some(independent) = doc.independent_total {
+            let speedup = speedup(independent, row.total);
+            let _ = write!(out, ", \"speedup_vs_independent\": {speedup:.2}");
         }
         out.push('}');
     }
@@ -257,7 +259,7 @@ mod tests {
             hardware_threads: 4,
             repeats: 1,
             serial_total: Some(Duration::from_nanos(2000)),
-            cold_total: Some(Duration::from_nanos(8000)),
+            independent_total: Some(Duration::from_nanos(8000)),
             scaling: &[
                 ScalingRow { threads: 1, total: Duration::from_nanos(1900) },
                 ScalingRow { threads: 8, total: Duration::from_nanos(500) },
@@ -275,7 +277,8 @@ mod tests {
             "\"status\": \"ok\", \"retries\": 0",
             "\"serial_total_ns\": 2000",
             "\"speedup_vs_serial\": 4.00",
-            "\"speedup_vs_cold\": 16.00",
+            "\"independent_total_ns\": 8000",
+            "\"speedup_vs_independent\": 16.00",
             "\"max_threads_measured\": 8, \"speedup_at_max_threads\": 4.00",
             "\"cache_hit_rate\": 0.0000",
             "\"hit_rate\": 0.0000",
@@ -311,7 +314,7 @@ mod tests {
             hardware_threads: 2,
             repeats: 1,
             serial_total: None,
-            cold_total: None,
+            independent_total: None,
             scaling: &[],
             bit_identical: false,
         };

@@ -22,13 +22,15 @@
 //! order — ascending recommended, so shards warm-start internally) or a
 //! `from`/`to`/`points` linear grid. Every period-valued field (`periods`
 //! entries, `from`, `to`, `lo`, `hi`, `tol`) must be a finite number of
-//! picoseconds above 0, the rule the CLI applies to its period flags.
+//! picoseconds above 0, the rule the CLI applies to its period flags, and
+//! `points` must be an integer from 1 to [`MAX_GRID_POINTS`], the CLI's
+//! `--points` cap.
 //! Unknown keys are ignored so the format can grow. The codec is
 //! hand-rolled on [`isdc_cache::json`] (the build environment has no
 //! `serde_json`).
 
 use isdc_cache::json::Parser;
-use isdc_core::linear_grid;
+use isdc_core::{linear_grid, MAX_GRID_POINTS};
 use isdc_techlib::Picos;
 use isdc_telemetry::escape_json;
 use std::fmt::Write as _;
@@ -142,8 +144,8 @@ pub fn render_jobs(jobs: &[Job]) -> String {
 ///
 /// Returns a description of the first malformed construct: unknown job
 /// types, sweeps without periods, a period-valued field that is not a
-/// finite number above 0, grids with `points == 0` or `to < from`, searches
-/// with `lo > hi`.
+/// finite number above 0, a `points` that is not an integer from 1 to
+/// [`MAX_GRID_POINTS`], grids with `to < from`, searches with `lo > hi`.
 pub fn parse_jobs(json: &str) -> Result<Vec<Job>, String> {
     let mut p = Parser::new(json);
     let mut jobs: Vec<Job> = Vec::new();
@@ -200,7 +202,7 @@ fn parse_job(p: &mut Parser<'_>) -> Result<Job, String> {
             }
             "from" => from = Some(p.number()?),
             "to" => to = Some(p.number()?),
-            "points" => points = Some(p.number()? as usize),
+            "points" => points = Some(p.number()?),
             "lo" => lo = Some(p.number()?),
             "hi" => hi = Some(p.number()?),
             "tol" => tol = Some(p.number()?),
@@ -224,6 +226,7 @@ fn parse_job(p: &mut Parser<'_>) -> Result<Job, String> {
     for &period in periods.iter().flatten() {
         check_picos(&design, "periods", period)?;
     }
+    let points = points.map(|n| check_points(&design, n)).transpose()?;
     let kind = match kind.as_deref() {
         Some("sweep") | None => {
             let periods = match (periods, from) {
@@ -232,10 +235,8 @@ fn parse_job(p: &mut Parser<'_>) -> Result<Job, String> {
                 (None, Some(from)) => {
                     let points = points.unwrap_or(10);
                     let to = to.unwrap_or(from * 2.0);
-                    if points == 0 || to < from {
-                        return Err(format!(
-                            "job `{design}`: grid needs points >= 1 and to >= from"
-                        ));
+                    if to < from {
+                        return Err(format!("job `{design}`: grid needs to >= from"));
                     }
                     linear_grid(from, to, points)
                 }
@@ -265,6 +266,17 @@ fn check_picos(design: &str, key: &str, value: Picos) -> Result<(), String> {
         Ok(())
     } else {
         Err(format!("job `{design}`: bad {key} `{value}` (want a finite number of ps above 0)"))
+    }
+}
+
+/// Checks a grid's `points`: an integer from 1 to [`MAX_GRID_POINTS`].
+fn check_points(design: &str, value: f64) -> Result<usize, String> {
+    if value.fract() == 0.0 && (1.0..=MAX_GRID_POINTS as f64).contains(&value) {
+        Ok(value as usize)
+    } else {
+        Err(format!(
+            "job `{design}`: bad points `{value:?}` (want an integer from 1 to {MAX_GRID_POINTS})"
+        ))
     }
 }
 
@@ -341,6 +353,20 @@ mod tests {
             let err = parse_jobs(bad).expect_err(bad);
             assert!(err.contains(&format!("job `d`: bad {key}")), "{bad}: {err}");
         }
+    }
+
+    #[test]
+    fn grid_points_must_be_an_integer_within_the_cap() {
+        for (points, shown) in
+            [("1e300", "1e300"), ("0", "0.0"), ("2.5", "2.5"), ("10001", "10001.0")]
+        {
+            let bad = format!(r#"{{"jobs":[{{"design":"d","from":2500,"points":{points}}}]}}"#);
+            let err = parse_jobs(&bad).expect_err(&bad);
+            assert!(err.contains(&format!("job `d`: bad points `{shown}`")), "{bad}: {err}");
+        }
+        let cap =
+            format!(r#"{{"jobs":[{{"design":"d","from":2500,"points":{MAX_GRID_POINTS}}}]}}"#);
+        assert_eq!(parse_jobs(&cap).unwrap()[0].planned_points(), MAX_GRID_POINTS);
     }
 
     #[test]

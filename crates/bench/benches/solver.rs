@@ -16,9 +16,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use isdc_benchsuite::{random_dag, Benchmark, RandomDagConfig};
-use isdc_core::{
-    schedule_with_matrix, DelayMatrix, DirtySet, IncrementalScheduler, ScheduleOptions,
-};
+use isdc_core::{schedule_with_matrix, DelayMatrix, DirtySet, IncrementalScheduler};
 use isdc_ir::NodeId;
 use isdc_sdc::{minimize, DifferenceSystem, IncrementalSolver, VarId};
 use isdc_synth::OpDelayModel;
@@ -238,15 +236,14 @@ fn bench_cold_vs_warm(c: &mut Criterion) {
     let mut rows = Vec::new();
     for b in designs {
         let n = b.graph.len();
-        let options = ScheduleOptions { clock_period_ps: b.clock_period_ps, max_stages: None };
         let trace = feedback_trace(b, &model, rounds);
         let last = trace.matrices.len() - 1;
         let final_m = &trace.matrices[last];
         let final_dirty = &trace.dirties[last - 1];
         // Prime the engine up to the state *before* the final round, so each
         // timed warm solve applies one genuine iteration's worth of deltas.
-        let mut engine =
-            IncrementalScheduler::new(&b.graph, &trace.matrices[0], &options).expect("schedulable");
+        let mut engine = IncrementalScheduler::new(&b.graph, &trace.matrices[0], b.clock_period_ps)
+            .expect("schedulable");
         engine.reschedule(&b.graph, &trace.matrices[0], &DirtySet::new(n)).unwrap();
         for r in 0..last - 1 {
             engine.reschedule(&b.graph, &trace.matrices[r + 1], &trace.dirties[r]).unwrap();
@@ -286,7 +283,7 @@ fn bench_cold_vs_warm(c: &mut Criterion) {
         // matrix, so emitted + pruned equals what the dense Eq. 2 emission
         // would have carried, and its first solve is the timed cold one.
         let mut fresh =
-            IncrementalScheduler::new(&b.graph, final_m, &options).expect("schedulable");
+            IncrementalScheduler::new(&b.graph, final_m, b.clock_period_ps).expect("schedulable");
         let sparsity = fresh.sparsify_stats();
         fresh.reschedule(&b.graph, final_m, &DirtySet::new(n)).unwrap();
         rows.push(format!(

@@ -299,14 +299,13 @@ fn gate_cache(doc: &Value, floors: &Value, checks: &mut Vec<Check>) -> Result<()
 fn gate_sweep(doc: &Value, floors: &Value, checks: &mut Vec<Check>) -> Result<(), String> {
     let mode = doc.text("mode").unwrap_or("full");
     let entry = floors_for(floors, "sweep", mode)?;
-    for key in ["speedup_vs_cold", "speedup_vs_independent"] {
-        checks.push(Check {
-            bench: "sweep",
-            label: format!("sweep[{mode}] {key}"),
-            limit: Limit::Floor(floor_number(entry, key)?),
-            actual: doc.number(key).ok_or_else(|| format!("sweep doc lacks `{key}`"))?,
-        });
-    }
+    let key = "speedup_vs_independent";
+    checks.push(Check {
+        bench: "sweep",
+        label: format!("sweep[{mode}] {key}"),
+        limit: Limit::Floor(floor_number(entry, key)?),
+        actual: doc.number(key).ok_or_else(|| format!("sweep doc lacks `{key}`"))?,
+    });
     drain_sanity(doc.array("runs").unwrap_or(&[]), "sweep run")?;
     Ok(())
 }
@@ -354,9 +353,11 @@ fn gate_batch(doc: &Value, floors: &Value, checks: &mut Vec<Check>) -> Result<()
         .ok_or("batch doc lacks the max-threads scaling row")?;
     checks.push(Check {
         bench: "batch",
-        label: format!("batch[{mode}] speedup vs cold @ {max_threads} threads"),
-        limit: Limit::Floor(floor_number(entry, "vs_cold_at_max_threads")?),
-        actual: best.number("speedup_vs_cold").ok_or("batch scaling row lacks speedup_vs_cold")?,
+        label: format!("batch[{mode}] speedup vs independent @ {max_threads} threads"),
+        limit: Limit::Floor(floor_number(entry, "vs_independent_at_max_threads")?),
+        actual: best
+            .number("speedup_vs_independent")
+            .ok_or("batch scaling row lacks speedup_vs_independent")?,
     });
     // Wall-clock scaling against the serial session sweep is gated to what
     // the measuring hardware can express: a 1-core container cannot scale,

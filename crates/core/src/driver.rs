@@ -60,13 +60,6 @@ pub struct IsdcConfig {
     /// [`isdc_cache::DelayCache::with_capacity`]). `0` = unbounded.
     /// Ignored when the caller supplies its own cache (sessions, batch).
     pub cache_capacity: usize,
-    /// Solve each iteration's LP incrementally ([`IncrementalScheduler`]):
-    /// the difference system persists across iterations, only dirty timing
-    /// pairs are re-emitted, and the min-cost-flow re-solve is warm-started
-    /// from the previous optimum (sound because Alg. 1 only ever relaxes
-    /// bounds). Schedules are bit-identical either way; this knob only
-    /// trades solver time, so it defaults to on.
-    pub incremental: bool,
     /// Compute the per-iteration **oracle quality metrics**
     /// ([`IterationRecord::estimation_error_pct`] and its naive twin),
     /// which time every pipeline stage through the downstream oracle after
@@ -103,7 +96,6 @@ impl IsdcConfig {
             cache: false,
             cache_file: None,
             cache_capacity: 0,
-            incremental: true,
             iteration_metrics: true,
         }
     }
@@ -149,19 +141,19 @@ pub struct IterationRecord {
     /// Oracle-cache misses recorded during this iteration (0 with caching
     /// off).
     pub cache_misses: u64,
-    /// Wall-clock time spent building/updating and solving this iteration's
-    /// LP (a subset of [`IterationRecord::elapsed`]). The cold-vs-warm gap
-    /// here is what [`IsdcConfig::incremental`] buys.
+    /// Wall-clock time spent maintaining the delay matrix (Alg. 2) and
+    /// re-solving this iteration's LP through the persistent
+    /// [`IncrementalScheduler`] (a subset of [`IterationRecord::elapsed`]);
+    /// for the initial schedule, the LP build (or a seeded engine's
+    /// retarget) and its first solve.
     pub solver_time: Duration,
-    /// Whether this iteration's LP re-solve was warm-started (always false
-    /// with [`IsdcConfig::incremental`] off, for the initial schedule, and
-    /// after any cold fallback).
+    /// Whether this iteration's LP re-solve was warm-started (false for an
+    /// unseeded initial schedule and after any cold fallback).
     pub solver_warm: bool,
     /// SSP drain counters of this iteration's LP solve: Dijkstra searches,
     /// nodes settled, augmenting paths, flow pushed. The drain runs one
-    /// search per path, so `dijkstras == paths`; all zero with
-    /// [`IsdcConfig::incremental`] off (the one-shot solver's counters are
-    /// not retrievable) and for cached zero-delta re-solves.
+    /// search per path, so `dijkstras == paths`; all zero for cached
+    /// zero-delta re-solves.
     pub drain: DrainStats,
     /// Wall-clock time spent in this iteration.
     pub elapsed: Duration,
@@ -635,34 +627,6 @@ mod tests {
         assert_eq!(total_hits, stats.hits, "per-iteration hits must sum to the total");
         assert_eq!(total_misses, stats.misses);
         assert!(cached.history.last().unwrap().cache_hit_rate() > 0.0);
-    }
-
-    #[test]
-    fn incremental_run_is_bit_identical_to_from_scratch() {
-        let lib = TechLibrary::sky130();
-        let model = OpDelayModel::new(lib.clone());
-        let oracle = SynthesisOracle::new(lib);
-        let g = datapath();
-        let incremental = run_isdc(&g, &model, &oracle, &quick_config(2500.0)).unwrap();
-        let cold_config = IsdcConfig { incremental: false, ..quick_config(2500.0) };
-        let from_scratch = run_isdc(&g, &model, &oracle, &cold_config).unwrap();
-        assert_eq!(
-            incremental.schedule, from_scratch.schedule,
-            "incremental solving must not change results"
-        );
-        assert_eq!(incremental.history.len(), from_scratch.history.len());
-        for (a, b) in incremental.history.iter().zip(&from_scratch.history) {
-            assert_eq!(a.register_bits, b.register_bits, "iteration {}", a.iteration);
-            assert_eq!(a.num_stages, b.num_stages, "iteration {}", a.iteration);
-        }
-        // The whole point: feedback iterations re-solve warm.
-        assert!(!incremental.history[0].solver_warm, "initial solve is cold");
-        assert!(
-            incremental.history[1..].iter().all(|r| r.solver_warm),
-            "feedback iterations must warm-start: {:?}",
-            incremental.history.iter().map(|r| r.solver_warm).collect::<Vec<_>>()
-        );
-        assert!(from_scratch.history.iter().all(|r| !r.solver_warm));
     }
 
     #[test]

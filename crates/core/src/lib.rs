@@ -21,16 +21,17 @@
 //! region ([`DelayMatrix::reformulate_incremental`]), and the SDC LP
 //! persists across iterations in an [`IncrementalScheduler`] that re-sweeps
 //! only dirty rows' timing bounds and re-solves warm
-//! ([`isdc_sdc::IncrementalSolver`]). Results are bit-identical to the
-//! from-scratch pipeline; only solver time changes
-//! ([`IsdcConfig::incremental`]).
+//! ([`isdc_sdc::IncrementalSolver`]). Every solve goes through that engine,
+//! and each iteration's schedule is bit-identical to a from-scratch
+//! [`DelayMatrix::reformulate`] plus [`schedule_with_matrix`] on the same
+//! feedback.
 //!
 //! The loop itself is a staged pipeline ([`pipeline`]: `Extract -> Dedupe
 //! -> Evaluate -> Feedback -> Reformulate -> Solve`), and both persistent
 //! assets cross *run* boundaries through [`IsdcSession`]: re-runs and
 //! clock-period sweeps ([`sweep_clock_period`], [`min_feasible_period`])
 //! reuse learned delays and LP state while staying bit-identical to
-//! independent cold runs.
+//! independent runs ([`sweep_clock_period_independent`]).
 //!
 //! # Examples
 //!
@@ -82,8 +83,8 @@ pub use isdc_sdc::DrainStats;
 pub use pipeline::{PipelineState, RunSeed, Stage, StageKind};
 pub use schedule::Schedule;
 pub use scheduler::{
-    schedule_with_matrix, schedule_with_matrix_dense, schedule_with_options, IncrementalScheduler,
-    ScheduleError, ScheduleOptions, SparsifyStats,
+    schedule_with_matrix, schedule_with_matrix_dense, IncrementalScheduler, ScheduleError,
+    SparsifyStats,
 };
 pub use session::{IsdcSession, SessionRun};
 pub use subgraph::{
@@ -92,5 +93,5 @@ pub use subgraph::{
 };
 pub use sweep::{
     linear_grid, min_feasible_period, render_sweep_json, sweep_clock_period,
-    sweep_clock_period_cold, sweep_clock_period_independent, MinPeriodSearch, SweepPoint,
+    sweep_clock_period_independent, MinPeriodSearch, SweepPoint, MAX_GRID_POINTS,
 };

@@ -28,9 +28,7 @@
 
 use crate::delay::{DelayMatrix, DirtySet};
 use crate::schedule::Schedule;
-use crate::scheduler::{
-    schedule_with_matrix, IncrementalScheduler, ScheduleError, ScheduleOptions, SparsifyStats,
-};
+use crate::scheduler::{IncrementalScheduler, ScheduleError, SparsifyStats};
 use crate::subgraph::{extract_subgraphs, Subgraph};
 use isdc_ir::{Graph, NodeId};
 use isdc_sdc::DrainStats;
@@ -52,9 +50,9 @@ pub enum StageKind {
     Evaluate,
     /// Alg. 1 delay updating into the matrix, tracked as dirty pairs.
     Feedback,
-    /// Alg. 2 reformulation (worklist sweep on the incremental path).
+    /// Alg. 2 reformulation (worklist sweep over the dirty region).
     Reformulate,
-    /// LP (re-)solve — warm through the persistent engine when possible.
+    /// LP re-solve through the persistent engine — warm when possible.
     Solve,
 }
 
@@ -268,7 +266,7 @@ pub struct PipelineState<'a, O: ?Sized> {
     pub(crate) config: &'a IsdcConfig,
     pub(crate) oracle: &'a O,
     delays: DelayMatrix,
-    engine: Option<IncrementalScheduler>,
+    engine: IncrementalScheduler,
     carry: DirtySet,
     schedule: Schedule,
     solver_warm: bool,
@@ -301,7 +299,6 @@ impl<'a, O: DelayOracle + ?Sized> PipelineState<'a, O> {
         seed: RunSeed<'_>,
     ) -> Result<Self, ScheduleError> {
         let delays = DelayMatrix::initialize(graph, &model.all_node_delays(graph));
-        let options = ScheduleOptions { clock_period_ps: config.clock_period_ps, max_stages: None };
         let init_span = isdc_telemetry::span("initial_solve");
         // A seeded engine's sparsify counters include previous runs; only
         // what this run's retarget + build adds should hit this run's
@@ -309,36 +306,24 @@ impl<'a, O: DelayOracle + ?Sized> PipelineState<'a, O> {
         let lp_base =
             seed.engine.as_ref().map(IncrementalScheduler::sparsify_stats).unwrap_or_default();
         let solve_start = Instant::now();
-        let mut engine = if config.incremental {
-            Some(match seed.engine {
-                Some(mut engine) => {
-                    // The seed engine encodes the naive matrix at its old
-                    // period; re-emit every bound at this run's period.
-                    engine.retarget(graph, &delays, config.clock_period_ps);
-                    engine
-                }
-                None => {
-                    let mut engine = IncrementalScheduler::new(graph, &delays, &options)?;
-                    if let Some(pi) = seed.potentials {
-                        let _ = engine.warm_from_potentials(pi);
-                    }
-                    engine
-                }
-            })
-        } else {
-            None
-        };
-        let (schedule, solver_warm, solver_drain) = match engine.as_mut() {
-            Some(engine) => {
-                let schedule = engine.reschedule(graph, &delays, &DirtySet::new(graph.len()))?;
-                (schedule, engine.last_solve_was_warm(), engine.last_drain_stats())
+        let mut engine = match seed.engine {
+            Some(mut engine) => {
+                // The seed engine encodes the naive matrix at its old
+                // period; re-emit every bound at this run's period.
+                engine.retarget(graph, &delays, config.clock_period_ps);
+                engine
             }
-            None => (
-                schedule_with_matrix(graph, &delays, config.clock_period_ps)?,
-                false,
-                DrainStats::default(),
-            ),
+            None => {
+                let mut engine = IncrementalScheduler::new(graph, &delays, config.clock_period_ps)?;
+                if let Some(pi) = seed.potentials {
+                    let _ = engine.warm_from_potentials(pi);
+                }
+                engine
+            }
         };
+        let schedule = engine.reschedule(graph, &delays, &DirtySet::new(graph.len()))?;
+        let solver_warm = engine.last_solve_was_warm();
+        let solver_drain = engine.last_drain_stats();
         let initial_solve_time = solve_start.elapsed();
         drop(init_span);
         // Exported right after the naive-matrix solve: these are the
@@ -346,12 +331,12 @@ impl<'a, O: DelayOracle + ?Sized> PipelineState<'a, O> {
         // iteration 0 — same naive matrix — can seed from. The final
         // iteration's state would encode the feedback-relaxed matrix, which
         // the next run does not start from.
-        let initial_potentials = engine.as_ref().and_then(IncrementalScheduler::potentials);
-        let initial_engine = if seed.export_engine { engine.clone() } else { None };
+        let initial_potentials = engine.potentials();
+        let initial_engine = seed.export_engine.then(|| engine.clone());
         let metrics = RunMetrics::new();
         metrics.record_stage(StageKind::Solve, initial_solve_time);
         metrics.record_drain(solver_drain);
-        let lp_seen = engine.as_ref().map(IncrementalScheduler::sparsify_stats).unwrap_or_default();
+        let lp_seen = engine.sparsify_stats();
         metrics.record_lp(lp_seen.delta_since(&lp_base));
         Ok(Self {
             graph,
@@ -386,8 +371,8 @@ impl<'a, O: DelayOracle + ?Sized> PipelineState<'a, O> {
         self.solver_warm
     }
 
-    /// SSP drain counters of the most recent solve (zeros on the cold
-    /// non-incremental path, whose one-shot solver is consumed internally).
+    /// SSP drain counters of the most recent solve (zeros for a cached
+    /// zero-delta re-solve).
     pub fn solver_drain(&self) -> DrainStats {
         self.solver_drain
     }
@@ -528,10 +513,10 @@ impl<O: DelayOracle + ?Sized> Stage<O> for Feedback {
     }
 }
 
-/// Stage 5: re-derive all-pairs delays (Alg. 2). On the incremental path
-/// this is the worklist sweep plus the dirty carry between passes (a pass's
+/// Stage 5: re-derive all-pairs delays (Alg. 2) by the worklist sweep over
+/// the dirty region, plus the dirty carry between passes (a pass's
 /// backward-sweep writes are only consumed by the *next* pass's forward
-/// sweep); on the cold path, a full pass.
+/// sweep).
 pub struct Reformulate;
 
 impl<O: DelayOracle + ?Sized> Stage<O> for Reformulate {
@@ -544,22 +529,17 @@ impl<O: DelayOracle + ?Sized> Stage<O> for Reformulate {
         state: &mut PipelineState<'_, O>,
         mut dirty: Self::In,
     ) -> Result<Self::Out, ScheduleError> {
-        if state.engine.is_some() {
-            dirty.union(&state.carry);
-            let swept = state.delays.reformulate_incremental(state.graph, &dirty);
-            dirty.union(&swept);
-            state.carry = swept;
-        } else {
-            let _ = state.delays.reformulate(state.graph);
-        }
+        dirty.union(&state.carry);
+        let swept = state.delays.reformulate_incremental(state.graph, &dirty);
+        dirty.union(&swept);
+        state.carry = swept;
         Ok(dirty)
     }
 }
 
-/// Stage 6: re-solve the LP against the updated matrix — through the
-/// persistent engine (warm for monotone updates) or a cold rebuild.
-/// Updates [`PipelineState::schedule`] and returns whether the solve was
-/// warm.
+/// Stage 6: re-solve the LP against the updated matrix through the
+/// persistent engine (warm for monotone updates). Updates
+/// [`PipelineState::schedule`] and returns whether the solve was warm.
 pub struct Solve;
 
 impl<O: DelayOracle + ?Sized> Stage<O> for Solve {
@@ -574,22 +554,13 @@ impl<O: DelayOracle + ?Sized> Stage<O> for Solve {
     ) -> Result<Self::Out, ScheduleError> {
         isdc_faults::trip("solver/drain")
             .map_err(|fault| ScheduleError::Injected { site: fault.site })?;
-        match state.engine.as_mut() {
-            Some(engine) => {
-                state.schedule = engine.reschedule(state.graph, &state.delays, &dirty)?;
-                state.solver_warm = engine.last_solve_was_warm();
-                state.solver_drain = engine.last_drain_stats();
-                let lp_now = engine.sparsify_stats();
-                state.metrics.record_lp(lp_now.delta_since(&state.lp_seen));
-                state.lp_seen = lp_now;
-            }
-            None => {
-                state.schedule =
-                    schedule_with_matrix(state.graph, &state.delays, state.config.clock_period_ps)?;
-                state.solver_warm = false;
-                state.solver_drain = DrainStats::default();
-            }
-        }
+        let engine = &mut state.engine;
+        state.schedule = engine.reschedule(state.graph, &state.delays, &dirty)?;
+        state.solver_warm = engine.last_solve_was_warm();
+        state.solver_drain = engine.last_drain_stats();
+        let lp_now = engine.sparsify_stats();
+        state.metrics.record_lp(lp_now.delta_since(&state.lp_seen));
+        state.lp_seen = lp_now;
         state.metrics.record_drain(state.solver_drain);
         Ok(state.solver_warm)
     }

@@ -67,11 +67,6 @@ pub enum ScheduleError {
         /// The clock period it does not fit in.
         clock_period_ps: Picos,
     },
-    /// The requested latency bound is tighter than timing allows.
-    LatencyUnachievable {
-        /// The requested maximum pipeline stages.
-        max_stages: u32,
-    },
     /// A deterministic fault-injection hook fired (chaos testing only —
     /// see `isdc_faults`). Treated as a *transient* failure by the batch
     /// engine's retry policy, unlike the real solver errors above.
@@ -96,9 +91,6 @@ impl fmt::Display for ScheduleError {
                 f,
                 "operation {node} delay {delay_ps}ps exceeds clock period {clock_period_ps}ps"
             ),
-            ScheduleError::LatencyUnachievable { max_stages } => {
-                write!(f, "no schedule meets timing within {max_stages} pipeline stages")
-            }
             ScheduleError::Injected { site } => {
                 write!(f, "injected fault at {site}")
             }
@@ -155,32 +147,7 @@ pub fn schedule_with_matrix(
     delays: &DelayMatrix,
     clock_period_ps: Picos,
 ) -> Result<Schedule, ScheduleError> {
-    schedule_with_options(graph, delays, &ScheduleOptions { clock_period_ps, max_stages: None })
-}
-
-/// Scheduling knobs beyond the clock period.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ScheduleOptions {
-    /// Target clock period in picoseconds.
-    pub clock_period_ps: Picos,
-    /// Optional upper bound on pipeline depth (like XLS's `pipeline_stages`
-    /// option). `None` leaves depth to the register objective.
-    pub max_stages: Option<u32>,
-}
-
-/// [`schedule_with_matrix`] with explicit [`ScheduleOptions`].
-///
-/// # Errors
-///
-/// In addition to [`schedule_with_matrix`]'s errors, returns
-/// [`ScheduleError::LatencyUnachievable`] when `max_stages` contradicts the
-/// timing constraints.
-pub fn schedule_with_options(
-    graph: &Graph,
-    delays: &DelayMatrix,
-    options: &ScheduleOptions,
-) -> Result<Schedule, ScheduleError> {
-    IncrementalScheduler::new(graph, delays, options)?.reschedule(
+    IncrementalScheduler::new(graph, delays, clock_period_ps)?.reschedule(
         graph,
         delays,
         &DirtySet::new(graph.len()),
@@ -197,11 +164,9 @@ pub fn schedule_with_matrix_dense(
     delays: &DelayMatrix,
     clock_period_ps: Picos,
 ) -> Result<Schedule, ScheduleError> {
-    let options = ScheduleOptions { clock_period_ps, max_stages: None };
-    let built = build_lp(graph, delays, &options, false)?;
-    let solution = IncrementalSolver::new(built.sys, built.weights)
-        .and_then(|mut solver| solver.solve())
-        .map_err(|e| map_solve_error(e, None))?;
+    let built = build_lp(graph, delays, clock_period_ps, false)?;
+    let solution =
+        IncrementalSolver::new(built.sys, built.weights).and_then(|mut solver| solver.solve())?;
     Ok(solution_to_schedule(graph, &solution.assignment))
 }
 
@@ -395,10 +360,9 @@ fn sweep_source(
 fn build_lp(
     graph: &Graph,
     delays: &DelayMatrix,
-    options: &ScheduleOptions,
+    clock_period_ps: Picos,
     sparsify: bool,
 ) -> Result<BuiltLp, ScheduleError> {
-    let clock_period_ps = options.clock_period_ps;
     let n = graph.len();
     if n == 0 {
         return Err(ScheduleError::EmptyGraph);
@@ -462,17 +426,6 @@ fn build_lp(
     // Sink: after every node; the pseudo-last-use of graph outputs.
     for v in graph.node_ids() {
         sys.add_constraint(x(v), sink, 0);
-    }
-
-    // Optional latency bound: the whole pipeline fits in max_stages cycles.
-    if let Some(max_stages) = options.max_stages {
-        if max_stages == 0 {
-            return Err(ScheduleError::LatencyUnachievable { max_stages });
-        }
-        if let Some(&p0) = graph.params().first() {
-            // sink - p0 <= max_stages - 1.
-            sys.add_constraint(sink, x(p0), i64::from(max_stages) - 1);
-        }
     }
 
     // Register-lifetime objective.
@@ -554,16 +507,6 @@ fn check_node_delays(
     Ok(())
 }
 
-fn map_solve_error(e: SolveError, max_stages: Option<u32>) -> ScheduleError {
-    match (&e, max_stages) {
-        (SolveError::Cancelled, _) => ScheduleError::DeadlineExceeded,
-        (SolveError::Infeasible { .. }, Some(max_stages)) => {
-            ScheduleError::LatencyUnachievable { max_stages }
-        }
-        _ => ScheduleError::Solver(e),
-    }
-}
-
 /// Normalizes an LP assignment into a schedule: params (or the global
 /// minimum) define stage 0.
 fn solution_to_schedule(graph: &Graph, assignment: &[i64]) -> Schedule {
@@ -585,9 +528,9 @@ fn solution_to_schedule(graph: &Graph, assignment: &[i64]) -> Schedule {
 
 /// A scheduler that persists the SDC LP across ISDC iterations.
 ///
-/// [`schedule_with_options`] rebuilds the difference system and cold-solves
-/// it on every call. This engine builds the (sparsified) system once, then
-/// per iteration re-runs the emission sweep over only the delay matrix's
+/// [`schedule_with_matrix`] is the engine's one-shot use: build the
+/// (sparsified) system, cold-solve it, drop it. Kept across iterations, the
+/// engine instead re-runs the emission sweep over only the delay matrix's
 /// dirty rows and re-solves through a warm-started [`IncrementalSolver`].
 ///
 /// Timing constraints are only ever re-bounded or appended, never removed.
@@ -597,10 +540,10 @@ fn solution_to_schedule(graph: &Graph, assignment: &[i64]) -> Schedule {
 /// non-monotone input (a tightened bound, a promotion the old optimum
 /// violates) makes the solver fall back to its cold path on its own — there
 /// is no full-rebuild mode. Either way the result is bit-identical to
-/// [`schedule_with_options`] on the same matrix.
+/// [`schedule_with_matrix`] on the same matrix.
 #[derive(Clone, Debug)]
 pub struct IncrementalScheduler {
-    options: ScheduleOptions,
+    clock_period_ps: Picos,
     solver: IncrementalSolver,
     /// Per source: sink index -> timing constraint id (see
     /// [`BuiltLp::timing`]).
@@ -610,21 +553,21 @@ pub struct IncrementalScheduler {
 }
 
 impl IncrementalScheduler {
-    /// Builds the LP for `graph` against `delays` and primes the solver.
+    /// Builds the LP for `graph` against `delays` at `clock_period_ps` and
+    /// primes the solver.
     ///
     /// # Errors
     ///
-    /// See [`schedule_with_options`].
+    /// See [`schedule_with_matrix`].
     pub fn new(
         graph: &Graph,
         delays: &DelayMatrix,
-        options: &ScheduleOptions,
+        clock_period_ps: Picos,
     ) -> Result<Self, ScheduleError> {
-        let built = build_lp(graph, delays, options, true)?;
-        let solver = IncrementalSolver::new(built.sys, built.weights)
-            .map_err(|e| map_solve_error(e, options.max_stages))?;
+        let built = build_lp(graph, delays, clock_period_ps, true)?;
+        let solver = IncrementalSolver::new(built.sys, built.weights)?;
         Ok(Self {
-            options: *options,
+            clock_period_ps,
             solver,
             timing: built.timing,
             chain: built.chain,
@@ -639,7 +582,7 @@ impl IncrementalScheduler {
     ///
     /// # Errors
     ///
-    /// See [`schedule_with_options`]. Monotone (relaxing-only) updates can
+    /// See [`schedule_with_matrix`]. Monotone (relaxing-only) updates can
     /// never make the system infeasible.
     pub fn reschedule(
         &mut self,
@@ -647,17 +590,17 @@ impl IncrementalScheduler {
         delays: &DelayMatrix,
         dirty: &DirtySet,
     ) -> Result<Schedule, ScheduleError> {
-        check_node_delays(graph, delays, self.options.clock_period_ps)?;
+        check_node_delays(graph, delays, self.clock_period_ps)?;
         // A sweep's decisions depend only on its source's delay row, so
         // dirty *rows* are exactly the sweeps whose inputs changed; within
         // a row the sweep re-derives every pair from the matrix, making
         // repeated marks and row/col shapes equally cheap to honor.
-        let Self { options, solver, timing, chain, stats } = self;
+        let Self { clock_period_ps, solver, timing, chain, stats } = self;
         for u in dirty.rows() {
             reconcile_source(
                 graph,
                 delays,
-                options.clock_period_ps,
+                *clock_period_ps,
                 u,
                 solver,
                 &mut timing[u.index()],
@@ -665,7 +608,7 @@ impl IncrementalScheduler {
                 stats,
             );
         }
-        let solution = solver.solve().map_err(|e| map_solve_error(e, options.max_stages))?;
+        let solution = solver.solve()?;
         Ok(solution_to_schedule(graph, &solution.assignment))
     }
 
@@ -724,7 +667,7 @@ impl IncrementalScheduler {
     /// is bit-identical to a fresh engine's; an infeasible period surfaces
     /// as [`IncrementalScheduler::reschedule`]'s usual feasibility error.
     pub fn retarget(&mut self, graph: &Graph, delays: &DelayMatrix, clock_period_ps: Picos) {
-        self.options.clock_period_ps = clock_period_ps;
+        self.clock_period_ps = clock_period_ps;
         let Self { solver, timing, chain, stats, .. } = self;
         for u in graph.node_ids() {
             reconcile_source(
@@ -878,54 +821,6 @@ mod tests {
     }
 
     #[test]
-    fn loose_latency_bound_changes_nothing() {
-        let (g, _) = mac_graph();
-        let d = DelayMatrix::initialize(&g, &[0.0, 0.0, 0.0, 700.0, 500.0]);
-        let unbounded = schedule_with_matrix(&g, &d, 1000.0).unwrap();
-        let bounded = schedule_with_options(
-            &g,
-            &d,
-            &ScheduleOptions { clock_period_ps: 1000.0, max_stages: Some(10) },
-        )
-        .unwrap();
-        assert_eq!(unbounded, bounded);
-    }
-
-    #[test]
-    fn exact_latency_bound_is_feasible() {
-        let (g, _) = mac_graph();
-        let d = DelayMatrix::initialize(&g, &[0.0, 0.0, 0.0, 700.0, 500.0]);
-        let schedule = schedule_with_options(
-            &g,
-            &d,
-            &ScheduleOptions { clock_period_ps: 1000.0, max_stages: Some(2) },
-        )
-        .unwrap();
-        assert_eq!(schedule.num_stages(), 2);
-    }
-
-    #[test]
-    fn unachievable_latency_reports_clearly() {
-        let (g, _) = mac_graph();
-        // 700 + 500 > 1000 forces two stages; demanding one must fail.
-        let d = DelayMatrix::initialize(&g, &[0.0, 0.0, 0.0, 700.0, 500.0]);
-        let err = schedule_with_options(
-            &g,
-            &d,
-            &ScheduleOptions { clock_period_ps: 1000.0, max_stages: Some(1) },
-        )
-        .unwrap_err();
-        assert_eq!(err, ScheduleError::LatencyUnachievable { max_stages: 1 });
-        let err = schedule_with_options(
-            &g,
-            &d,
-            &ScheduleOptions { clock_period_ps: 1000.0, max_stages: Some(0) },
-        )
-        .unwrap_err();
-        assert_eq!(err, ScheduleError::LatencyUnachievable { max_stages: 0 });
-    }
-
-    #[test]
     fn timing_bound_is_exact_at_bucket_boundaries() {
         // Exactly k*Tclk fits in k stages; one ulp past needs k+1.
         assert_eq!(timing_bound(1000.0, 1000.0), 0);
@@ -971,8 +866,7 @@ mod tests {
         // representative, so the sparse LP carries 6 of the dense 9.
         let g = not_chain(5);
         let d = DelayMatrix::initialize(&g, &[0.0, 400.0, 400.0, 400.0, 400.0, 400.0]);
-        let options = ScheduleOptions { clock_period_ps: 900.0, max_stages: None };
-        let engine = IncrementalScheduler::new(&g, &d, &options).unwrap();
+        let engine = IncrementalScheduler::new(&g, &d, 900.0).unwrap();
         let stats = engine.sparsify_stats();
         assert_eq!(stats.constraints_emitted, 6);
         assert_eq!(stats.bucket_deduped, 3);
@@ -1011,9 +905,8 @@ mod tests {
         // system must still match both fresh emissions bit for bit.
         let g = not_chain(5);
         let d = DelayMatrix::initialize(&g, &[0.0, 400.0, 400.0, 400.0, 400.0, 400.0]);
-        let options = ScheduleOptions { clock_period_ps: 900.0, max_stages: None };
         let empty = crate::delay::DirtySet::new(g.len());
-        let mut engine = IncrementalScheduler::new(&g, &d, &options).unwrap();
+        let mut engine = IncrementalScheduler::new(&g, &d, 900.0).unwrap();
         engine.reschedule(&g, &d, &empty).unwrap();
         let before = engine.sparsify_stats();
         engine.retarget(&g, &d, 700.0);
@@ -1045,8 +938,7 @@ mod tests {
         }
         g.set_output(prev);
         let mut d = DelayMatrix::initialize(&g, &[0.0, 400.0, 400.0, 400.0, 400.0]);
-        let options = ScheduleOptions { clock_period_ps: 1000.0, max_stages: None };
-        let mut engine = IncrementalScheduler::new(&g, &d, &options).unwrap();
+        let mut engine = IncrementalScheduler::new(&g, &d, 1000.0).unwrap();
         let first = engine.reschedule(&g, &d, &crate::delay::DirtySet::new(g.len())).unwrap();
         assert!(!engine.last_solve_was_warm(), "first solve is cold");
         assert_eq!(first, schedule_with_matrix(&g, &d, 1000.0).unwrap());
@@ -1081,8 +973,7 @@ mod tests {
         let (g, _) = mac_graph();
         let fast = DelayMatrix::initialize(&g, &[0.0, 0.0, 0.0, 400.0, 300.0]);
         let slow = DelayMatrix::initialize(&g, &[0.0, 0.0, 0.0, 400.0, 700.0]);
-        let options = ScheduleOptions { clock_period_ps: 1000.0, max_stages: None };
-        let mut engine = IncrementalScheduler::new(&g, &fast, &options).unwrap();
+        let mut engine = IncrementalScheduler::new(&g, &fast, 1000.0).unwrap();
         let empty = crate::delay::DirtySet::new(g.len());
         engine.reschedule(&g, &fast, &empty).unwrap();
         // Mark everything dirty and swap in the slower matrix.
@@ -1106,13 +997,11 @@ mod tests {
         // initial solve must be warm and bit-identical to a cold solve.
         let g = not_chain(4);
         let d = DelayMatrix::initialize(&g, &[0.0, 400.0, 400.0, 400.0, 400.0]);
-        let tight = ScheduleOptions { clock_period_ps: 1000.0, max_stages: None };
-        let mut first = IncrementalScheduler::new(&g, &d, &tight).unwrap();
+        let mut first = IncrementalScheduler::new(&g, &d, 1000.0).unwrap();
         first.reschedule(&g, &d, &crate::delay::DirtySet::new(g.len())).unwrap();
         let pi = first.potentials().expect("potentials available after a solve");
 
-        let loose = ScheduleOptions { clock_period_ps: 1700.0, max_stages: None };
-        let mut second = IncrementalScheduler::new(&g, &d, &loose).unwrap();
+        let mut second = IncrementalScheduler::new(&g, &d, 1700.0).unwrap();
         assert!(second.warm_from_potentials(&pi), "tight optimum must validate when relaxed");
         let warm = second.reschedule(&g, &d, &crate::delay::DirtySet::new(g.len())).unwrap();
         assert!(second.last_solve_was_warm(), "imported potentials must warm the first solve");
@@ -1123,8 +1012,7 @@ mod tests {
     fn retargeting_periods_matches_fresh_engines_both_directions() {
         let g = not_chain(5);
         let d = DelayMatrix::initialize(&g, &[0.0, 400.0, 400.0, 400.0, 400.0, 400.0]);
-        let options = ScheduleOptions { clock_period_ps: 900.0, max_stages: None };
-        let mut engine = IncrementalScheduler::new(&g, &d, &options).unwrap();
+        let mut engine = IncrementalScheduler::new(&g, &d, 900.0).unwrap();
         let empty = crate::delay::DirtySet::new(g.len());
         engine.reschedule(&g, &d, &empty).unwrap();
         // Ascending: every bound relaxes, the re-solve stays warm.
@@ -1175,9 +1063,8 @@ mod tests {
         let delays: Vec<f64> =
             std::iter::once(0.0).chain(std::iter::repeat(400.0)).take(g.len()).collect();
         let d = DelayMatrix::initialize(&g, &delays);
-        let options = ScheduleOptions { clock_period_ps: 500.0, max_stages: None };
         let empty = crate::delay::DirtySet::new(g.len());
-        let mut engine = IncrementalScheduler::new(&g, &d, &options).unwrap();
+        let mut engine = IncrementalScheduler::new(&g, &d, 500.0).unwrap();
         engine.reschedule(&g, &d, &empty).unwrap();
 
         engine.retarget(&g, &d, 2500.0);
@@ -1206,8 +1093,7 @@ mod tests {
             (isdc_benchsuite::designs::sha256(), 4_320, 35_000),
         ] {
             let d = naive(&graph);
-            let options = ScheduleOptions { clock_period_ps: 2500.0, max_stages: None };
-            let mut engine = IncrementalScheduler::new(&graph, &d, &options).unwrap();
+            let mut engine = IncrementalScheduler::new(&graph, &d, 2500.0).unwrap();
             engine.reschedule(&graph, &d, &crate::delay::DirtySet::new(graph.len())).unwrap();
             assert!(!engine.last_solve_was_warm());
             let stats = engine.last_drain_stats();
@@ -1237,8 +1123,7 @@ mod tests {
             (isdc_benchsuite::designs::sha256(), 612, 6_200, 1_176, 6_300),
         ] {
             let d = naive(&graph);
-            let options = ScheduleOptions { clock_period_ps: 2500.0, max_stages: None };
-            let mut engine = IncrementalScheduler::new(&graph, &d, &options).unwrap();
+            let mut engine = IncrementalScheduler::new(&graph, &d, 2500.0).unwrap();
             let empty = crate::delay::DirtySet::new(graph.len());
             engine.reschedule(&graph, &d, &empty).unwrap();
             engine.retarget(&graph, &d, 3000.0);
@@ -1266,8 +1151,7 @@ mod tests {
         // stay feasible, raise nothing and strictly lower the objective.
         let graph = isdc_benchsuite::designs::crc32();
         let d = naive(&graph);
-        let options = ScheduleOptions { clock_period_ps: 2500.0, max_stages: None };
-        let BuiltLp { sys, weights, .. } = build_lp(&graph, &d, &options, true).unwrap();
+        let BuiltLp { sys, weights, .. } = build_lp(&graph, &d, 2500.0, true).unwrap();
         let start = sys.solve_feasible().unwrap();
         let lowered = sys.lower_weighted(&start, &weights);
         assert_eq!(sys.first_violation(&lowered), None);
@@ -1284,9 +1168,8 @@ mod tests {
         // and the schedule matches both fresh emissions.
         let graph = isdc_benchsuite::designs::crc32();
         let d = naive(&graph);
-        let options = ScheduleOptions { clock_period_ps: 2500.0, max_stages: None };
         let empty = crate::delay::DirtySet::new(graph.len());
-        let mut engine = IncrementalScheduler::new(&graph, &d, &options).unwrap();
+        let mut engine = IncrementalScheduler::new(&graph, &d, 2500.0).unwrap();
         for clock in [2500.0, 2000.0, 3500.0, 2500.0, 5000.0] {
             engine.retarget(&graph, &d, clock);
             let got = engine.reschedule(&graph, &d, &empty).unwrap();
@@ -1306,8 +1189,7 @@ mod tests {
         // The ladder left constraints behind that a fresh build at the last
         // period would not emit, so the held-but-implied path was exercised.
         let held: usize = engine.timing.iter().map(BTreeMap::len).sum();
-        let options = ScheduleOptions { clock_period_ps: 5000.0, max_stages: None };
-        let fresh = IncrementalScheduler::new(&graph, &d, &options).unwrap();
+        let fresh = IncrementalScheduler::new(&graph, &d, 5000.0).unwrap();
         assert!(held as u64 > fresh.sparsify_stats().constraints_emitted, "{held}");
     }
 

@@ -15,8 +15,8 @@
 //! Both assets are *pure accelerators*: cached reports replay
 //! bit-identically and the LP canonicalizes its optimum independent of the
 //! solve path, so every session run produces exactly the schedule an
-//! independent cold [`run_isdc`](crate::run_isdc) would (guarded by the
-//! sweep determinism tests).
+//! independent [`run_isdc`](crate::run_isdc) would (guarded by the sweep
+//! determinism tests).
 //!
 //! Sessions persist to disk through the same snapshot file the cache uses
 //! ([`IsdcSession::save_snapshot`] / [`IsdcSession::load_snapshot`]):
@@ -79,7 +79,7 @@ pub struct SessionRun {
     pub cache_hits: u64,
     /// Oracle-cache misses recorded during this run.
     pub cache_misses: u64,
-    /// The run itself — bit-identical to what an independent cold
+    /// The run itself — bit-identical to what an independent
     /// [`run_isdc`](crate::run_isdc) at the same config produces.
     pub result: IsdcResult,
 }
@@ -111,8 +111,7 @@ impl SessionRun {
 /// pipeline any number of times (different clock periods, strategies,
 /// iteration budgets) while carrying the learned delay cache and LP
 /// potentials across runs. Both are pure accelerators: every run yields
-/// exactly the schedule an independent cold [`run_isdc`](crate::run_isdc)
-/// would.
+/// exactly the schedule an independent [`run_isdc`](crate::run_isdc) would.
 pub struct IsdcSession<'a, O: ?Sized> {
     graph: &'a Graph,
     model: &'a OpDelayModel,
@@ -213,15 +212,15 @@ impl<'a, O: DelayOracle + ?Sized> IsdcSession<'a, O> {
         // the closest shorter period (its optimum satisfies this run's
         // relaxed timing bounds by monotonicity of Eq. 2 in the period),
         // then the closest longer one as a validated long shot.
-        let prior = if config.incremental && self.engine.is_none() {
+        let prior = if self.engine.is_none() {
             self.cache.nearest_potentials(self.design_key, config.clock_period_ps)
         } else {
             None
         };
         let seed = RunSeed {
-            engine: if config.incremental { self.engine.clone() } else { None },
+            engine: self.engine.clone(),
             potentials: prior.as_ref().map(|(_, pi)| pi.as_slice()),
-            export_engine: config.incremental,
+            export_engine: true,
         };
         let mut outcome =
             run_pipeline(self.graph, self.model, &caching, config, Some(&self.cache), seed)?;

@@ -5,9 +5,10 @@
 //! neighbouring periods overlap almost completely, so after the first
 //! point the session's delay cache serves nearly every oracle evaluation,
 //! and each point's initial LP solve imports the potentials of the nearest
-//! already-solved period. Results stay bit-identical to independent cold
-//! [`run_isdc`](crate::run_isdc) calls at every point — both assets are
-//! pure accelerators.
+//! already-solved period. Results stay bit-identical to independent
+//! [`run_isdc`](crate::run_isdc) calls at every point
+//! ([`sweep_clock_period_independent`]) — both assets are pure
+//! accelerators.
 //!
 //! Two searches are provided:
 //!
@@ -50,15 +51,15 @@ pub struct SweepPoint {
     /// Feedback iterations executed.
     pub iterations: usize,
     /// Whether the run's initial LP solve imported potentials (always
-    /// false for cold sweeps).
+    /// false for independent sweeps).
     pub warm_start: bool,
     /// LP solves that ran warm, across the run's whole history.
     pub warm_solves: usize,
     /// LP solves that ran cold.
     pub cold_solves: usize,
-    /// Oracle-cache hits during this run (0 for cold sweeps).
+    /// Oracle-cache hits during this run (0 for independent sweeps).
     pub cache_hits: u64,
-    /// Oracle-cache misses during this run (0 for cold sweeps).
+    /// Oracle-cache misses during this run (0 for independent sweeps).
     pub cache_misses: u64,
     /// Wall-clock time of the run.
     pub elapsed: Duration,
@@ -150,7 +151,14 @@ impl SweepPoint {
     }
 }
 
-/// `points` evenly spaced periods from `from` to `to` inclusive.
+/// The most points a grid taken from outside the program (a CLI
+/// `--points`, a batch spec's `points`) may ask for. [`linear_grid`]
+/// allocates every point up front, so an unchecked size can exhaust memory
+/// or overflow the allocation.
+pub const MAX_GRID_POINTS: usize = 10_000;
+
+/// `points` evenly spaced periods from `from` to `to` inclusive. Callers
+/// taking `points` from input check it against [`MAX_GRID_POINTS`] first.
 ///
 /// # Panics
 ///
@@ -167,10 +175,7 @@ pub fn linear_grid(from: Picos, to: Picos, points: usize) -> Vec<Picos> {
 /// Whether an error means "this period is infeasible" rather than "the run
 /// is broken".
 fn is_infeasibility(e: &ScheduleError) -> bool {
-    matches!(
-        e,
-        ScheduleError::OperationExceedsClock { .. } | ScheduleError::LatencyUnachievable { .. }
-    )
+    matches!(e, ScheduleError::OperationExceedsClock { .. })
 }
 
 /// Runs `base` at every period of `periods` through the session, in the
@@ -218,33 +223,11 @@ pub fn sweep_clock_period<O: DelayOracle + ?Sized>(
     Ok(points)
 }
 
-/// The independent-cold-runs baseline: [`run_isdc`](crate::run_isdc) at
-/// every period with the **cold solver** (`incremental: false` — a fresh
-/// LP rebuild and Bellman-Ford cold solve per iteration, the CLI's
-/// `--cold-solver` and the reference semantics every warm path is proven
-/// bit-identical to), no caching, no session. Used for speedup measurement
+/// The baseline a session sweep is measured and checked against:
+/// independent per-period [`run_isdc`](crate::run_isdc) calls, each solving
+/// its own iterations incrementally but sharing nothing *across* runs (no
+/// cache, no potentials, no engine handoff). Used for speedup measurement
 /// and the bit-identity guarantee.
-///
-/// For the softer baseline — independent runs that still warm-start
-/// *within* each run — see [`sweep_clock_period_independent`].
-///
-/// # Errors
-///
-/// Propagates solver failures that do not signal infeasibility.
-pub fn sweep_clock_period_cold<O: DelayOracle + ?Sized>(
-    graph: &isdc_ir::Graph,
-    model: &isdc_synth::OpDelayModel,
-    oracle: &O,
-    base: &IsdcConfig,
-    periods: &[Picos],
-) -> Result<Vec<SweepPoint>, ScheduleError> {
-    sweep_independent(graph, model, oracle, base, periods, false)
-}
-
-/// Independent per-period [`run_isdc`](crate::run_isdc) calls with the
-/// default within-run incremental solver but nothing shared *across* runs
-/// (no cache, no potentials, no engine handoff). Isolates exactly what the
-/// session adds on top of PR 2's per-iteration warm solving.
 ///
 /// # Errors
 ///
@@ -256,26 +239,10 @@ pub fn sweep_clock_period_independent<O: DelayOracle + ?Sized>(
     base: &IsdcConfig,
     periods: &[Picos],
 ) -> Result<Vec<SweepPoint>, ScheduleError> {
-    sweep_independent(graph, model, oracle, base, periods, true)
-}
-
-fn sweep_independent<O: DelayOracle + ?Sized>(
-    graph: &isdc_ir::Graph,
-    model: &isdc_synth::OpDelayModel,
-    oracle: &O,
-    base: &IsdcConfig,
-    periods: &[Picos],
-    incremental: bool,
-) -> Result<Vec<SweepPoint>, ScheduleError> {
     let mut points = Vec::with_capacity(periods.len());
     for &clock in periods {
-        let config = IsdcConfig {
-            clock_period_ps: clock,
-            cache: false,
-            cache_file: None,
-            incremental,
-            ..base.clone()
-        };
+        let config =
+            IsdcConfig { clock_period_ps: clock, cache: false, cache_file: None, ..base.clone() };
         match crate::driver::run_isdc(graph, model, oracle, &config) {
             Ok(result) => points.push(SweepPoint::from_result(clock, &result, false, 0, 0)),
             Err(e) if is_infeasibility(&e) => points.push(SweepPoint::infeasible(clock)),
@@ -357,8 +324,8 @@ pub fn min_feasible_period<O: DelayOracle + ?Sized>(
 /// Serializes sweep records as the `BENCH_sweep.json` document: design
 /// metadata, one row per session point, per-baseline totals and speedups,
 /// and each baseline's per-point time alongside the session's (baselines
-/// are named, e.g. `("cold", ..)` for the reference cold-solver runs and
-/// `("independent", ..)` for warm-within-run independent calls).
+/// are named, e.g. `("independent", ..)` for
+/// [`sweep_clock_period_independent`]'s runs).
 pub fn render_sweep_json(
     design: &str,
     nodes: usize,
@@ -471,20 +438,21 @@ mod tests {
             schedule: None,
             metrics,
         };
-        let cold =
+        let independent =
             SweepPoint { warm_start: false, elapsed: Duration::from_nanos(9999), ..point.clone() };
-        let json = render_sweep_json("crc32", 452, "full", &[point], &[("cold", &[cold])]);
+        let json =
+            render_sweep_json("crc32", 452, "full", &[point], &[("independent", &[independent])]);
         for needle in [
             "\"bench\": \"sweep\"",
             "\"design\": \"crc32\"",
-            "\"speedup_vs_cold\": 8.10",
+            "\"speedup_vs_independent\": 8.10",
             "\"warm_start\": true",
             "\"cache_hit_rate\": 0.9524",
             "\"drain_dijkstras\": 7",
             "\"drain_paths\": 12",
             "\"stage_us\": {\"extract\": 0",
             "\"solve\": 42",
-            "\"cold_elapsed_ns\": 9999",
+            "\"independent_elapsed_ns\": 9999",
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }

@@ -1,36 +1,31 @@
 //! Clock-period sweep of the largest benchmark through a persistent
-//! [`IsdcSession`], against two independent-runs baselines.
+//! [`IsdcSession`], against an independent-runs baseline.
 //!
 //! This is the acceptance workload for the session engine: a 10-point
 //! linear sweep (plus a binary search for the minimum feasible period),
 //! where every point after the first reuses the previous points' oracle
 //! evaluations (delay cache) and LP state (engine retarget / potentials).
-//! Baselines:
+//! The baseline, **independent**, is one `run_isdc` call per period: each
+//! run re-solves its own iterations warm, but nothing is shared across
+//! runs. The gap to it is exactly what cross-run persistence buys.
 //!
-//! - **cold** — independent `run_isdc` calls with the cold solver
-//!   (`incremental: false`): a fresh LP rebuild + Bellman-Ford cold solve
-//!   every iteration, the paper-faithful reference semantics;
-//! - **independent** — independent `run_isdc` calls with PR 2's
-//!   within-run warm solver, but nothing shared across runs. The gap to
-//!   this baseline is exactly what cross-run persistence buys.
-//!
-//! Both baselines run `run_isdc` with its defaults, per-iteration oracle
+//! The baseline runs `run_isdc` with its defaults, per-iteration oracle
 //! metrics included — that is what a user doing per-point runs gets —
 //! while the session sweep skips those metrics on non-final points
 //! (`IsdcConfig::iteration_metrics`). The speedups therefore measure the
 //! *product* gap (session sweep vs naive per-point runs), not the solver
 //! in isolation; `BENCH_solver.json` holds the engine-only comparison.
 //!
-//! The program verifies bit-identity against both baselines point by
-//! point, prints per-run reuse statistics, and writes `BENCH_sweep.json`
-//! at the workspace root.
+//! The program verifies bit-identity against the baseline point by point,
+//! prints per-run reuse statistics, and writes `BENCH_sweep.json` at the
+//! workspace root.
 //!
 //! Run with: `cargo run --example period_sweep --release`
 //! (`ISDC_SWEEP_QUICK=1` shrinks the grid and iteration budget for CI.)
 
 use isdc_core::{
     linear_grid, min_feasible_period, render_sweep_json, sweep_clock_period,
-    sweep_clock_period_cold, sweep_clock_period_independent, IsdcConfig, IsdcSession,
+    sweep_clock_period_independent, IsdcConfig, IsdcSession,
 };
 use isdc_synth::{OpDelayModel, SynthesisOracle};
 use isdc_techlib::TechLibrary;
@@ -67,22 +62,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let warm = sweep_clock_period(&mut session, &base, &periods)?;
     let session_time = t.elapsed();
 
-    // Baselines: independent runs, nothing shared across points.
-    let t = Instant::now();
-    let cold = sweep_clock_period_cold(g, &model, &oracle, &base, &periods)?;
-    let cold_time = t.elapsed();
+    // Baseline: independent runs, nothing shared across points.
     let t = Instant::now();
     let independent = sweep_clock_period_independent(g, &model, &oracle, &base, &periods)?;
     let independent_time = t.elapsed();
 
     // The non-negotiable property before any speed talk: bit-identity
-    // against both baselines at every point.
-    for ((w, c), i) in warm.iter().zip(&cold).zip(&independent) {
-        assert_eq!(
-            w.schedule, c.schedule,
-            "session diverged from the cold baseline at {}ps",
-            w.clock_period_ps
-        );
+    // against the baseline at every point.
+    for (w, i) in warm.iter().zip(&independent) {
         assert_eq!(
             w.schedule, i.schedule,
             "session diverged from the independent baseline at {}ps",
@@ -90,10 +77,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    println!("\nclock_ps | bits | stages | iters | warm | hit rate | session |  indep |   cold");
-    for ((w, c), i) in warm.iter().zip(&cold).zip(&independent) {
+    println!("\nclock_ps | bits | stages | iters | warm | hit rate | session |  indep");
+    for (w, i) in warm.iter().zip(&independent) {
         println!(
-            "{:>8.0} | {:>4} | {:>6} | {:>5} | {:>4} | {:>7.1}% | {:>6.1?} | {:>6.1?} | {:>6.1?}",
+            "{:>8.0} | {:>4} | {:>6} | {:>5} | {:>4} | {:>7.1}% | {:>6.1?} | {:>6.1?}",
             w.clock_period_ps,
             w.register_bits,
             w.num_stages,
@@ -102,15 +89,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             w.cache_hit_rate() * 100.0,
             w.elapsed,
             i.elapsed,
-            c.elapsed,
         );
     }
-    let speedup_cold = cold_time.as_secs_f64() / session_time.as_secs_f64().max(1e-9);
     let speedup_indep = independent_time.as_secs_f64() / session_time.as_secs_f64().max(1e-9);
     println!(
-        "\nsweep totals: session {session_time:.1?} | vs cold {cold_time:.1?} \
-         ({speedup_cold:.1}x) | vs independent warm-solver runs {independent_time:.1?} \
-         ({speedup_indep:.1}x); all {points} schedules bit-identical"
+        "\nsweep totals: session {session_time:.1?} | vs independent runs \
+         {independent_time:.1?} ({speedup_indep:.1}x); all {points} schedules bit-identical"
     );
 
     // Binary search for the minimum feasible period, reusing the same
@@ -130,7 +114,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         g.len(),
         if quick { "quick" } else { "full" },
         &warm,
-        &[("cold", &cold), ("independent", &independent)],
+        &[("independent", &independent)],
     );
     let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_sweep.json");
     std::fs::write(&out, json)?;

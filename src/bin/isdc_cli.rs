@@ -20,8 +20,6 @@
 //!   --shape path|cone|window   expansion strategy (default window)
 //!   --cache               memoize downstream evaluations by structural fingerprint
 //!   --cache-file <file>   persist the cache snapshot across runs (implies --cache)
-//!   --cold-solver         rebuild and cold-solve the LP every iteration
-//!                         (default: incremental warm-started re-solves)
 //!   --deadline <ms>       wall-clock budget; an exceeded run exits 4
 //!   --cache-capacity <n>  bound the delay cache to n entries (LRU eviction)
 //!   --dot <file>          write the staged pipeline as Graphviz DOT
@@ -30,7 +28,7 @@
 //!   --bench <name>        sweep a bundled benchmark instead of a .ir file
 //!   --from <ps>           lowest clock period (default: the design clock)
 //!   --to <ps>             highest clock period (default: 2x --from)
-//!   --points <n>          grid points, ascending (default 10)
+//!   --points <n>          grid points, ascending (default 10, at most 10000)
 //!   --min-period          also binary-search the minimum feasible period
 //!   --tol <ps>            search resolution for --min-period (default 10)
 //!   --cache-file <file>   load/save the session snapshot (delays + potentials)
@@ -43,7 +41,8 @@
 //!   --jobs <spec.json>    job spec (see isdc-batch docs: sweep / min_period
 //!                         jobs over bundled benchmark names)
 //!   --all-designs         one ascending sweep job per bundled benchmark
-//!   --points <n>          grid points for --all-designs (default 10)
+//!   --points <n>          grid points for --all-designs (default 10, at most
+//!                         10000)
 //!   --threads <n>         worker threads (default: available parallelism)
 //!   --shard-points <n>    max sweep points per shard (default: auto)
 //!   --keep-going          don't abort the queue on a job failure; finish
@@ -96,7 +95,7 @@
 use isdc::core::metrics::post_synthesis_slack;
 use isdc::core::{
     linear_grid, min_feasible_period, render_sweep_json, run_isdc, run_sdc, sweep_clock_period,
-    IsdcConfig, IsdcSession, ScoringStrategy, ShapeStrategy,
+    IsdcConfig, IsdcSession, ScoringStrategy, ShapeStrategy, MAX_GRID_POINTS,
 };
 use isdc::ir::{dot, text, transform, Graph};
 use isdc::netlist::{aiger, lower_graph};
@@ -290,6 +289,19 @@ impl Args {
         Ok(self.parsed(flag)?.map(std::time::Duration::from_millis))
     }
 
+    /// `--points <n>`, the grid size of `sweep`, `report` and `batch
+    /// --all-designs` (default 10); a count outside `1..=MAX_GRID_POINTS`
+    /// is an error.
+    fn points(&self) -> Result<usize, String> {
+        match self.parsed("--points")?.unwrap_or(10) {
+            n @ 1..=MAX_GRID_POINTS => Ok(n),
+            _ => Err(format!(
+                "bad --points `{}` (want 1 to {MAX_GRID_POINTS})",
+                self.value("--points").unwrap_or_default()
+            )),
+        }
+    }
+
     /// `--cache-capacity <entries>` (0 = unbounded, the default).
     fn cache_capacity(&self) -> Result<usize, String> {
         Ok(self.parsed("--cache-capacity")?.unwrap_or(0))
@@ -452,7 +464,7 @@ fn parse_loop_opts(args: &Args) -> Result<(usize, usize, ScoringStrategy, ShapeS
 
 fn cmd_schedule(args: &[String]) -> Result<(), CliError> {
     let own = "--clock= --cache-file= --deadline= --cache-capacity= --dot= \
-               --feedback --cache --cold-solver";
+               --feedback --cache";
     let args = &Args::parse("schedule", args, &[LOOP_FLAGS, TRACE_FLAGS, own], 1)?;
     let path = args.positional.first().ok_or_else(|| "schedule requires a .ir file".to_string())?;
     let clock = args.picos("--clock")?.unwrap_or(2500.0);
@@ -474,7 +486,6 @@ fn cmd_schedule(args: &[String]) -> Result<(), CliError> {
     if cache && !feedback {
         eprintln!("note: --cache/--cache-file only apply with --feedback; ignoring");
     }
-    let incremental = !args.has("--cold-solver");
 
     let lib = TechLibrary::sky130();
     let model = OpDelayModel::new(lib.clone());
@@ -491,7 +502,6 @@ fn cmd_schedule(args: &[String]) -> Result<(), CliError> {
             cache,
             cache_file,
             cache_capacity,
-            incremental,
             iteration_metrics: true,
         };
         let result = run_isdc(&g, &model, &oracle, &config).map_err(schedule_error)?;
@@ -501,8 +511,8 @@ fn cmd_schedule(args: &[String]) -> Result<(), CliError> {
         println!("iterations: {}", result.iterations());
         for rec in &result.history {
             // Drain counters ride on the verbose per-iteration display when
-            // the incremental engine produced any (the cold path's one-shot
-            // solver is consumed before its counters can be read).
+            // the solve drained any paths (a cached zero-delta re-solve
+            // drains none).
             let drain = if rec.drain.paths > 0 {
                 format!(", {} dijkstras/{} paths", rec.drain.dijkstras, rec.drain.paths)
             } else {
@@ -599,9 +609,9 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
     let (g, default_clock, name) = load_sweep_design(args, "sweep")?;
     let from = args.picos("--from")?.unwrap_or(default_clock);
     let to = args.picos("--to")?.unwrap_or(from * 2.0);
-    let points: usize = args.parsed("--points")?.unwrap_or(10);
-    if points == 0 || to < from {
-        return Err("sweep needs --points >= 1 and --to >= --from".to_string().into());
+    let points = args.points()?;
+    if to < from {
+        return Err("sweep needs --to >= --from".to_string().into());
     }
     let (iterations, subgraphs, scoring, shape) = parse_loop_opts(args)?;
     let tol = args.picos("--tol")?.unwrap_or(10.0);
@@ -817,9 +827,9 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
     let (g, default_clock, name) = load_sweep_design(args, "report")?;
     let from = args.picos("--from")?.unwrap_or(default_clock);
     let to = args.picos("--to")?.unwrap_or(from * 2.0);
-    let points: usize = args.parsed("--points")?.unwrap_or(10);
-    if points == 0 || to < from {
-        return Err("report needs --points >= 1 and --to >= --from".to_string());
+    let points = args.points()?;
+    if to < from {
+        return Err("report needs --to >= --from".to_string());
     }
     let (iterations, subgraphs, scoring, shape) = parse_loop_opts(args)?;
 
@@ -903,10 +913,7 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
             parse_jobs(&spec)?
         }
         None if args.has("--all-designs") => {
-            let points: usize = args.parsed("--points")?.unwrap_or(10);
-            if points == 0 {
-                return Err("batch needs --points >= 1".to_string().into());
-            }
+            let points = args.points()?;
             suite
                 .iter()
                 .map(|b| {
@@ -1046,7 +1053,7 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
             hardware_threads: std::thread::available_parallelism().map_or(1, usize::from),
             repeats: 1,
             serial_total: None,
-            cold_total: None,
+            independent_total: None,
             scaling: &[ScalingRow { threads: report.threads, total: report.elapsed }],
             bit_identical: false,
         };

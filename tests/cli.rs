@@ -30,6 +30,8 @@ fn unknown_flag_exits_2() {
     assert_usage_error(&["sweep", "--bench", "rrot", "--deadlin", "5"], "unknown flag `--deadlin`");
     // A flag of another subcommand is unknown here too.
     assert_usage_error(&["bench", "--threads", "2"], "unknown flag `--threads`");
+    // There is no cold-solver mode: every solve goes through one engine.
+    assert_usage_error(&["schedule", "x.ir", "--cold-solver"], "unknown flag `--cold-solver`");
 }
 
 #[test]
@@ -103,6 +105,33 @@ fn sub_picosecond_min_period_search_finds_no_period() {
         );
         assert!(stdout.contains("no feasible period at or below"), "{args:?}: {stdout}");
     }
+}
+
+#[test]
+fn grid_size_outside_the_cap_exits_2() {
+    // No size outside 1..=10000 reaches the grid allocation: usize::MAX
+    // would overflow it, and one past the cap is the smallest size refused.
+    let want = "(want 1 to 10000)";
+    for points in ["18446744073709551615", "10001", "0"] {
+        for command in [
+            &["sweep", "--bench", "rrot"][..],
+            &["report", "--bench", "rrot"],
+            &["batch", "--all-designs"],
+        ] {
+            let mut args = command.to_vec();
+            args.extend(["--points", points, "--iterations", "1"]);
+            assert_usage_error(&args, &format!("bad --points `{points}` {want}"));
+        }
+    }
+    let spec =
+        std::env::temp_dir().join(format!("isdc-cli-oversized-grid-{}.json", std::process::id()));
+    std::fs::write(&spec, r#"{"jobs":[{"design":"rrot","from":2500,"points":1e300}]}"#).unwrap();
+    let path = spec.to_str().expect("utf-8 temp path");
+    assert_usage_error(
+        &["batch", "--jobs", path, "--threads", "1", "--iterations", "1"],
+        "job `rrot`: bad points `1e300` (want an integer from 1 to 10000)",
+    );
+    let _ = std::fs::remove_file(&spec);
 }
 
 #[test]

@@ -1,13 +1,13 @@
 //! The session/sweep acceptance property: a persistent [`IsdcSession`] is a
 //! pure accelerator. A clock-period sweep through one session must produce
-//! **bit-identical schedules** to independent cold `run_isdc` calls at every
+//! **bit-identical schedules** to independent `run_isdc` calls at every
 //! period point, while actually reusing work (cache hits, warm LP starts)
 //! from the second point on — and the learned state must survive a snapshot
 //! round-trip to disk.
 
 use isdc::core::{
-    linear_grid, min_feasible_period, run_isdc, sweep_clock_period, sweep_clock_period_cold,
-    sweep_clock_period_independent, IsdcConfig, IsdcSession,
+    linear_grid, min_feasible_period, run_isdc, sweep_clock_period, sweep_clock_period_independent,
+    IsdcConfig, IsdcSession,
 };
 use isdc::synth::{OpDelayModel, SynthesisOracle};
 use isdc::techlib::TechLibrary;
@@ -27,7 +27,7 @@ fn snapshot_path(tag: &str) -> PathBuf {
 }
 
 #[test]
-fn session_sweep_is_bit_identical_to_cold_runs_at_every_point() {
+fn session_sweep_is_bit_identical_to_independent_runs_at_every_point() {
     let suite = isdc::benchsuite::suite();
     let bench = suite.iter().find(|b| b.name == "ml_core_datapath2").expect("present");
     let lib = TechLibrary::sky130();
@@ -38,30 +38,23 @@ fn session_sweep_is_bit_identical_to_cold_runs_at_every_point() {
 
     let mut session = IsdcSession::new(&bench.graph, &model, &oracle);
     let warm = sweep_clock_period(&mut session, &base, &periods).expect("session sweep");
-    let cold = sweep_clock_period_cold(&bench.graph, &model, &oracle, &base, &periods)
-        .expect("cold sweep");
     let independent =
         sweep_clock_period_independent(&bench.graph, &model, &oracle, &base, &periods)
             .expect("independent sweep");
 
     assert_eq!(warm.len(), periods.len());
-    assert_eq!(cold.len(), periods.len());
-    for ((w, c), i) in warm.iter().zip(&cold).zip(&independent) {
-        assert_eq!(w.clock_period_ps, c.clock_period_ps);
-        assert!(w.feasible && c.feasible, "grid starts at the design clock: all feasible");
+    assert_eq!(independent.len(), periods.len());
+    for (w, i) in warm.iter().zip(&independent) {
+        assert_eq!(w.clock_period_ps, i.clock_period_ps);
+        assert!(w.feasible && i.feasible, "grid starts at the design clock: all feasible");
         assert_eq!(
-            w.schedule, c.schedule,
+            w.schedule, i.schedule,
             "schedules diverged at {}ps — the session must be invisible in results",
             w.clock_period_ps
         );
-        assert_eq!(
-            w.schedule, i.schedule,
-            "session diverged from an independent warm-solver run at {}ps",
-            w.clock_period_ps
-        );
-        assert_eq!(w.register_bits, c.register_bits, "at {}ps", w.clock_period_ps);
-        assert_eq!(w.num_stages, c.num_stages, "at {}ps", w.clock_period_ps);
-        assert_eq!(w.iterations, c.iterations, "at {}ps", w.clock_period_ps);
+        assert_eq!(w.register_bits, i.register_bits, "at {}ps", w.clock_period_ps);
+        assert_eq!(w.num_stages, i.num_stages, "at {}ps", w.clock_period_ps);
+        assert_eq!(w.iterations, i.iterations, "at {}ps", w.clock_period_ps);
     }
 
     // And the session must actually be reusing work after the first point.
@@ -79,7 +72,7 @@ fn session_sweep_is_bit_identical_to_cold_runs_at_every_point() {
             p.cache_hit_rate()
         );
     }
-    assert!(cold.iter().all(|p| !p.warm_start && p.cache_hits == 0));
+    assert!(independent.iter().all(|p| !p.warm_start && p.cache_hits == 0));
 }
 
 #[test]

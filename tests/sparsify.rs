@@ -7,7 +7,6 @@
 use isdc::benchsuite::{random_dag, RandomDagConfig};
 use isdc::core::{
     schedule_with_matrix, schedule_with_matrix_dense, DelayMatrix, DirtySet, IncrementalScheduler,
-    ScheduleOptions,
 };
 use isdc::synth::OpDelayModel;
 use isdc::techlib::TechLibrary;
@@ -35,9 +34,8 @@ fn suite_retargets_match_dense_every_step() {
     let model = OpDelayModel::new(TechLibrary::sky130());
     for b in isdc::benchsuite::suite() {
         let d = DelayMatrix::initialize(&b.graph, &model.all_node_delays(&b.graph));
-        let options = ScheduleOptions { clock_period_ps: b.clock_period_ps, max_stages: None };
         let empty = DirtySet::new(b.graph.len());
-        let mut engine = IncrementalScheduler::new(&b.graph, &d, &options).unwrap();
+        let mut engine = IncrementalScheduler::new(&b.graph, &d, b.clock_period_ps).unwrap();
         engine.reschedule(&b.graph, &d, &empty).unwrap();
         for scale in [1.3, 2.0, 1.0, 0.85, 1.15] {
             let clock = b.clock_period_ps * scale;
@@ -59,8 +57,7 @@ fn crc32_constraint_count_is_at_least_halved() {
         .find(|b| b.name == "crc32")
         .expect("crc32 in the suite");
     let d = DelayMatrix::initialize(&b.graph, &model.all_node_delays(&b.graph));
-    let options = ScheduleOptions { clock_period_ps: b.clock_period_ps, max_stages: None };
-    let engine = IncrementalScheduler::new(&b.graph, &d, &options).unwrap();
+    let engine = IncrementalScheduler::new(&b.graph, &d, b.clock_period_ps).unwrap();
     let stats = engine.sparsify_stats();
     assert!(
         stats.dense_constraints() > 70_000,
@@ -90,9 +87,8 @@ proptest! {
         let model = OpDelayModel::new(TechLibrary::sky130());
         let d = DelayMatrix::initialize(&g, &model.all_node_delays(&g));
         let base = 2500.0;
-        let options = ScheduleOptions { clock_period_ps: base, max_stages: None };
         let empty = DirtySet::new(g.len());
-        let mut engine = IncrementalScheduler::new(&g, &d, &options).expect("schedulable");
+        let mut engine = IncrementalScheduler::new(&g, &d, base).expect("schedulable");
         engine.reschedule(&g, &d, &empty).unwrap();
         for &scale in &scales {
             let clock = base * scale;
