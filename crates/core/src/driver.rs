@@ -18,11 +18,12 @@ use crate::scheduler::IncrementalScheduler;
 use crate::scheduler::{schedule_with_matrix, ScheduleError};
 use crate::subgraph::{ExtractionConfig, ScoringStrategy, ShapeStrategy};
 use isdc_cache::{CacheStats, CachingOracle, DelayCache};
-use isdc_ir::Graph;
+use isdc_ir::{Graph, NodeId};
 use isdc_sdc::DrainStats;
-use isdc_synth::{DelayOracle, OpDelayModel};
+use isdc_synth::{evaluate_parallel_cancellable, DelayOracle, OpDelayModel};
 use isdc_techlib::Picos;
 use isdc_telemetry::{MetricValue, MetricsFrame};
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -61,9 +62,14 @@ pub struct IsdcConfig {
     /// Ignored when the caller supplies its own cache (sessions, batch).
     pub cache_capacity: usize,
     /// Compute the per-iteration **oracle quality metrics**
-    /// ([`IterationRecord::estimation_error_pct`] and its naive twin),
-    /// which time every pipeline stage through the downstream oracle after
-    /// each iteration. Defaults to on;
+    /// ([`IterationRecord::estimation_error_pct`] and its naive twin) for
+    /// the initial schedule and after each iteration. A snapshot times
+    /// through the downstream oracle only the stages whose member list this
+    /// run has not timed yet (one at a time, on the calling thread, with a
+    /// cancellation poll before each), reuses the rest, and derives the
+    /// naive estimate from an n-entry vector of per-node delays, so the run
+    /// keeps no copy of the n×n naive matrix. Its wall-clock is reported as
+    /// `stage/oracle_metrics/ns`. Defaults to on;
     /// [`sweep_clock_period`](crate::sweep_clock_period) turns it off for
     /// non-final sweep points,
     /// where the records are never read — schedules, register bits and
@@ -136,7 +142,8 @@ pub struct IterationRecord {
     /// Subgraphs evaluated in this iteration (0 for the initial schedule).
     pub subgraphs_evaluated: usize,
     /// Oracle-cache hits recorded during this iteration (0 with caching
-    /// off). Counts every memoized lookup, including the metric snapshots.
+    /// off). Counts every memoized lookup; of the metric snapshots' stages,
+    /// only those the run has not timed yet reach the cache.
     pub cache_hits: u64,
     /// Oracle-cache misses recorded during this iteration (0 with caching
     /// off).
@@ -184,10 +191,15 @@ pub struct IsdcResult {
     pub cache_stats: Option<CacheStats>,
     /// Every metric the run recorded, as one mergeable telemetry frame:
     /// per-stage wall-clock and invocations (`stage/{name}/ns`,
-    /// `stage/{name}/calls`), solver drain totals (`drain/*`),
-    /// iteration/subgraph counts (`run/*`), the LP solve-time histogram
-    /// (`solve/ns`) and — when caching was on — this run's share of cache
-    /// traffic (`cache/*`).
+    /// `stage/{name}/calls`), including the oracle quality snapshots as
+    /// `stage/oracle_metrics/*` (zero with
+    /// [`IsdcConfig::iteration_metrics`] off); solver drain totals
+    /// (`drain/*`); iteration and subgraph counts (`run/*`), among them
+    /// `run/stages_evaluated` and `run/stages_reused`, the stages the
+    /// snapshots timed through the oracle and those they answered from
+    /// the run's earlier measurements; the LP solve-time histogram
+    /// (`solve/ns`); and — when caching was on — this run's share of
+    /// cache traffic (`cache/*`).
     pub metrics: MetricsFrame,
     /// Total wall-clock scheduling time.
     pub total_time: Duration,
@@ -324,30 +336,24 @@ pub(crate) fn run_pipeline<O: DelayOracle + ?Sized>(
     let run_stats_start = stats_now();
     let mut stats_before = run_stats_start;
     let mut state = PipelineState::new(graph, model, oracle, config, seed)?;
-    // The never-updated matrix is only consumed by the oracle metrics;
-    // skip the O(pairs) copy when those are off.
-    let naive = config.iteration_metrics.then(|| state.delays().clone());
+    let mut probe = config.iteration_metrics.then(|| QualityProbe::new(state.delays()));
     let initial_potentials = state.initial_potentials().map(<[i64]>::to_vec);
     let initial_engine = state.take_initial_engine();
     let initial_warm = state.solver_warm();
     let mut history = vec![snapshot(
-        graph,
-        state.schedule(),
-        state.delays(),
-        naive.as_ref(),
-        oracle,
+        &state,
+        probe.as_mut(),
         SolveInfo {
             iteration: 0,
             subgraphs_evaluated: 0,
             solver_time: state.initial_solve_time(),
             solver_warm: initial_warm,
             drain: state.solver_drain(),
-            metrics: config.iteration_metrics,
         },
         &mut stats_before,
         &stats_now,
         start.elapsed(),
-    )];
+    )?];
 
     let mut stable_for = 0usize;
     let mut prev_bits = state.schedule().register_bits(graph);
@@ -377,11 +383,8 @@ pub(crate) fn run_pipeline<O: DelayOracle + ?Sized>(
         let next_bits = state.schedule().register_bits(graph);
         state.metrics().iterations.incr();
         history.push(snapshot(
-            graph,
-            state.schedule(),
-            state.delays(),
-            naive.as_ref(),
-            oracle,
+            &state,
+            probe.as_mut(),
             SolveInfo {
                 iteration,
                 subgraphs_evaluated,
@@ -390,12 +393,11 @@ pub(crate) fn run_pipeline<O: DelayOracle + ?Sized>(
                 solver_time: reformulate_time + solve_time,
                 solver_warm,
                 drain: state.solver_drain(),
-                metrics: config.iteration_metrics,
             },
             &mut stats_before,
             &stats_now,
             iter_start.elapsed(),
-        ));
+        )?);
         if next_bits == prev_bits {
             stable_for += 1;
             if stable_for >= config.convergence_patience {
@@ -424,13 +426,15 @@ pub(crate) fn run_pipeline<O: DelayOracle + ?Sized>(
         );
     }
     let total_time = start.elapsed();
-    // Run reports use this as the wall-clock denominator (stage times
-    // exclude snapshotting and convergence bookkeeping).
+    // Run reports use this as the wall-clock denominator (the stage times,
+    // `stage/oracle_metrics/ns` among them, exclude matrix set-up and
+    // convergence bookkeeping).
     metrics_frame.insert("run/total_ns", MetricValue::Counter(total_time.as_nanos() as u64));
+    let (schedule, delays) = state.into_schedule_and_delays();
     Ok(PipelineOutcome {
         result: IsdcResult {
-            schedule: state.schedule().clone(),
-            delays: state.delays().clone(),
+            schedule,
+            delays,
             history,
             cache_stats: cache.map(|c| c.stats()),
             metrics: metrics_frame,
@@ -449,35 +453,82 @@ struct SolveInfo {
     solver_time: Duration,
     solver_warm: bool,
     drain: DrainStats,
-    /// [`IsdcConfig::iteration_metrics`]: whether to pay for the oracle
-    /// quality metrics on this record.
-    metrics: bool,
 }
 
-#[allow(clippy::too_many_arguments)]
+/// What one run's oracle quality snapshots keep between iterations
+/// (present only with [`IsdcConfig::iteration_metrics`] on).
+struct QualityProbe {
+    /// The naive per-node delays (the initial matrix's diagonal), which
+    /// are all that the never-updated matrix's stage estimates depend on.
+    naive_node_delays: Vec<Picos>,
+    /// Every stage member list (ascending ids, as [`Schedule::stages`]
+    /// returns it) the run has timed, with its measured delay. The oracle
+    /// is pure, so a stage that reappears reuses its first measurement.
+    sta: HashMap<Vec<NodeId>, Picos>,
+}
+
+impl QualityProbe {
+    fn new(initial: &DelayMatrix) -> Self {
+        let naive_node_delays =
+            (0..initial.len()).map(|v| initial.node_delay(NodeId(v as u32))).collect();
+        Self { naive_node_delays, sta: HashMap::new() }
+    }
+
+    /// Fig. 7's estimation errors of the current schedule against the
+    /// oracle: `(feedback-updated, naive)`. Stages the run has not timed
+    /// yet go through the oracle on the calling thread, in stage order,
+    /// with a cancellation poll before each.
+    fn errors<O: DelayOracle + ?Sized>(
+        &mut self,
+        state: &PipelineState<'_, O>,
+    ) -> Result<(f64, f64), ScheduleError> {
+        let _span = isdc_telemetry::span("oracle_metrics");
+        let start = Instant::now();
+        let (graph, schedule) = (state.graph, state.schedule());
+        let stages = schedule.stages();
+        let fresh: Vec<Vec<NodeId>> = stages
+            .iter()
+            .filter(|members| !members.is_empty() && !self.sta.contains_key(*members))
+            .cloned()
+            .collect();
+        let reports = evaluate_parallel_cancellable(state.oracle, graph, &fresh, 1)
+            .map_err(|_| ScheduleError::DeadlineExceeded)?;
+        let evaluated = fresh.len();
+        self.sta.extend(fresh.into_iter().zip(reports.iter().map(|r| r.delay_ps)));
+        let sta: Vec<Picos> =
+            stages.iter().map(|m| if m.is_empty() { 0.0 } else { self.sta[m] }).collect();
+        let est = metrics::estimated_stage_delays(graph, schedule, state.delays());
+        let naive_est = metrics::naive_stage_delays(graph, schedule, &self.naive_node_delays);
+        let timed = stages.iter().filter(|m| !m.is_empty()).count();
+        state.metrics().record_snapshot(start.elapsed(), evaluated, timed - evaluated);
+        Ok((
+            metrics::estimation_error_pct(&est, &sta),
+            metrics::estimation_error_pct(&naive_est, &sta),
+        ))
+    }
+}
+
+/// The record of the state's current schedule. With a `probe` it carries
+/// the oracle quality metrics; without one (e.g. a sweep's inner points)
+/// the oracle is not consulted and the error columns read 0.
+///
+/// # Errors
+///
+/// [`ScheduleError::DeadlineExceeded`] when cancellation cuts the probe's
+/// oracle calls short.
 fn snapshot<O: DelayOracle + ?Sized>(
-    graph: &Graph,
-    schedule: &Schedule,
-    delays: &DelayMatrix,
-    naive: Option<&DelayMatrix>,
-    oracle: &O,
+    state: &PipelineState<'_, O>,
+    probe: Option<&mut QualityProbe>,
     solve: SolveInfo,
     stats_before: &mut CacheStats,
     stats_now: &dyn Fn() -> CacheStats,
     elapsed: Duration,
-) -> IterationRecord {
-    let (error_pct, naive_error_pct) = if solve.metrics {
-        let _span = isdc_telemetry::span("oracle_metrics");
-        let sta = metrics::stage_sta_delays(graph, schedule, oracle);
-        let est = metrics::estimated_stage_delays(graph, schedule, delays);
-        let naive = naive.expect("naive matrix retained while metrics are on");
-        let naive_est = metrics::estimated_stage_delays(graph, schedule, naive);
-        (metrics::estimation_error_pct(&est, &sta), metrics::estimation_error_pct(&naive_est, &sta))
-    } else {
-        // Metrics skipped (e.g. a sweep's inner points): the oracle is not
-        // consulted at all, which is the whole saving.
-        (0.0, 0.0)
+) -> Result<IterationRecord, ScheduleError> {
+    let (error_pct, naive_error_pct) = match probe {
+        Some(probe) => probe.errors(state)?,
+        None => (0.0, 0.0),
     };
+    let (graph, schedule) = (state.graph, state.schedule());
     let stats_after = stats_now();
     let record = IterationRecord {
         iteration: solve.iteration,
@@ -494,7 +545,7 @@ fn snapshot<O: DelayOracle + ?Sized>(
         elapsed,
     };
     *stats_before = stats_after;
-    record
+    Ok(record)
 }
 
 #[cfg(test)]
@@ -627,6 +678,37 @@ mod tests {
         assert_eq!(total_hits, stats.hits, "per-iteration hits must sum to the total");
         assert_eq!(total_misses, stats.misses);
         assert!(cached.history.last().unwrap().cache_hit_rate() > 0.0);
+    }
+
+    #[test]
+    fn snapshots_are_timed_and_counted() {
+        let lib = TechLibrary::sky130();
+        let model = OpDelayModel::new(lib.clone());
+        let oracle = SynthesisOracle::new(lib);
+        let g = datapath();
+        let keys = [
+            "stage/oracle_metrics/ns",
+            "stage/oracle_metrics/calls",
+            "run/stages_evaluated",
+            "run/stages_reused",
+        ];
+
+        let on = run_isdc(&g, &model, &oracle, &quick_config(2500.0)).unwrap();
+        let counter = |key: &str| on.metrics.counter_or_zero(key);
+        assert_eq!(counter("stage/oracle_metrics/calls"), on.history.len() as u64);
+        assert!(counter("stage/oracle_metrics/ns") > 0);
+        assert!(counter("run/stages_evaluated") > 0, "the initial stages are timed");
+        assert!(
+            counter("run/stages_evaluated") + counter("run/stages_reused")
+                >= on.history.len() as u64
+        );
+
+        let config = IsdcConfig { iteration_metrics: false, ..quick_config(2500.0) };
+        let off = run_isdc(&g, &model, &oracle, &config).unwrap();
+        for key in keys {
+            assert_eq!(off.metrics.counter(key), Some(0), "{key}");
+        }
+        assert_eq!(off.schedule, on.schedule);
     }
 
     #[test]

@@ -4,6 +4,15 @@
 //! column) and tracks how far the scheduler's internal delay estimates drift
 //! from STA (Fig. 7). Here the same downstream oracle that drives the
 //! feedback loop times whole pipeline stages to produce those numbers.
+//!
+//! [`run_isdc`](crate::run_isdc) records Fig. 7's two errors after every
+//! iteration without paying for these functions in full: it times only
+//! stages whose member list the run has not timed yet (the oracle is pure,
+//! so a repeated stage reuses its first measurement), and it derives the
+//! naive estimate from the per-node delays by an in-stage longest-path
+//! pass instead of keeping a copy of the never-updated n×n matrix. Both
+//! shortcuts reproduce [`stage_sta_delays`] and [`estimated_stage_delays`]
+//! bit for bit.
 
 use crate::delay::DelayMatrix;
 use crate::schedule::Schedule;
@@ -58,6 +67,39 @@ pub fn estimated_stage_delays(
             worst
         })
         .collect()
+}
+
+/// What [`estimated_stage_delays`] reads from the naive matrix
+/// `DelayMatrix::initialize(graph, node_delays)`, computed from the per-node
+/// delays alone in O(nodes + edges).
+///
+/// A node's longest in-stage path ends at it and starts at a same-stage
+/// node; operands scheduled in an earlier stage never lengthen it. The
+/// result is bit-identical to the matrix route whenever `schedule` respects
+/// dependencies: every node on a path between two same-stage nodes is then
+/// in that stage, so the matrix's worst same-stage entry is exactly this
+/// longest path, and IEEE rounding is monotone, so taking the maximum
+/// before adding a node's delay rounds the same as adding first.
+pub(crate) fn naive_stage_delays(
+    graph: &Graph,
+    schedule: &Schedule,
+    node_delays: &[Picos],
+) -> Vec<Picos> {
+    let mut worst: Vec<Picos> = vec![0.0; schedule.num_stages() as usize];
+    let mut longest: Vec<Picos> = vec![0.0; graph.len()];
+    for (id, node) in graph.iter() {
+        let stage = schedule.cycle(id);
+        let d = node_delays[id.index()];
+        let mut best = d;
+        for &p in &node.operands {
+            if schedule.cycle(p) == stage {
+                best = best.max(longest[p.index()] + d);
+            }
+        }
+        longest[id.index()] = best;
+        worst[stage as usize] = worst[stage as usize].max(best);
+    }
+    worst
 }
 
 /// Post-synthesis slack: clock period minus the slowest stage's measured
@@ -133,9 +175,35 @@ mod tests {
     #[test]
     fn estimated_delays_use_matrix() {
         let (g, s) = two_stage();
-        let d = DelayMatrix::initialize(&g, &[0.0, 0.0, 500.0, 200.0]);
+        let node_delays = [0.0, 0.0, 500.0, 200.0];
+        let d = DelayMatrix::initialize(&g, &node_delays);
         let est = estimated_stage_delays(&g, &s, &d);
         assert_eq!(est, vec![500.0, 200.0]);
+        // The mul's 500 ps sits in stage 0, so it must not lengthen the
+        // add's stage-1 path, although the mul-to-add entry is 700 ps.
+        assert_eq!(d.get(NodeId(2), NodeId(3)), Some(700.0));
+        assert_eq!(naive_stage_delays(&g, &s, &node_delays), est);
+    }
+
+    #[test]
+    fn naive_estimate_matches_the_initial_matrix_on_the_suite() {
+        let model = isdc_synth::OpDelayModel::new(TechLibrary::sky130());
+        let mut stages = 0;
+        for b in isdc_benchsuite::suite() {
+            let g = &b.graph;
+            let node_delays = model.all_node_delays(g);
+            let naive = DelayMatrix::initialize(g, &node_delays);
+            for scale in [1.0, 1.5, 2.0] {
+                let clock = b.clock_period_ps * scale;
+                let s = crate::schedule_with_matrix(g, &naive, clock).unwrap();
+                let fast = naive_stage_delays(g, &s, &node_delays);
+                let slow = estimated_stage_delays(g, &s, &naive);
+                let bits = |v: &[Picos]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&fast), bits(&slow), "{} at {clock} ps", b.name);
+                stages += s.num_stages();
+            }
+        }
+        assert!(stages > 3 * 17, "some schedules must have several stages");
     }
 
     #[test]

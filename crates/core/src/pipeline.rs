@@ -123,6 +123,15 @@ pub(crate) struct RunMetrics {
     pub(crate) iterations: Counter,
     /// Subgraphs sent to the oracle (post-dedupe), summed over iterations.
     pub(crate) subgraphs_evaluated: Counter,
+    /// Wall-clock of the oracle quality snapshots (`stage/oracle_metrics/ns`),
+    /// which run outside the six stages.
+    oracle_metrics_ns: Counter,
+    oracle_metrics_calls: Counter,
+    /// Stages the snapshots sent to the oracle (`run/stages_evaluated`).
+    stages_evaluated: Counter,
+    /// Stages the snapshots answered from the run's earlier measurements
+    /// (`run/stages_reused`).
+    stages_reused: Counter,
     /// Distribution of individual LP solve times (log2 ns buckets).
     solve_ns: Histogram,
 }
@@ -144,6 +153,10 @@ impl RunMetrics {
         let lp_bucket_deduped = registry.counter("lp/bucket_deduped");
         let iterations = registry.counter("run/iterations");
         let subgraphs_evaluated = registry.counter("run/subgraphs_evaluated");
+        let oracle_metrics_ns = registry.counter("stage/oracle_metrics/ns");
+        let oracle_metrics_calls = registry.counter("stage/oracle_metrics/calls");
+        let stages_evaluated = registry.counter("run/stages_evaluated");
+        let stages_reused = registry.counter("run/stages_reused");
         let solve_ns = registry.histogram("solve/ns");
         Self {
             registry,
@@ -159,8 +172,21 @@ impl RunMetrics {
             lp_bucket_deduped,
             iterations,
             subgraphs_evaluated,
+            oracle_metrics_ns,
+            oracle_metrics_calls,
+            stages_evaluated,
+            stages_reused,
             solve_ns,
         }
+    }
+
+    /// Records one quality snapshot: its wall-clock, and how many stages
+    /// it timed through the oracle versus reused.
+    pub(crate) fn record_snapshot(&self, elapsed: Duration, evaluated: usize, reused: usize) {
+        self.oracle_metrics_ns.add(elapsed.as_nanos() as u64);
+        self.oracle_metrics_calls.incr();
+        self.stages_evaluated.add(evaluated as u64);
+        self.stages_reused.add(reused as u64);
     }
 
     fn record_stage(&self, kind: StageKind, elapsed: Duration) {
@@ -403,6 +429,12 @@ impl<'a, O: DelayOracle + ?Sized> PipelineState<'a, O> {
     /// A mergeable snapshot of every metric the run has recorded.
     pub fn metrics_frame(&self) -> MetricsFrame {
         self.metrics.registry.snapshot()
+    }
+
+    /// Ends the run, handing over its final schedule and delay matrix
+    /// without copying them.
+    pub(crate) fn into_schedule_and_delays(self) -> (Schedule, DelayMatrix) {
+        (self.schedule, self.delays)
     }
 
     fn record(&mut self, kind: StageKind, elapsed: Duration) {

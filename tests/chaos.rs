@@ -15,7 +15,9 @@ use isdc::batch::{
     run_batch, BatchDesign, BatchOptions, BatchReport, FailPolicy, Job, JobErrorKind, JobStatus,
 };
 use isdc::cache::{CachedDelay, DelayCache, Fingerprint, SnapshotLoad};
-use isdc::core::{linear_grid, sweep_clock_period, IsdcConfig, IsdcSession, ScheduleError};
+use isdc::core::{
+    linear_grid, run_isdc, run_sdc, sweep_clock_period, IsdcConfig, IsdcSession, ScheduleError,
+};
 use isdc::faults::{self, FaultKind, FaultPlan};
 use isdc::synth::{DelayOracle, DelayReport, OpDelayModel, SynthesisOracle};
 use isdc::techlib::TechLibrary;
@@ -630,6 +632,43 @@ fn cancelled_sweep_reruns_over_the_same_snapshot_bit_identically() {
         assert_eq!(a.register_bits, b.register_bits);
     }
     let _ = std::fs::remove_file(&path);
+}
+
+/// A deadline cuts the oracle quality snapshot short: the token trips
+/// inside the initial schedule's first stage synthesis, and the poll before
+/// the next stage returns `DeadlineExceeded` instead of timing the rest.
+#[test]
+fn deadline_cuts_the_quality_snapshot_short() {
+    let _g = chaos_guard();
+    faults::clear();
+    let lib = TechLibrary::sky130();
+    let model = OpDelayModel::new(lib.clone());
+    let oracle = SynthesisOracle::new(lib);
+    let design = isdc::benchsuite::suite()
+        .into_iter()
+        .find(|b| {
+            let (schedule, _) = run_sdc(&b.graph, &model, b.clock_period_ps).unwrap();
+            schedule.stages().iter().filter(|members| !members.is_empty()).count() >= 2
+        })
+        .expect("some suite design pipelines into two non-empty stages");
+    let token = isdc::cancel::CancelToken::new();
+    let wrapper =
+        CancelAfter { inner: &oracle, calls: AtomicU64::new(0), after: 1, token: token.clone() };
+    let config = IsdcConfig {
+        threads: 1,
+        iteration_metrics: true,
+        ..IsdcConfig::paper_defaults(design.clock_period_ps)
+    };
+    let scope = token.install();
+    let result = run_isdc(&design.graph, &model, &wrapper, &config);
+    drop(scope);
+    assert!(
+        matches!(result, Err(ScheduleError::DeadlineExceeded)),
+        "{}: {:?}",
+        design.name,
+        result.map(|r| r.history.len())
+    );
+    assert_eq!(wrapper.calls.load(Ordering::Relaxed), 1, "{}: one stage timed", design.name);
 }
 
 /// Capacity safety: a batch over a tightly bounded shared cache evicts —

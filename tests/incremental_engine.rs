@@ -3,20 +3,24 @@
 //! sequence, the warm-started incremental path must produce **bit-identical
 //! schedules** to a full Alg. 2 pass plus a fresh build and cold solve —
 //! across random DAGs (proptest) and every iteration of the full Table I
-//! benchsuite.
+//! benchsuite. The Table I replay also pins `run_isdc`'s per-iteration
+//! estimation errors (Fig. 7) against a from-scratch recomputation.
 
 use isdc::benchsuite::{random_dag, RandomDagConfig};
+use isdc::core::metrics::{estimated_stage_delays, estimation_error_pct, stage_sta_delays};
 use isdc::core::pipeline::{
     run_stage, Dedupe, Evaluate, Extract, Feedback, PipelineState, Reformulate, RunSeed, Solve,
 };
 use isdc::core::{
     run_isdc, schedule_with_matrix, schedule_with_matrix_dense, DelayMatrix, DirtySet,
-    IncrementalScheduler, IsdcConfig,
+    IncrementalScheduler, IsdcConfig, IterationRecord, Schedule,
 };
-use isdc::ir::NodeId;
-use isdc::synth::{OpDelayModel, SynthesisOracle};
+use isdc::ir::{Graph, NodeId};
+use isdc::synth::{DelayOracle, DelayReport, OpDelayModel, SynthesisOracle};
 use isdc::techlib::TechLibrary;
 use proptest::prelude::*;
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 const CLOCK: f64 = 2500.0;
 
@@ -92,11 +96,53 @@ proptest! {
     }
 }
 
+/// Counts the oracle calls `run_isdc` makes.
+struct Counting<'a> {
+    inner: &'a SynthesisOracle,
+    calls: AtomicU64,
+}
+
+impl DelayOracle for Counting<'_> {
+    fn evaluate(&self, graph: &Graph, members: &[NodeId]) -> DelayReport {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.inner.evaluate(graph, members)
+    }
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+}
+
+/// Asserts that `record`'s Fig. 7 columns equal a from-scratch
+/// recomputation: every stage timed through the oracle, the updated and
+/// the naive estimates read off whole matrices.
+fn assert_errors_recomputed(
+    g: &Graph,
+    schedule: &Schedule,
+    delays: &DelayMatrix,
+    naive: &DelayMatrix,
+    oracle: &SynthesisOracle,
+    record: &IterationRecord,
+    at: &str,
+) {
+    let sta = stage_sta_delays(g, schedule, oracle);
+    let est = estimation_error_pct(&estimated_stage_delays(g, schedule, delays), &sta);
+    let naive_est = estimation_error_pct(&estimated_stage_delays(g, schedule, naive), &sta);
+    assert_eq!(record.estimation_error_pct.to_bits(), est.to_bits(), "{at}: estimation error");
+    assert_eq!(
+        record.naive_estimation_error_pct.to_bits(),
+        naive_est.to_bits(),
+        "{at}: naive estimation error"
+    );
+}
+
 /// The acceptance bar: on every Table I design, each of `run_isdc`'s
 /// iterations, driven stage by stage, re-solves warm and matches a
 /// from-scratch shadow fed the same reports (full Alg. 2 pass, fresh build,
-/// cold solve) and `run_isdc`'s own record. By induction over the
-/// iterations, the whole run equals the from-scratch pipeline.
+/// cold solve) and `run_isdc`'s own record, estimation errors included. By
+/// induction over the iterations, the whole run equals the from-scratch
+/// pipeline. `run_isdc` times each distinct stage once: its oracle calls
+/// are the subgraphs it evaluated plus the distinct non-empty stages the
+/// replay saw.
 #[test]
 fn benchsuite_runs_are_bit_identical() {
     let lib = TechLibrary::sky130();
@@ -110,11 +156,26 @@ fn benchsuite_runs_are_bit_identical() {
             threads: 2,
             ..IsdcConfig::paper_defaults(clock)
         };
+        let counting = Counting { inner: &oracle, calls: AtomicU64::new(0) };
         let run =
-            run_isdc(g, &model, &oracle, &config).unwrap_or_else(|e| panic!("{}: {e}", b.name));
+            run_isdc(g, &model, &counting, &config).unwrap_or_else(|e| panic!("{}: {e}", b.name));
         let mut state =
             PipelineState::new(g, &model, &oracle, &config, RunSeed::default()).unwrap();
-        let mut shadow = state.delays().clone();
+        let naive = state.delays().clone();
+        let mut shadow = naive.clone();
+        let mut stages: HashSet<Vec<NodeId>> = HashSet::new();
+        let at = format!("{} iter 0", b.name);
+        assert_eq!(state.schedule().register_bits(g), run.history[0].register_bits, "{at}");
+        assert_errors_recomputed(
+            g,
+            state.schedule(),
+            state.delays(),
+            &naive,
+            &oracle,
+            &run.history[0],
+            &at,
+        );
+        stages.extend(state.schedule().stages().into_iter().filter(|m| !m.is_empty()));
         for record in &run.history[1..] {
             let at = format!("{} iter {}", b.name, record.iteration);
             let (subgraphs, _) = run_stage(&mut Extract, &mut state, ()).unwrap();
@@ -134,7 +195,30 @@ fn benchsuite_runs_are_bit_identical() {
             assert_eq!(state.schedule(), &cold, "{at}: schedules diverged");
             assert_eq!(state.schedule().register_bits(g), record.register_bits, "{at}");
             assert_eq!(state.schedule().num_stages(), record.num_stages, "{at}");
+            assert_errors_recomputed(
+                g,
+                state.schedule(),
+                state.delays(),
+                &naive,
+                &oracle,
+                record,
+                &at,
+            );
+            stages.extend(state.schedule().stages().into_iter().filter(|m| !m.is_empty()));
         }
         assert_eq!(state.schedule(), &run.schedule, "{}: final schedules diverged", b.name);
+        let subgraphs: usize = run.history.iter().map(|r| r.subgraphs_evaluated).sum();
+        assert_eq!(
+            counting.calls.load(Ordering::Relaxed),
+            (subgraphs + stages.len()) as u64,
+            "{}: each distinct stage is timed once",
+            b.name
+        );
+        assert_eq!(
+            run.metrics.counter_or_zero("run/stages_evaluated"),
+            stages.len() as u64,
+            "{}",
+            b.name
+        );
     }
 }

@@ -8,7 +8,7 @@ use isdc::cache::DelayCache;
 use isdc::core::{sweep_clock_period, IsdcConfig, IsdcSession};
 use isdc::synth::{OpDelayModel, SynthesisOracle};
 use isdc::techlib::TechLibrary;
-use isdc::telemetry::{self, EventKind};
+use isdc::telemetry::{self, EventKind, MetricsFrame};
 use std::sync::{Arc, Mutex};
 
 /// The span collector is process-global; tests that enable it must not
@@ -182,8 +182,20 @@ fn take_trace_clears_worker_tracks_between_runs() {
 fn fleet_totals_are_bit_identical_across_thread_counts() {
     // Deterministic leaves only: iteration counts, stage invocations and
     // subgraph totals replay bit-identically however the batch is sharded
-    // or interleaved; drain/cache/timing leaves legitimately vary.
+    // or interleaved; drain/cache/timing leaves legitimately vary. The
+    // quality snapshots (`stage/oracle_metrics/calls`) are counted apart:
+    // a sweep takes them at its last point only, so they follow the shard
+    // plan, and only runs under one plan must agree on them.
     const DETERMINISTIC_LEAVES: [&str; 3] = ["iterations", "subgraphs_evaluated", "calls"];
+    let deterministic = |frame: &MetricsFrame| -> Vec<u64> {
+        let totals = frame.totals();
+        let snapshots = frame.total_of("oracle_metrics/calls");
+        let mut leaves: Vec<u64> =
+            DETERMINISTIC_LEAVES.iter().map(|l| totals.get(*l).copied().unwrap_or(0)).collect();
+        leaves[2] -= snapshots;
+        leaves.push(snapshots);
+        leaves
+    };
 
     // Not a tracing test, but its worker threads would write onto the
     // traced tests' tracks if it overlapped one of them.
@@ -194,20 +206,22 @@ fn fleet_totals_are_bit_identical_across_thread_counts() {
     let oracle = SynthesisOracle::new(lib);
 
     let reference = serial_reference(&designs, &jobs, &model, &oracle).expect("serial");
-    let expected: Vec<u64> = {
-        let totals = reference.metrics.totals();
-        DETERMINISTIC_LEAVES.iter().map(|l| totals.get(*l).copied().unwrap_or(0)).collect()
-    };
+    let expected = deterministic(&reference.metrics);
     assert!(expected.iter().all(|&v| v > 0), "reference totals must be non-trivial: {expected:?}");
 
+    let mut sharded_snapshots = None;
     for threads in [1usize, 2, 4] {
         let cache = Arc::new(DelayCache::new());
         let options = BatchOptions { threads, shard_points: 1, ..Default::default() };
         let report = run_batch(&designs, &jobs, &options, &model, &oracle, &cache).expect("batch");
-        let totals = report.metrics.totals();
-        let got: Vec<u64> =
-            DETERMINISTIC_LEAVES.iter().map(|l| totals.get(*l).copied().unwrap_or(0)).collect();
-        assert_eq!(got, expected, "fleet totals diverged at {threads} threads");
+        let mut got = deterministic(&report.metrics);
+        let snapshots = got.pop();
+        assert_eq!(got, expected[..3], "fleet totals diverged at {threads} threads");
+        assert_eq!(
+            *sharded_snapshots.get_or_insert(snapshots),
+            snapshots,
+            "snapshot counts diverged at {threads} threads"
+        );
     }
 }
 
