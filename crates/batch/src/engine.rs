@@ -926,8 +926,8 @@ pub fn run_batch<O: DelayOracle + ?Sized>(
     metrics.insert("cancel/deadline", MetricValue::Counter(shards_cancelled));
     metrics
         .insert("cancel/watchdog", MetricValue::Counter(watchdog_cancels.load(Ordering::Relaxed)));
-    // The shared cache keeps its own registry (it outlives any one run's
-    // frame), so its eviction count is exported into the fleet frame here.
+    // The shared cache's counters outlive any one run's frame, so its
+    // eviction count is exported into the fleet frame here.
     metrics.insert(
         "cache/evictions",
         MetricValue::Counter(stats_after.evictions - stats_before.evictions),

@@ -15,9 +15,9 @@
 //!   from a shared-index queue, each worker running one
 //!   [`IsdcSession`](isdc_core::IsdcSession) at a time, all sessions
 //!   sharing one [`isdc_cache::DelayCache`] — delay reports and LP
-//!   potentials discovered by any worker are instantly visible fleet-wide
-//!   (and per-process caches fold together through
-//!   [`isdc_cache::DelayCache::merge`]);
+//!   potentials discovered by any worker are instantly visible fleet-wide,
+//!   and a snapshot file ([`isdc_cache::DelayCache::load_resilient`],
+//!   `batch --cache-file`) carries them into the next process;
 //! - a deterministic **aggregator** ([`BatchReport`]) stitching shard
 //!   outputs back into per-job records — the same
 //!   [`isdc_core::SweepPoint`]s a serial sweep produces — plus

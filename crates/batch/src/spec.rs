@@ -24,7 +24,8 @@
 //! entries, `from`, `to`, `lo`, `hi`, `tol`) must be a finite number of
 //! picoseconds above 0, the rule the CLI applies to its period flags, and
 //! `points` must be an integer from 1 to [`MAX_GRID_POINTS`], the CLI's
-//! `--points` cap.
+//! `--points` cap. A job's optional `deadline_ms` must be a whole number
+//! of milliseconds that fits in a `u64`, as the CLI's `--deadline` must.
 //! Unknown keys are ignored so the format can grow. The codec is
 //! hand-rolled on [`isdc_cache::json`] (the build environment has no
 //! `serde_json`).
@@ -179,7 +180,7 @@ fn parse_job(p: &mut Parser<'_>) -> Result<Job, String> {
     let mut periods: Option<Vec<Picos>> = None;
     let (mut from, mut to, mut points) = (None, None, None);
     let (mut lo, mut hi, mut tol) = (None, None, None);
-    let mut deadline_ms: Option<u64> = None;
+    let mut deadline_ms: Option<f64> = None;
     p.expect(b'{')?;
     loop {
         let key = p.string()?;
@@ -206,13 +207,7 @@ fn parse_job(p: &mut Parser<'_>) -> Result<Job, String> {
             "lo" => lo = Some(p.number()?),
             "hi" => hi = Some(p.number()?),
             "tol" => tol = Some(p.number()?),
-            "deadline_ms" => {
-                let ms = p.number()?;
-                if !(ms.is_finite() && ms >= 0.0) {
-                    return Err("deadline_ms must be a nonnegative number".to_string());
-                }
-                deadline_ms = Some(ms as u64);
-            }
+            "deadline_ms" => deadline_ms = Some(p.number()?),
             _ => p.skip_value()?,
         }
         if !p.comma_or_close(b'}')? {
@@ -227,6 +222,7 @@ fn parse_job(p: &mut Parser<'_>) -> Result<Job, String> {
         check_picos(&design, "periods", period)?;
     }
     let points = points.map(|n| check_points(&design, n)).transpose()?;
+    let deadline_ms = deadline_ms.map(|ms| check_deadline_ms(&design, ms)).transpose()?;
     let kind = match kind.as_deref() {
         Some("sweep") | None => {
             let periods = match (periods, from) {
@@ -280,6 +276,19 @@ fn check_points(design: &str, value: f64) -> Result<usize, String> {
     }
 }
 
+/// A job's `deadline_ms`: a whole number of milliseconds that fits in a
+/// `u64` (0 is allowed and times the job out at once).
+fn check_deadline_ms(design: &str, value: f64) -> Result<u64, String> {
+    // `u64::MAX as f64` rounds up to 2^64, the first whole number past the range.
+    if value.fract() == 0.0 && (0.0..u64::MAX as f64).contains(&value) {
+        Ok(value as u64)
+    } else {
+        Err(format!(
+            "job `{design}`: bad deadline_ms `{value:?}` (want a whole number of ms below 2^64)"
+        ))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,15 +306,24 @@ mod tests {
 
     #[test]
     fn deadline_ms_parses_and_validates() {
-        let jobs = parse_jobs(
-            r#"{"jobs":[{"design":"d","type":"sweep","periods":[1500],"deadline_ms":250}]}"#,
-        )
-        .unwrap();
-        assert_eq!(jobs[0].deadline_ms, Some(250));
-        assert!(parse_jobs(
-            r#"{"jobs":[{"design":"d","type":"sweep","periods":[1500],"deadline_ms":-1}]}"#
-        )
-        .is_err());
+        // A whole number of milliseconds that fits in a u64, as for
+        // `--deadline`: 0.5 is not an instant timeout, 1e300 not u64::MAX.
+        let spec = |ms: &str| {
+            format!(r#"{{"jobs":[{{"design":"d","periods":[1500],"deadline_ms":{ms}}}]}}"#)
+        };
+        for (ms, want) in [("250", 250), ("0", 0), ("9007199254740992", 1u64 << 53)] {
+            assert_eq!(parse_jobs(&spec(ms)).unwrap()[0].deadline_ms, Some(want), "{ms}");
+        }
+        for (ms, shown) in [
+            ("-1", "-1.0"),
+            ("0.5", "0.5"),
+            ("2.5", "2.5"),
+            ("1e300", "1e300"),
+            ("18446744073709551616", "1.8446744073709552e19"),
+        ] {
+            let err = parse_jobs(&spec(ms)).expect_err(ms);
+            assert!(err.contains(&format!("job `d`: bad deadline_ms `{shown}`")), "{ms}: {err}");
+        }
     }
 
     #[test]

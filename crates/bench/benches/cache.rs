@@ -15,7 +15,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use isdc_cache::CachingOracle;
 use isdc_ir::NodeId;
-use isdc_synth::{evaluate_parallel, SynthesisOracle};
+use isdc_synth::{evaluate_parallel_cancellable, SynthesisOracle};
 use isdc_techlib::TechLibrary;
 use std::path::Path;
 use std::time::Instant;
@@ -39,18 +39,18 @@ fn bench_oracle_caching(c: &mut Criterion) {
     let mut group = c.benchmark_group("oracle_cache");
     group.sample_size(10);
     group.bench_with_input(BenchmarkId::from_parameter("uncached"), &subgraphs, |b, subs| {
-        b.iter(|| evaluate_parallel(&oracle, &graph, subs, 1));
+        b.iter(|| evaluate_parallel_cancellable(&oracle, &graph, subs, 1).unwrap());
     });
     group.bench_with_input(BenchmarkId::from_parameter("cold"), &subgraphs, |b, subs| {
         b.iter(|| {
             let caching = CachingOracle::new(&oracle);
-            evaluate_parallel(&caching, &graph, subs, 1)
+            evaluate_parallel_cancellable(&caching, &graph, subs, 1).unwrap()
         });
     });
     let warm = CachingOracle::new(&oracle);
-    evaluate_parallel(&warm, &graph, &subgraphs, 1);
+    evaluate_parallel_cancellable(&warm, &graph, &subgraphs, 1).unwrap();
     group.bench_with_input(BenchmarkId::from_parameter("warm"), &subgraphs, |b, subs| {
-        b.iter(|| evaluate_parallel(&warm, &graph, subs, 1));
+        b.iter(|| evaluate_parallel_cancellable(&warm, &graph, subs, 1).unwrap());
     });
     group.finish();
 }
@@ -86,14 +86,18 @@ fn emit_cache_json(_c: &mut Criterion) {
     let lib = TechLibrary::sky130();
     let oracle = SynthesisOracle::new(lib);
     let (graph, subgraphs) = subgraph_batch();
-    let uncached_ns = time_min_ns(runs, || evaluate_parallel(&oracle, &graph, &subgraphs, 1));
+    let uncached_ns = time_min_ns(runs, || {
+        evaluate_parallel_cancellable(&oracle, &graph, &subgraphs, 1).unwrap()
+    });
     let cold_ns = time_min_ns(runs, || {
         let caching = CachingOracle::new(&oracle);
-        evaluate_parallel(&caching, &graph, &subgraphs, 1)
+        evaluate_parallel_cancellable(&caching, &graph, &subgraphs, 1).unwrap()
     });
     let warm_oracle = CachingOracle::new(&oracle);
-    evaluate_parallel(&warm_oracle, &graph, &subgraphs, 1);
-    let warm_ns = time_min_ns(runs, || evaluate_parallel(&warm_oracle, &graph, &subgraphs, 1));
+    evaluate_parallel_cancellable(&warm_oracle, &graph, &subgraphs, 1).unwrap();
+    let warm_ns = time_min_ns(runs, || {
+        evaluate_parallel_cancellable(&warm_oracle, &graph, &subgraphs, 1).unwrap()
+    });
     let stats = warm_oracle.stats();
     let json = format!(
         "{{\n  \"bench\": \"cache\",\n  \"mode\": \"{}\",\n  \"design\": \"ml_core_datapath2\",\n  \

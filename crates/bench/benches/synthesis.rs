@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use isdc_ir::{Graph, OpKind};
 use isdc_netlist::lower_graph;
-use isdc_synth::{evaluate_parallel, sta, SynthScript, SynthesisOracle};
+use isdc_synth::{evaluate_parallel_cancellable, sta, SynthScript, SynthesisOracle};
 use isdc_techlib::TechLibrary;
 
 fn adder_chain(n: usize, width: u32) -> Graph {
@@ -80,7 +80,10 @@ fn bench_parallel_oracle(c: &mut Criterion) {
             BenchmarkId::from_parameter(threads),
             &threads,
             |bencher, &threads| {
-                bencher.iter(|| evaluate_parallel(&oracle, &bench.graph, &subgraphs, threads));
+                bencher.iter(|| {
+                    evaluate_parallel_cancellable(&oracle, &bench.graph, &subgraphs, threads)
+                        .unwrap()
+                });
             },
         );
     }

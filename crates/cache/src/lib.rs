@@ -14,7 +14,7 @@
 //!   names;
 //! - [`DelayCache`] is a **sharded, thread-safe map** from fingerprints to
 //!   delay reports with hit/miss/insert counters, safe under
-//!   [`evaluate_parallel`](isdc_synth::evaluate_parallel);
+//!   [`evaluate_parallel_cancellable`](isdc_synth::evaluate_parallel_cancellable);
 //! - [`CachingOracle`] wraps any [`DelayOracle`](isdc_synth::DelayOracle),
 //!   replaying cached per-output arrivals onto the caller's node ids via the
 //!   canonical order;

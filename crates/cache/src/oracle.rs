@@ -243,12 +243,13 @@ mod tests {
         let (g, ops) = adder_chain(6);
         let subgraphs: Vec<Vec<NodeId>> = (1..=6).map(|k| ops[..k].to_vec()).collect();
         let inner = SynthesisOracle::new(TechLibrary::sky130());
-        let serial = isdc_synth::evaluate_parallel(&inner, &g, &subgraphs, 1);
+        let serial = isdc_synth::evaluate_parallel_cancellable(&inner, &g, &subgraphs, 1).unwrap();
         let cached = CachingOracle::new(inner);
-        let parallel = isdc_synth::evaluate_parallel(&cached, &g, &subgraphs, 4);
+        let parallel =
+            isdc_synth::evaluate_parallel_cancellable(&cached, &g, &subgraphs, 4).unwrap();
         assert_eq!(serial, parallel);
         // And fully warm:
-        let warm = isdc_synth::evaluate_parallel(&cached, &g, &subgraphs, 4);
+        let warm = isdc_synth::evaluate_parallel_cancellable(&cached, &g, &subgraphs, 4).unwrap();
         assert_eq!(serial, warm);
         assert_eq!(cached.stats().hits, 6);
     }

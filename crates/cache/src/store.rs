@@ -1,7 +1,7 @@
 //! The sharded, thread-safe delay cache.
 
 use crate::fingerprint::Fingerprint;
-use isdc_telemetry::{Counter, MetricsFrame, Registry};
+use isdc_telemetry::Counter;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -74,41 +74,11 @@ pub struct StoredPotentials {
     pub pi: Vec<i64>,
 }
 
-/// A deterministic total order on delay entries, used only to resolve merge
-/// conflicts (two caches carrying *different* entries for the same
-/// fingerprint — impossible when both were filled by the same deterministic
-/// oracle, but [`DelayCache::merge`] must stay commutative even on
-/// adversarial input). Orders by delay, then depth, then count, then the
-/// arrival list lexicographically.
-fn entry_order(a: &CachedDelay, b: &CachedDelay) -> std::cmp::Ordering {
-    a.delay_ps
-        .total_cmp(&b.delay_ps)
-        .then(a.aig_depth.cmp(&b.aig_depth))
-        .then(a.and_count.cmp(&b.and_count))
-        .then_with(|| {
-            let by_arrival =
-                |x: &(u32, f64), y: &(u32, f64)| x.0.cmp(&y.0).then(x.1.total_cmp(&y.1));
-            a.arrivals.len().cmp(&b.arrivals.len()).then_with(|| {
-                a.arrivals
-                    .iter()
-                    .zip(&b.arrivals)
-                    .map(|(x, y)| by_arrival(x, y))
-                    .find(|o| o.is_ne())
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-        })
-}
-
-/// The same idea for potentials at one (design, clock) key: shorter vector
-/// first, then lexicographic.
-fn potentials_order(a: &[i64], b: &[i64]) -> std::cmp::Ordering {
-    a.len().cmp(&b.len()).then_with(|| a.cmp(b))
-}
-
-/// One cached entry plus its segmented-LRU bookkeeping. The `stamp`
-/// matches at most one recency-queue element, so stale queue elements
-/// (from promotions, re-inserts, or replacements) are detected lazily and
-/// skipped — no O(n) queue surgery on the warm path.
+/// One cached entry plus its segmented-LRU bookkeeping (bounded caches
+/// only; an unbounded cache leaves `stamp` at 0 and `protected` off). The
+/// `stamp` matches at most one recency-queue element, so stale queue
+/// elements (from promotions, re-inserts, or replacements) are detected
+/// lazily and skipped — no O(n) queue surgery on the warm path.
 #[derive(Debug)]
 struct Slot {
     entry: CachedDelay,
@@ -178,9 +148,9 @@ impl Shard {
 ///
 /// Shard count is fixed at construction; a fingerprint's shard is chosen
 /// from its low bits, so concurrent lookups from
-/// [`evaluate_parallel`](isdc_synth::evaluate_parallel) workers rarely
-/// contend on the same lock, and the read-mostly warm path takes only read
-/// locks.
+/// [`evaluate_parallel_cancellable`](isdc_synth::evaluate_parallel_cancellable)
+/// workers rarely contend on the same lock, and the read-mostly warm path
+/// takes only read locks.
 ///
 /// Next to the sharded delay map the cache keeps a small side store of
 /// [`StoredPotentials`] per design fingerprint (one entry per clock period,
@@ -196,10 +166,15 @@ impl Shard {
 /// invisible* — entries are immutable oracle results, so an evicted key
 /// merely becomes a future miss that recomputes the identical value.
 /// Hit rates change; **returned delays never do** (the capacity-bound
-/// tests enforce bit-identity against an unbounded run). The
-/// `cache/evictions` counter reports the drop count. Bounded lookups take
-/// the shard's write lock (hits move queue entries); unbounded caches
-/// keep the read-lock fast path.
+/// tests enforce bit-identity against an unbounded run). The `evictions`
+/// count of [`DelayCache::stats`] (a batch's `cache/evictions`) reports
+/// the drop count. Bounded lookups take the shard's write lock (hits move
+/// queue entries); unbounded caches keep the read-lock fast path and no
+/// recency queues at all.
+///
+/// A fleet shares one cache through an `Arc`; separate processes share
+/// entries through snapshot files ([`DelayCache::save`] /
+/// [`DelayCache::load`]).
 #[derive(Debug)]
 pub struct DelayCache {
     shards: Box<[RwLock<Shard>]>,
@@ -210,10 +185,7 @@ pub struct DelayCache {
     /// capacity), so probation always retains room for new blood.
     protected_capacity: usize,
     potentials: RwLock<HashMap<u128, Vec<StoredPotentials>>>,
-    /// The cache's telemetry registry. The hit/miss/insert/eviction
-    /// counters below are handles into it; [`DelayCache::stats`] and
-    /// [`DelayCache::metrics`] are two views over the same cells.
-    registry: Registry,
+    /// The counters [`DelayCache::stats`] reads.
     hits: Counter,
     misses: Counter,
     inserts: Counter,
@@ -261,24 +233,16 @@ impl DelayCache {
             if capacity == 0 { usize::MAX } else { capacity.div_ceil(count).max(1) };
         let protected_capacity =
             if shard_capacity == usize::MAX { usize::MAX } else { (shard_capacity * 4 / 5).max(1) };
-        let registry = Registry::new();
-        let (hits, misses, inserts, evictions) = (
-            registry.counter("cache/hits"),
-            registry.counter("cache/misses"),
-            registry.counter("cache/inserts"),
-            registry.counter("cache/evictions"),
-        );
         Self {
             shards: (0..count).map(|_| RwLock::new(Shard::default())).collect(),
             mask: count - 1,
             shard_capacity,
             protected_capacity,
             potentials: RwLock::new(HashMap::new()),
-            registry,
-            hits,
-            misses,
-            inserts,
-            evictions,
+            hits: Counter::detached(),
+            misses: Counter::detached(),
+            inserts: Counter::detached(),
+            evictions: Counter::detached(),
         }
     }
 
@@ -349,19 +313,22 @@ impl DelayCache {
         }
     }
 
-    /// Inserts `entry` as a probation slot (replacing any previous slot for
-    /// the key) and evicts down to the capacity bound.
+    /// Inserts `entry` (replacing any previous slot for the key). On a
+    /// bounded cache the slot enters probation and the shard evicts down
+    /// to the capacity bound; an unbounded cache keeps no recency queues.
     fn insert_slot(&self, fp: Fingerprint, entry: CachedDelay) {
         let mut shard = write_shard(self.shard(fp));
+        if !self.bounded() {
+            shard.map.insert(fp.0, Slot { entry, stamp: 0, protected: false });
+            return;
+        }
         let stamp = shard.push_probation(fp.0);
         if let Some(old) = shard.map.insert(fp.0, Slot { entry, stamp, protected: false }) {
             if old.protected {
                 shard.protected_len -= 1;
             }
         }
-        if self.bounded() {
-            shard.evict_to(self.shard_capacity, &self.evictions);
-        }
+        shard.evict_to(self.shard_capacity, &self.evictions);
     }
 
     /// Inserts (or replaces) an entry, counting an insert.
@@ -389,8 +356,7 @@ impl DelayCache {
         self.len() == 0
     }
 
-    /// A consistent snapshot of the counters — a [`CacheStats`]-shaped
-    /// view over the telemetry registry cells.
+    /// The lookup, insert and eviction counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.get(),
@@ -398,12 +364,6 @@ impl DelayCache {
             inserts: self.inserts.get(),
             evictions: self.evictions.get(),
         }
-    }
-
-    /// The same counters as a mergeable telemetry frame
-    /// (`cache/hits`, `cache/misses`, `cache/inserts`, `cache/evictions`).
-    pub fn metrics(&self) -> MetricsFrame {
-        self.registry.snapshot()
     }
 
     /// Drops all entries (and their recency history), keeping the counters.
@@ -456,61 +416,6 @@ impl DelayCache {
             .collect();
         out.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.clock_ps.total_cmp(&b.1.clock_ps)));
         out
-    }
-
-    /// Merges every delay entry and potential vector of `other` into this
-    /// cache, returning the number of delay entries that changed `self`
-    /// (new fingerprints plus conflict-resolved replacements). Counters are
-    /// untouched, like a snapshot load.
-    ///
-    /// This is the fleet-wide publication primitive of the batch engine:
-    /// per-worker (or per-process) caches fold into a shared one, and a
-    /// shared cache folds snapshot files in through
-    /// [`DelayCache::load`]. The operation is **commutative and
-    /// idempotent**: both sides normally agree on every common fingerprint
-    /// (entries come from one deterministic oracle, and the oracle-tag check
-    /// on snapshots keeps foreign flows out), and in the pathological
-    /// disagreeing case a deterministic total order picks the same winner
-    /// regardless of merge direction — so merging A into B and B into A
-    /// leave both caches with identical contents, and re-merging is a no-op
-    /// (guarded by proptests).
-    pub fn merge(&self, other: &DelayCache) -> usize {
-        let mut changed = 0;
-        for (fp, theirs) in other.entries() {
-            let mut guard = write_shard(self.shard(fp));
-            let shard: &mut Shard = &mut guard;
-            match shard.map.get_mut(&fp.0) {
-                None => {
-                    let stamp = shard.push_probation(fp.0);
-                    shard.map.insert(fp.0, Slot { entry: theirs, stamp, protected: false });
-                    if self.bounded() {
-                        shard.evict_to(self.shard_capacity, &self.evictions);
-                    }
-                    changed += 1;
-                }
-                Some(slot) => {
-                    // A conflict replaces the value in place; the slot
-                    // keeps its recency position.
-                    if entry_order(&theirs, &slot.entry).is_lt() {
-                        slot.entry = theirs;
-                        changed += 1;
-                    }
-                }
-            }
-        }
-        for (design, theirs) in other.potential_entries() {
-            let mut map = write_shard(&self.potentials);
-            let list = map.entry(design.0).or_default();
-            match list.binary_search_by(|p| p.clock_ps.total_cmp(&theirs.clock_ps)) {
-                Ok(i) => {
-                    if potentials_order(&theirs.pi, &list[i].pi).is_lt() {
-                        list[i].pi = theirs.pi;
-                    }
-                }
-                Err(i) => list.insert(i, theirs),
-            }
-        }
-        changed
     }
 
     /// All entries, ascending by fingerprint (a stable order for snapshots
@@ -616,38 +521,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_unions_and_resolves_conflicts_deterministically() {
-        let a = DelayCache::new();
-        let b = DelayCache::new();
-        a.insert(fp(1), entry(10.0));
-        a.insert(fp(2), entry(20.0));
-        b.insert(fp(2), entry(15.0)); // conflicting: smaller wins, both ways
-        b.insert(fp(3), entry(30.0));
-        a.store_potentials(fp(9), 2000.0, vec![1, 2]);
-        b.store_potentials(fp(9), 2000.0, vec![0, 3]);
-        b.store_potentials(fp(9), 3000.0, vec![7]);
-
-        let a2 = DelayCache::new();
-        a2.merge(&a); // deep copy via merge-into-empty
-        assert_eq!(a2.merge(&b), 2, "one new key, one conflict replacement");
-        let b2 = DelayCache::new();
-        b2.merge(&b);
-        b2.merge(&a);
-        assert_eq!(a2.entries(), b2.entries(), "merge must be commutative");
-        assert_eq!(a2.potential_entries(), b2.potential_entries());
-        assert_eq!(a2.get(fp(2)).unwrap().delay_ps, 15.0);
-        assert_eq!(a2.nearest_potentials(fp(9), 2000.0), Some((2000.0, vec![0, 3])));
-
-        // Idempotent: a re-merge changes nothing.
-        let before = a2.entries();
-        assert_eq!(a2.merge(&b), 0);
-        assert_eq!(a2.entries(), before);
-        // And merges never bump the insert counter (the `get` probes above
-        // legitimately counted hits).
-        assert_eq!(a2.stats().inserts, 0);
-    }
-
-    #[test]
     fn capacity_bound_evicts_lru_probation_first() {
         // 1 shard so the eviction order is exactly the global LRU order.
         let cache = DelayCache::with_shards_and_capacity(1, 3);
@@ -710,16 +583,36 @@ mod tests {
     }
 
     #[test]
-    fn bounded_merge_respects_capacity() {
+    fn recency_queues_are_kept_only_when_bounded() {
         let src = DelayCache::new();
         for k in 0..20u128 {
             src.insert(fp(k), entry(k as f64));
         }
-        let dst = DelayCache::with_shards_and_capacity(1, 5);
-        dst.merge(&src);
-        assert_eq!(dst.len(), 5, "merge must not blow the bound");
-        assert_eq!(dst.stats().evictions, 15);
-        assert_eq!(dst.stats().inserts, 0, "merge still bypasses the insert counter");
+        let snapshot = src.to_json("oracle");
+        let queued = |cache: &DelayCache| -> usize {
+            cache.shards.iter().map(read_shard).map(|s| s.probation.len() + s.protected.len()).sum()
+        };
+
+        // Unbounded: inserts, re-inserts, hits and a snapshot load leave
+        // no recency bookkeeping behind.
+        let unbounded = DelayCache::with_shards(2);
+        for k in 0..10u128 {
+            unbounded.insert(fp(k), entry(k as f64));
+            unbounded.insert(fp(k), entry(k as f64));
+            assert!(unbounded.get(fp(k)).is_some());
+        }
+        assert_eq!(unbounded.merge_json(&snapshot, "oracle"), Ok(20));
+        assert_eq!(unbounded.len(), 20);
+        assert_eq!(queued(&unbounded), 0, "an unbounded cache must keep no recency queues");
+
+        // Bounded: a snapshot load stays within the bound and counts its
+        // evictions, but not as inserts.
+        let bounded = DelayCache::with_shards_and_capacity(1, 5);
+        bounded.merge_json(&snapshot, "oracle").unwrap();
+        assert_eq!(bounded.len(), 5, "a load must not blow the bound");
+        assert_eq!(bounded.stats().evictions, 15);
+        assert_eq!(bounded.stats().inserts, 0, "a load bypasses the insert counter");
+        assert!(queued(&bounded) > 0);
     }
 
     #[test]

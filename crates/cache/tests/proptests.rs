@@ -1,9 +1,8 @@
 //! Property-based tests for the structural fingerprint and the caching
 //! oracle: invariance under node renumbering and member permutation,
-//! sensitivity to widths and attributes, bit-identical replay, and the
-//! algebraic laws of [`DelayCache::merge`].
+//! sensitivity to widths and attributes, and bit-identical replay.
 
-use isdc_cache::{canonicalize, CachedDelay, CachingOracle, DelayCache, Fingerprint};
+use isdc_cache::{canonicalize, CachingOracle};
 use isdc_ir::{Graph, NodeId, OpKind};
 use isdc_synth::{DelayOracle, SynthesisOracle};
 use isdc_techlib::TechLibrary;
@@ -189,83 +188,6 @@ proptest! {
             .collect();
         let got: HashMap<NodeId, f64> = replayed.output_arrivals.iter().copied().collect();
         prop_assert_eq!(got, expect, "arrivals must land on the isomorphic images");
-    }
-}
-
-/// A random cache over a small key space (to force overlaps between two
-/// independently drawn caches) with values drawn from a small pool (so the
-/// same key can genuinely conflict across caches).
-fn arbitrary_cache() -> impl Strategy<Value = DelayCache> {
-    prop::collection::vec((0u64..24, 0u64..6, 0u64..4), 0..32).prop_map(|triples| {
-        let cache = DelayCache::with_shards(4);
-        for (key, val, clock) in triples {
-            let delay = 100.0 + val as f64 * 7.5;
-            cache.insert(
-                Fingerprint(u128::from(key)),
-                CachedDelay {
-                    delay_ps: delay,
-                    aig_depth: val as u32,
-                    and_count: (val * 3) as usize,
-                    arrivals: vec![(0, delay), (val as u32 + 1, delay / 2.0)],
-                },
-            );
-            cache.store_potentials(
-                Fingerprint(u128::from(key % 5)),
-                1000.0 + clock as f64 * 500.0,
-                vec![val as i64, -(clock as i64)],
-            );
-        }
-        cache
-    })
-}
-
-/// Deep copy through the merge-into-empty identity.
-fn clone_cache(c: &DelayCache) -> DelayCache {
-    let out = DelayCache::with_shards(4);
-    out.merge(c);
-    out
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// merge(A, B) == merge(B, A): the fleet-wide publication step must not
-    /// depend on which worker publishes first.
-    #[test]
-    fn merge_is_commutative((a, b) in (arbitrary_cache(), arbitrary_cache())) {
-        let ab = clone_cache(&a);
-        ab.merge(&b);
-        let ba = clone_cache(&b);
-        ba.merge(&a);
-        prop_assert_eq!(ab.entries(), ba.entries());
-        prop_assert_eq!(ab.potential_entries(), ba.potential_entries());
-    }
-
-    /// Re-merging the same cache (including self-merge) changes nothing.
-    #[test]
-    fn merge_is_idempotent((a, b) in (arbitrary_cache(), arbitrary_cache())) {
-        let merged = clone_cache(&a);
-        merged.merge(&b);
-        let again = clone_cache(&merged);
-        prop_assert_eq!(again.merge(&b), 0, "second merge must be a no-op");
-        prop_assert_eq!(again.merge(&merged), 0, "self-merge must be a no-op");
-        prop_assert_eq!(again.entries(), merged.entries());
-        prop_assert_eq!(again.potential_entries(), merged.potential_entries());
-    }
-
-    /// merge(merge(A, B), C) == merge(A, merge(B, C)) — shard-merge order in
-    /// a tree of workers is immaterial.
-    #[test]
-    fn merge_is_associative((a, b, c) in (arbitrary_cache(), arbitrary_cache(), arbitrary_cache())) {
-        let left = clone_cache(&a);
-        left.merge(&b);
-        left.merge(&c);
-        let bc = clone_cache(&b);
-        bc.merge(&c);
-        let right = clone_cache(&a);
-        right.merge(&bc);
-        prop_assert_eq!(left.entries(), right.entries());
-        prop_assert_eq!(left.potential_entries(), right.potential_entries());
     }
 }
 

@@ -187,9 +187,7 @@ pub struct IsdcResult {
     pub delays: DelayMatrix,
     /// One record per iteration, starting with the initial SDC schedule.
     pub history: Vec<IterationRecord>,
-    /// Final oracle-cache counters, when caching was enabled.
-    pub cache_stats: Option<CacheStats>,
-    /// Every metric the run recorded, as one mergeable telemetry frame:
+    /// Every metric the run recorded, as one telemetry frame:
     /// per-stage wall-clock and invocations (`stage/{name}/ns`,
     /// `stage/{name}/calls`), including the oracle quality snapshots as
     /// `stage/oracle_metrics/*` (zero with
@@ -198,8 +196,9 @@ pub struct IsdcResult {
     /// `run/stages_evaluated` and `run/stages_reused`, the stages the
     /// snapshots timed through the oracle and those they answered from
     /// the run's earlier measurements; the LP solve-time histogram
-    /// (`solve/ns`); and — when caching was on — this run's share of
-    /// cache traffic (`cache/*`).
+    /// (`solve/ns`); and — when caching was on, and only then — this
+    /// run's share of cache traffic (`cache/hits`, `cache/misses`,
+    /// `cache/inserts`).
     pub metrics: MetricsFrame,
     /// Total wall-clock scheduling time.
     pub total_time: Duration,
@@ -432,14 +431,7 @@ pub(crate) fn run_pipeline<O: DelayOracle + ?Sized>(
     metrics_frame.insert("run/total_ns", MetricValue::Counter(total_time.as_nanos() as u64));
     let (schedule, delays) = state.into_schedule_and_delays();
     Ok(PipelineOutcome {
-        result: IsdcResult {
-            schedule,
-            delays,
-            history,
-            cache_stats: cache.map(|c| c.stats()),
-            metrics: metrics_frame,
-            total_time,
-        },
+        result: IsdcResult { schedule, delays, history, metrics: metrics_frame, total_time },
         initial_potentials,
         initial_engine,
         initial_warm,
@@ -670,13 +662,13 @@ mod tests {
             cached.history.iter().map(|r| r.register_bits).collect::<Vec<_>>(),
             plain.history.iter().map(|r| r.register_bits).collect::<Vec<_>>(),
         );
-        let stats = cached.cache_stats.expect("stats recorded when caching");
-        assert!(stats.hits > 0, "iterations repeat subgraphs, so hits must occur: {stats:?}");
-        assert!(plain.cache_stats.is_none());
+        let hits = cached.metrics.counter("cache/hits").expect("recorded when caching");
+        assert!(hits > 0, "iterations repeat subgraphs, so hits must occur");
+        assert_eq!(plain.metrics.counter("cache/hits"), None);
         let total_hits: u64 = cached.history.iter().map(|r| r.cache_hits).sum();
         let total_misses: u64 = cached.history.iter().map(|r| r.cache_misses).sum();
-        assert_eq!(total_hits, stats.hits, "per-iteration hits must sum to the total");
-        assert_eq!(total_misses, stats.misses);
+        assert_eq!(total_hits, hits, "per-iteration hits must sum to the total");
+        assert_eq!(total_misses, cached.metrics.counter_or_zero("cache/misses"));
         assert!(cached.history.last().unwrap().cache_hit_rate() > 0.0);
     }
 

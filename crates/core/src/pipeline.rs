@@ -426,7 +426,7 @@ impl<'a, O: DelayOracle + ?Sized> PipelineState<'a, O> {
         &self.metrics
     }
 
-    /// A mergeable snapshot of every metric the run has recorded.
+    /// A snapshot of every metric the run has recorded.
     pub fn metrics_frame(&self) -> MetricsFrame {
         self.metrics.registry.snapshot()
     }

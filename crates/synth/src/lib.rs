@@ -50,7 +50,7 @@ pub mod sta;
 
 pub use characterize::OpDelayModel;
 pub use oracle::{
-    evaluate_parallel, evaluate_parallel_cancellable, AigDepthOracle, DelayOracle, DelayReport,
-    NaiveSumOracle, SynthesisOracle,
+    evaluate_parallel_cancellable, AigDepthOracle, DelayOracle, DelayReport, NaiveSumOracle,
+    SynthesisOracle,
 };
 pub use passes::{balance, Pass, SynthScript};

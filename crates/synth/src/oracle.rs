@@ -225,46 +225,15 @@ fn fold_output_arrivals(output_map: &[(NodeId, u32)], arrivals: &[Picos]) -> Vec
 }
 
 /// Evaluates many subgraphs in parallel with scoped threads, preserving input
-/// order — the paper's "16 subgraphs per iteration in parallel".
+/// order — the paper's "16 subgraphs per iteration in parallel" — with a
+/// cooperative cancellation poll before each subgraph evaluation.
 ///
-/// `threads == 1` runs inline (no thread spawn overhead).
-///
-/// # Panics
-///
-/// Panics if `threads == 0` or a worker thread panics.
-pub fn evaluate_parallel<O: DelayOracle + ?Sized>(
-    oracle: &O,
-    graph: &Graph,
-    subgraphs: &[Vec<NodeId>],
-    threads: usize,
-) -> Vec<DelayReport> {
-    assert!(threads > 0, "need at least one thread");
-    if threads == 1 || subgraphs.len() <= 1 {
-        return subgraphs.iter().map(|s| oracle.evaluate(graph, s)).collect();
-    }
-    let mut reports: Vec<Option<DelayReport>> = vec![None; subgraphs.len()];
-    let chunk = subgraphs.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (slot_chunk, work_chunk) in reports.chunks_mut(chunk).zip(subgraphs.chunks(chunk)) {
-            scope.spawn(move || {
-                for (slot, members) in slot_chunk.iter_mut().zip(work_chunk) {
-                    *slot = Some(oracle.evaluate(graph, members));
-                }
-            });
-        }
-    });
-    reports.into_iter().map(|r| r.expect("all slots filled")).collect()
-}
-
-/// [`evaluate_parallel`] with a cooperative cancellation poll before each
-/// subgraph evaluation. The calling thread's installed
-/// [`isdc_cancel::CancelToken`] (if any) is re-installed inside each worker
-/// so a deadline cuts the whole evaluation short; completed reports are
-/// discarded (the caller re-evaluates after rerun — the oracle is pure, so
-/// a redo is bit-identical).
-///
-/// With no token installed the per-subgraph poll is one relaxed atomic
-/// load, and behavior is identical to [`evaluate_parallel`].
+/// `threads == 1` runs inline (no thread spawn overhead). The calling
+/// thread's installed [`isdc_cancel::CancelToken`] (if any) is re-installed
+/// inside each worker so a deadline cuts the whole evaluation short;
+/// completed reports are discarded (the caller re-evaluates after rerun —
+/// the oracle is pure, so a redo is bit-identical). With no token installed
+/// the per-subgraph poll is one relaxed atomic load.
 ///
 /// # Errors
 ///
@@ -391,8 +360,8 @@ mod tests {
             vec![members[2]],
             vec![members[1], members[2]],
         ];
-        let serial = evaluate_parallel(&oracle, &g, &subgraphs, 1);
-        let parallel = evaluate_parallel(&oracle, &g, &subgraphs, 4);
+        let serial = evaluate_parallel_cancellable(&oracle, &g, &subgraphs, 1).unwrap();
+        let parallel = evaluate_parallel_cancellable(&oracle, &g, &subgraphs, 4).unwrap();
         assert_eq!(serial, parallel);
     }
 

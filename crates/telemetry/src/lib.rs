@@ -4,10 +4,10 @@
 //! in four crates: hierarchical **spans** (`session → run → iteration →
 //! stage → solver drain phase`) recorded into one per-track **event
 //! log**; a **metrics registry** of counters and histograms whose
-//! snapshots merge with a deterministic, commutative, associative and
-//! idempotent join (the same contract as `DelayCache::merge`, so batch
-//! workers record locally and the aggregator folds fleet totals
-//! bit-deterministically); and **exporters** to JSON-lines and Chrome
+//! snapshots ([`MetricsFrame`]) aggregate by disjoint keys and sums (a
+//! batch files each point's frame under its own `job{j}/pt{p}/` prefix,
+//! and [`MetricsFrame::totals`] and [`RunReport`] add them up, so fleet
+//! totals are bit-deterministic); and **exporters** to JSON-lines and Chrome
 //! `trace_event` format (loadable in [Perfetto](https://ui.perfetto.dev)
 //! or `chrome://tracing`), plus the workspace's one JSON string escaper
 //! ([`escape_json`]).
@@ -45,8 +45,7 @@ pub use export::{
     escape_json, parse_jsonl, render_chrome_trace, render_jsonl, OwnedArg, OwnedEvent,
 };
 pub use registry::{
-    histogram_quantile, Counter, Histogram, MetricKind, MetricValue, MetricsFrame, Registry,
-    HISTOGRAM_BUCKETS,
+    histogram_quantile, Counter, Histogram, MetricValue, MetricsFrame, Registry, HISTOGRAM_BUCKETS,
 };
 pub use report::{attribute, render_attribution, AttributionRow, QuantileRow, RunReport, StageRow};
 pub use trace::{

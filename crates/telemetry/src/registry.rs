@@ -1,24 +1,17 @@
-//! The metrics registry: counters and histograms with a
-//! deterministic, commutative, associative, idempotent snapshot merge.
+//! The metrics registry: counters and histograms, and the frames that
+//! carry their values out of a run.
 //!
 //! A [`Registry`] hands out cheap clonable handles ([`Counter`],
 //! [`Histogram`]) backed by atomics; recording is lock-free.
 //! [`Registry::snapshot`] freezes the current values into a
-//! [`MetricsFrame`] — an ordered name → value map — and frames combine
-//! with [`MetricsFrame::merge`], which follows the same contract as
-//! `DelayCache::merge`: a semilattice join, so folding any number of
-//! frames in any order and with any duplication yields bit-identical
-//! results. Concretely, same-kind values join elementwise by `max` and a
-//! kind mismatch (impossible between frames produced by one codebase,
-//! but the join must still be lawful) resolves to the higher-ranked
-//! kind's value.
+//! [`MetricsFrame`] — an ordered name → value map.
 //!
-//! Because `max` is the join, **fleet aggregation uses disjoint keys**:
-//! each batch worker snapshots under a scope prefix unique to its shard
-//! (`job3/shard1/points`), so the fold is a disjoint union and
+//! Frames aggregate one way: **by disjoint keys, then sums.** A batch
+//! files each point's frame under a key prefix unique to that point
+//! (`job3/pt1/run/iterations`), so no two values ever share a key, and
 //! [`MetricsFrame::totals`] then *sums* counters grouped by leaf name to
 //! produce fleet totals. Determinism across thread counts holds exactly
-//! for counters whose per-shard values are themselves deterministic
+//! for counters whose per-point values are themselves deterministic
 //! (scheduled points, register bits, iterations) — cache hits and drain
 //! work are honest measurements that depend on interleaving and are
 //! reported, not asserted.
@@ -33,29 +26,12 @@ use std::sync::{Arc, Mutex};
 /// `[2^(k-1), 2^k)`), up to the full `u64` range.
 pub const HISTOGRAM_BUCKETS: usize = 65;
 
-/// The kind of a metric cell. Order defines the mismatch-resolution
-/// rank used by [`MetricValue::join`] (highest wins).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum MetricKind {
-    /// Monotonically increasing `u64`.
-    Counter,
-    /// Power-of-two bucketed distribution of `u64` samples.
-    Histogram,
-}
-
 enum Cell {
     Counter(Arc<AtomicU64>),
     Histogram(Arc<Buckets>),
 }
 
 impl Cell {
-    fn kind(&self) -> MetricKind {
-        match self {
-            Cell::Counter(_) => MetricKind::Counter,
-            Cell::Histogram(_) => MetricKind::Histogram,
-        }
-    }
-
     fn value(&self) -> MetricValue {
         match self {
             Cell::Counter(c) => MetricValue::Counter(c.load(Ordering::Relaxed)),
@@ -107,11 +83,6 @@ impl fmt::Debug for Counter {
 pub struct Histogram(Arc<Buckets>);
 
 impl Histogram {
-    /// A histogram not attached to any registry.
-    pub fn detached() -> Self {
-        Histogram(Arc::new(Buckets(std::array::from_fn(|_| AtomicU64::new(0)))))
-    }
-
     /// Records one sample.
     #[inline]
     pub fn record(&self, v: u64) {
@@ -140,45 +111,11 @@ impl fmt::Debug for Histogram {
 pub enum MetricValue {
     /// Counter reading.
     Counter(u64),
-    /// Histogram bucket counts (normally [`HISTOGRAM_BUCKETS`] long;
-    /// the join pads shorter vectors with zeros).
+    /// Histogram bucket counts, [`HISTOGRAM_BUCKETS`] long.
     Histogram(Vec<u64>),
 }
 
 impl MetricValue {
-    /// The value's kind (and join rank).
-    pub fn kind(&self) -> MetricKind {
-        match self {
-            MetricValue::Counter(_) => MetricKind::Counter,
-            MetricValue::Histogram(_) => MetricKind::Histogram,
-        }
-    }
-
-    /// Semilattice join of two values: same-kind values join
-    /// elementwise by `max`; on a kind mismatch the higher-ranked kind
-    /// wins outright. Commutative, associative, idempotent — proven by
-    /// the proptests in `tests/proptests.rs`.
-    pub fn join(&self, other: &MetricValue) -> MetricValue {
-        match (self, other) {
-            (MetricValue::Counter(a), MetricValue::Counter(b)) => MetricValue::Counter(*a.max(b)),
-            (MetricValue::Histogram(a), MetricValue::Histogram(b)) => {
-                let n = a.len().max(b.len());
-                MetricValue::Histogram(
-                    (0..n)
-                        .map(|i| a.get(i).copied().unwrap_or(0).max(b.get(i).copied().unwrap_or(0)))
-                        .collect(),
-                )
-            }
-            _ => {
-                if self.kind() >= other.kind() {
-                    self.clone()
-                } else {
-                    other.clone()
-                }
-            }
-        }
-    }
-
     /// Counter reading, if this value is a counter.
     pub fn as_counter(&self) -> Option<u64> {
         match self {
@@ -189,8 +126,9 @@ impl MetricValue {
 }
 
 /// An ordered snapshot of metric names to frozen values. Frames are the
-/// unit of aggregation: workers snapshot locally (under a scope prefix)
-/// and the aggregator folds them with [`merge`](Self::merge).
+/// unit of aggregation: each run snapshots its own registry, and a batch
+/// files every point's values under disjoint keys for
+/// [`totals`](Self::totals) to sum.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MetricsFrame {
     /// Name → value, in deterministic (lexicographic) order.
@@ -198,34 +136,14 @@ pub struct MetricsFrame {
 }
 
 impl MetricsFrame {
-    /// The empty frame (identity element of [`merge`](Self::merge)).
+    /// The empty frame.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Folds `other` into `self` key by key with [`MetricValue::join`].
-    /// Commutative, associative, idempotent; the empty frame is the
-    /// identity — the `DelayCache::merge` contract.
-    pub fn merge(&mut self, other: &MetricsFrame) {
-        for (name, value) in &other.metrics {
-            match self.metrics.get_mut(name) {
-                Some(mine) => *mine = mine.join(value),
-                None => {
-                    self.metrics.insert(name.clone(), value.clone());
-                }
-            }
-        }
-    }
-
-    /// Inserts (or joins onto an existing) value under `name`.
+    /// Sets `name` to `value`, replacing any earlier value.
     pub fn insert(&mut self, name: impl Into<String>, value: MetricValue) {
-        let name = name.into();
-        match self.metrics.get_mut(&name) {
-            Some(mine) => *mine = mine.join(&value),
-            None => {
-                self.metrics.insert(name, value);
-            }
-        }
+        self.metrics.insert(name.into(), value);
     }
 
     /// Counter reading under exactly `name`, if present.
@@ -239,10 +157,9 @@ impl MetricsFrame {
     }
 
     /// Sums counters grouped by leaf name (the part after the last
-    /// `/`). Because fleet frames use disjoint per-shard scope prefixes
-    /// (`job3/shard1/points`), this turns the max-join fold back into
-    /// the fleet-wide *sum* per metric. Deterministic whenever each
-    /// shard's own counters are.
+    /// `/`). Fleet frames file each point under its own key prefix
+    /// (`job3/pt1/run/iterations`), so this is the fleet-wide *sum* per
+    /// metric. Deterministic whenever each point's own counters are.
     pub fn totals(&self) -> BTreeMap<String, u64> {
         let mut totals = BTreeMap::new();
         for (name, value) in &self.metrics {
@@ -306,8 +223,8 @@ impl Registry {
     }
 
     /// Gets or registers the counter `name`. Panics if `name` is
-    /// already registered as a different kind (a code bug: metric names
-    /// are static within one build).
+    /// already registered as a histogram (a code bug: metric names are
+    /// static within one build).
     pub fn counter(&self, name: &str) -> Counter {
         let mut cells = self.cells.lock().unwrap();
         match cells
@@ -315,38 +232,27 @@ impl Registry {
             .or_insert_with(|| Cell::Counter(Arc::new(AtomicU64::new(0))))
         {
             Cell::Counter(c) => Counter(Arc::clone(c)),
-            other => panic!("metric {name:?} already registered as {:?}", other.kind()),
+            Cell::Histogram(_) => panic!("metric {name:?} already registered as a histogram"),
         }
     }
 
-    /// Gets or registers the histogram `name`. Panics on kind mismatch.
+    /// Gets or registers the histogram `name`. Panics if `name` is
+    /// already registered as a counter.
     pub fn histogram(&self, name: &str) -> Histogram {
         let mut cells = self.cells.lock().unwrap();
         match cells.entry(name.to_string()).or_insert_with(|| {
             Cell::Histogram(Arc::new(Buckets(std::array::from_fn(|_| AtomicU64::new(0)))))
         }) {
             Cell::Histogram(h) => Histogram(Arc::clone(h)),
-            other => panic!("metric {name:?} already registered as {:?}", other.kind()),
+            Cell::Counter(_) => panic!("metric {name:?} already registered as a counter"),
         }
     }
 
     /// Freezes all cells into a frame.
     pub fn snapshot(&self) -> MetricsFrame {
-        self.snapshot_scoped("")
-    }
-
-    /// Freezes all cells into a frame with every name prefixed by
-    /// `scope` + `/` (no prefix when `scope` is empty). Batch shards
-    /// snapshot under disjoint scopes so fleet folds are disjoint
-    /// unions; see [`MetricsFrame::totals`].
-    pub fn snapshot_scoped(&self, scope: &str) -> MetricsFrame {
         let cells = self.cells.lock().unwrap();
-        let mut frame = MetricsFrame::new();
-        for (name, cell) in cells.iter() {
-            let key = if scope.is_empty() { name.clone() } else { format!("{scope}/{name}") };
-            frame.metrics.insert(key, cell.value());
-        }
-        frame
+        let metrics = cells.iter().map(|(name, cell)| (name.clone(), cell.value())).collect();
+        MetricsFrame { metrics }
     }
 }
 
@@ -387,7 +293,7 @@ mod tests {
         assert_eq!(Histogram::bucket(3), 2);
         assert_eq!(Histogram::bucket(4), 3);
         assert_eq!(Histogram::bucket(u64::MAX), 64);
-        let h = Histogram::detached();
+        let h = Registry::new().histogram("h");
         h.record(0);
         h.record(7);
         h.record(8);
@@ -396,12 +302,16 @@ mod tests {
 
     #[test]
     fn scoped_totals_sum_by_leaf() {
+        // Built the way a batch files its points: each run's snapshot
+        // under its own `job{j}/pt{p}/` prefix.
         let mut fleet = MetricsFrame::new();
-        for shard in 0..3u64 {
+        for point in 0..3u64 {
             let reg = Registry::new();
-            reg.counter("points").add(shard + 1);
+            reg.counter("points").add(point + 1);
             reg.counter("feasible").add(1);
-            fleet.merge(&reg.snapshot_scoped(&format!("job0/shard{shard}")));
+            for (name, value) in reg.snapshot().metrics {
+                fleet.insert(format!("job0/pt{point}/{name}"), value);
+            }
         }
         assert_eq!(fleet.totals()["points"], 6);
         assert_eq!(fleet.totals()["feasible"], 3);
@@ -466,16 +376,5 @@ mod tests {
         let mut top = vec![0u64; HISTOGRAM_BUCKETS];
         top[64] = 1;
         assert_eq!(histogram_quantile(&top, 0.5), Some(1u64 << 63));
-    }
-
-    #[test]
-    fn merge_is_idempotent_on_equal_frames() {
-        let reg = Registry::new();
-        reg.counter("a").add(5);
-        reg.histogram("c").record(9);
-        let frame = reg.snapshot();
-        let mut twice = frame.clone();
-        twice.merge(&frame);
-        assert_eq!(twice, frame);
     }
 }

@@ -1,12 +1,10 @@
-//! Property-based tests for the metrics registry: the algebraic laws of
-//! [`MetricsFrame::merge`] (the `DelayCache::merge` contract —
-//! commutative, associative, idempotent, with the empty frame as
-//! identity) and the partition-invariance that makes batch fleet totals
-//! bit-identical across thread counts.
+//! Property-based tests for the telemetry layer: the partition-invariance
+//! that makes batch fleet totals bit-identical across thread counts, and
+//! the JSONL trace round trip.
 
 use isdc_telemetry::{
     parse_jsonl, render_jsonl, ArgValue, Event, EventKind, MetricValue, MetricsFrame, OwnedArg,
-    Trace, HISTOGRAM_BUCKETS,
+    Trace,
 };
 use proptest::prelude::*;
 
@@ -14,32 +12,6 @@ use proptest::prelude::*;
 fn lcg(state: &mut u64) -> u64 {
     *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
     *state >> 33
-}
-
-/// A random frame: a handful of keys drawn from a small shared pool (so
-/// two frames collide on some keys and differ on others), with values
-/// of random kinds — including deliberate kind mismatches across
-/// frames, which the join must still resolve lawfully.
-fn arbitrary_frame() -> impl Strategy<Value = MetricsFrame> {
-    any::<u64>().prop_map(|seed| {
-        let mut state = seed;
-        let mut frame = MetricsFrame::new();
-        let keys = ["cache/hits", "drain/paths", "run/iterations", "points", "shard0/points"];
-        let entries = 1 + lcg(&mut state) as usize % keys.len();
-        for _ in 0..entries {
-            let key = keys[lcg(&mut state) as usize % keys.len()];
-            let value = match lcg(&mut state) % 3 {
-                0 => MetricValue::Counter(lcg(&mut state)),
-                1 => MetricValue::Histogram(
-                    (0..HISTOGRAM_BUCKETS).map(|_| lcg(&mut state) % 16).collect(),
-                ),
-                // Short histogram: exercises the zero-padding in join.
-                _ => MetricValue::Histogram((0..7).map(|_| lcg(&mut state) % 16).collect()),
-            };
-            frame.insert(key, value);
-        }
-        frame
-    })
 }
 
 /// Span-name and argument pools. [`Event`] holds names and string
@@ -115,51 +87,14 @@ fn expected_arg(v: &ArgValue) -> OwnedArg {
     }
 }
 
-fn merged(a: &MetricsFrame, b: &MetricsFrame) -> MetricsFrame {
-    let mut out = a.clone();
-    out.merge(b);
-    out
-}
-
 proptest! {
-    /// merge(A, B) == merge(B, A): the batch aggregator folds shard
-    /// frames in slot order, but the result must not depend on it.
-    #[test]
-    fn merge_is_commutative((a, b) in (arbitrary_frame(), arbitrary_frame())) {
-        prop_assert_eq!(merged(&a, &b), merged(&b, &a));
-    }
-
-    /// (A ∨ B) ∨ C == A ∨ (B ∨ C): folding is grouping-insensitive, so
-    /// hierarchical aggregation (per-job, then fleet) matches flat.
-    #[test]
-    fn merge_is_associative((a, b, c) in (arbitrary_frame(), arbitrary_frame(), arbitrary_frame())) {
-        prop_assert_eq!(merged(&merged(&a, &b), &c), merged(&a, &merged(&b, &c)));
-    }
-
-    /// A ∨ A == A, and re-folding an already-folded frame is a no-op —
-    /// republishing a shard snapshot must not double-count.
-    #[test]
-    fn merge_is_idempotent((a, b) in (arbitrary_frame(), arbitrary_frame())) {
-        let ab = merged(&a, &b);
-        prop_assert_eq!(merged(&ab, &a), ab.clone());
-        prop_assert_eq!(merged(&ab, &b), ab.clone());
-        prop_assert_eq!(merged(&a, &a), a);
-    }
-
-    /// The empty frame is the identity element.
-    #[test]
-    fn empty_frame_is_identity(a in arbitrary_frame()) {
-        prop_assert_eq!(merged(&a, &MetricsFrame::new()), a.clone());
-        prop_assert_eq!(merged(&MetricsFrame::new(), &a), a);
-    }
-
     /// Fleet totals are partition-invariant: take a fixed list of
     /// per-point counter contributions (what a deterministic scheduler
-    /// produces), shard it any way, snapshot each shard under a
-    /// disjoint scope, fold in any of several orders — the summed
-    /// totals are bit-identical to the serial (single-shard) fold.
-    /// This is the algebraic core of the batch engine's cross-thread-
-    /// count determinism test.
+    /// produces), shard it any way, and insert each shard's sums into one
+    /// fleet frame under a disjoint scope, the way the batch engine files
+    /// its points — the summed totals are bit-identical to the serial
+    /// (single-shard) frame. This is the algebraic core of the batch
+    /// engine's cross-thread-count determinism test.
     #[test]
     fn totals_are_partition_invariant((seed, points) in (any::<u64>(), 1usize..40)) {
         let mut state = seed;
@@ -170,7 +105,6 @@ proptest! {
             let mut fleet = MetricsFrame::new();
             // Round-robin sharding: shard boundaries differ per count.
             for s in 0..shards {
-                let mut shard = MetricsFrame::new();
                 let mut bits = 0u64;
                 let mut feasible = 0u64;
                 for (i, (b, f)) in contributions.iter().enumerate() {
@@ -179,9 +113,8 @@ proptest! {
                         feasible += f;
                     }
                 }
-                shard.insert(format!("shard{s}/register_bits"), MetricValue::Counter(bits));
-                shard.insert(format!("shard{s}/feasible"), MetricValue::Counter(feasible));
-                fleet.merge(&shard);
+                fleet.insert(format!("shard{s}/register_bits"), MetricValue::Counter(bits));
+                fleet.insert(format!("shard{s}/feasible"), MetricValue::Counter(feasible));
             }
             fleet.totals()
         };

@@ -543,13 +543,16 @@ fn cmd_schedule(args: &[String]) -> Result<(), CliError> {
                 );
             }
         }
-        if let Some(stats) = result.cache_stats {
+        if cache {
+            // The run's own cache traffic, from its metrics frame.
+            let counter = |key| result.metrics.counter_or_zero(key);
+            let hits = counter("cache/hits");
+            let lookups = hits + counter("cache/misses");
+            let rate = if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 };
             println!(
-                "cache: {} hits / {} lookups ({:.0}% hit rate), {} entries inserted",
-                stats.hits,
-                stats.hits + stats.misses,
-                stats.hit_rate() * 100.0,
-                stats.inserts
+                "cache: {hits} hits / {lookups} lookups ({:.0}% hit rate), {} entries inserted",
+                rate * 100.0,
+                counter("cache/inserts")
             );
         }
         (result.schedule, "isdc")

@@ -12,7 +12,7 @@ use isdc::cache::DelayCache;
 use isdc::core::{
     linear_grid, min_feasible_period, sweep_clock_period, IsdcConfig, IsdcSession, SweepPoint,
 };
-use isdc::synth::{OpDelayModel, SynthesisOracle};
+use isdc::synth::{DelayOracle, OpDelayModel, SynthesisOracle};
 use isdc::techlib::TechLibrary;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -182,12 +182,13 @@ fn preloaded_snapshot_accelerates_without_changing_schedules() {
     let oracle = SynthesisOracle::new(lib);
     let options = BatchOptions { threads: 2, shard_points: 2, ..Default::default() };
 
-    // First batch fills a cache; merge it into a fresh one (the
-    // fleet-publication primitive) and re-run: everything replays.
+    // First batch fills a cache; its snapshot preloads a fresh one (the
+    // path `batch --cache-file` takes) and a re-run replays everything.
     let first_cache = Arc::new(DelayCache::new());
     let first = run_batch(&designs, &jobs, &options, &model, &oracle, &first_cache).unwrap();
     let preloaded = Arc::new(DelayCache::new());
-    assert!(preloaded.merge(&first_cache) > 0);
+    let snapshot = first_cache.to_json(oracle.name());
+    assert_eq!(preloaded.merge_json(&snapshot, oracle.name()), Ok(first_cache.len()));
     let second = run_batch(&designs, &jobs, &options, &model, &oracle, &preloaded).unwrap();
     assert_eq!(second.cache.misses, 0, "a preloaded fleet cache must serve every evaluation");
     assert!(second.cache_hit_rate() == 1.0);

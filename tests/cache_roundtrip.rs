@@ -3,13 +3,25 @@
 //! produce exactly the schedules an uncached run produces, and (b) serve the
 //! second run mostly from the snapshot, with a strictly positive hit rate.
 
-use isdc::core::{run_isdc, IsdcConfig};
+use isdc::cache::CacheStats;
+use isdc::core::{run_isdc, IsdcConfig, IsdcResult};
 use isdc::synth::{OpDelayModel, SynthesisOracle};
 use isdc::techlib::TechLibrary;
 use std::path::PathBuf;
 
 fn fresh_snapshot_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("isdc-cache-roundtrip-{tag}-{}.json", std::process::id()))
+}
+
+/// A cached run's cache traffic, read from its metrics frame.
+fn cache_traffic(run: &IsdcResult) -> CacheStats {
+    let counter = |key| run.metrics.counter(key).expect("a cached run records its cache traffic");
+    CacheStats {
+        hits: counter("cache/hits"),
+        misses: counter("cache/misses"),
+        inserts: counter("cache/inserts"),
+        evictions: 0,
+    }
 }
 
 #[test]
@@ -59,8 +71,8 @@ fn persistent_cache_preserves_results_and_hits_on_second_run() {
     }
 
     // (b) The snapshot must make the second run strictly warmer.
-    let stats1 = first.cache_stats.expect("stats recorded");
-    let stats2 = second.cache_stats.expect("stats recorded");
+    let stats1 = cache_traffic(&first);
+    let stats2 = cache_traffic(&second);
     assert!(stats2.hits > 0, "second run must hit the persisted cache: {stats2:?}");
     assert!(
         stats2.hit_rate() > stats1.hit_rate() || stats1.hit_rate() == 1.0,
@@ -108,7 +120,7 @@ fn snapshot_from_different_oracle_configuration_is_not_replayed() {
         with_stale_snapshot.schedule, reference.schedule,
         "foreign snapshot must not leak into the slow-corner schedule"
     );
-    let stats = with_stale_snapshot.cache_stats.expect("stats recorded");
+    let stats = cache_traffic(&with_stale_snapshot);
     assert!(stats.inserts > 0, "slow corner must re-measure, not replay: {stats:?}");
 }
 
@@ -130,5 +142,5 @@ fn corrupt_snapshot_is_ignored_not_fatal() {
     let result = run_isdc(&bench.graph, &model, &oracle, &config)
         .expect("a bad snapshot must not break scheduling");
     let _ = std::fs::remove_file(&path);
-    assert!(result.cache_stats.is_some());
+    assert!(result.metrics.counter("cache/hits").is_some());
 }

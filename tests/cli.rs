@@ -146,3 +146,69 @@ fn batch_spec_with_non_positive_periods_exits_2() {
     );
     let _ = std::fs::remove_file(&spec);
 }
+
+#[test]
+fn batch_spec_with_a_fractional_or_oversized_deadline_exits_2() {
+    // `--deadline` takes whole milliseconds that fit in a u64, and so
+    // does a spec's `deadline_ms`: 0.5 is not a 0 ms budget, nor 1e300 an
+    // unbounded one.
+    let spec =
+        std::env::temp_dir().join(format!("isdc-cli-bad-deadline-{}.json", std::process::id()));
+    let path = spec.to_str().expect("utf-8 temp path");
+    for ms in ["0.5", "2.5", "1e300"] {
+        std::fs::write(
+            &spec,
+            format!(
+                r#"{{"jobs":[{{"design":"rrot","from":2500,"points":1,"deadline_ms":{ms}}}]}}"#
+            ),
+        )
+        .unwrap();
+        assert_usage_error(
+            &["batch", "--jobs", path, "--threads", "1", "--iterations", "1"],
+            &format!("job `rrot`: bad deadline_ms `{ms}`"),
+        );
+    }
+    let _ = std::fs::remove_file(&spec);
+}
+
+#[test]
+fn cache_file_rerun_is_served_from_the_snapshot() {
+    let dir = std::env::temp_dir();
+    let ir = dir.join(format!("isdc-cli-cache-summary-{}.ir", std::process::id()));
+    let snapshot = dir.join(format!("isdc-cli-cache-summary-{}.json", std::process::id()));
+    let _ = std::fs::remove_file(&snapshot);
+    let (ir_path, snapshot_path) = (ir.to_str().unwrap(), snapshot.to_str().unwrap());
+    let out = cli(&["bench", "--emit", "rrot", "-o", ir_path]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let run = || {
+        let out = cli(&[
+            "schedule",
+            ir_path,
+            "--feedback",
+            "--iterations",
+            "3",
+            "--cache-file",
+            snapshot_path,
+        ]);
+        assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let (first, second) = (run(), run());
+    let _ = std::fs::remove_file(&ir);
+    let _ = std::fs::remove_file(&snapshot);
+
+    // `cache: H hits / L lookups (R% hit rate), N entries inserted`
+    let summary = |stdout: &str| -> String {
+        stdout.lines().find(|l| l.starts_with("cache: ")).expect("a cache summary line").into()
+    };
+    let lookups = |line: &str| -> String {
+        line.split_once(" / ").and_then(|(_, rest)| rest.split_once(" lookups")).unwrap().0.into()
+    };
+    let (cold, warm) = (summary(&first), summary(&second));
+    assert!(!cold.ends_with(" 0 entries inserted"), "the first run fills the snapshot: {cold}");
+    assert!(warm.ends_with("(100% hit rate), 0 entries inserted"), "{warm}");
+    assert_eq!(lookups(&cold), lookups(&warm), "{cold} vs {warm}");
+    // The schedule itself does not depend on where its delays came from.
+    let schedule = |stdout: &str| -> String { stdout.split_once("scheduler:").unwrap().1.into() };
+    assert_eq!(schedule(&first), schedule(&second));
+}
