@@ -158,9 +158,10 @@ pub struct IterationRecord {
     /// unseeded initial schedule and after any cold fallback).
     pub solver_warm: bool,
     /// SSP drain counters of this iteration's LP solve: Dijkstra searches,
-    /// nodes settled, augmenting paths, flow pushed. The drain runs one
-    /// search per path, so `dijkstras == paths`; all zero for cached
-    /// zero-delta re-solves.
+    /// nodes settled, augmenting paths, flow pushed. A warm re-drain runs
+    /// one search per path, so `dijkstras == paths`; a cold solve delivers
+    /// most paths by its zero-cost max flow, so `dijkstras <= paths`. All
+    /// zero for cached zero-delta re-solves.
     pub drain: DrainStats,
     /// Wall-clock time spent in this iteration.
     pub elapsed: Duration,

@@ -263,7 +263,8 @@ pub struct MinPeriodSearch {
 }
 
 /// Binary-searches the smallest feasible clock period in `[lo, hi]` to a
-/// resolution of `tol_ps`, scheduling through the session so feasible
+/// resolution of `tol_ps`, or until `lo` and `hi` are adjacent doubles when
+/// `tol_ps` is finer than that, scheduling through the session so feasible
 /// probes reuse each other's work. `lo` may be infeasible; `hi` should be
 /// feasible (otherwise the search reports `None`). Probes skip the
 /// per-iteration oracle metrics ([`IsdcConfig::iteration_metrics`]) —
@@ -312,6 +313,11 @@ pub fn min_feasible_period<O: DelayOracle + ?Sized>(
     let (mut lo, mut hi) = (lo, hi);
     while hi - lo > tol_ps {
         let mid = lo + (hi - lo) / 2.0;
+        if mid <= lo || mid >= hi {
+            // `lo` and `hi` are adjacent doubles: the midpoint rounds onto
+            // one of them, so no probe can narrow the interval further.
+            break;
+        }
         if probe(session, mid)? {
             hi = mid;
         } else {
@@ -456,6 +462,32 @@ mod tests {
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
+    }
+
+    #[test]
+    fn min_period_search_ends_at_adjacent_doubles() {
+        // A tolerance finer than the spacing of doubles near the answer:
+        // the bisection must stop once `lo` and `hi` are adjacent, where
+        // the midpoint rounds onto one of them, instead of re-probing it
+        // forever. The deadline turns a hang into a failure.
+        let lib = isdc_techlib::TechLibrary::sky130();
+        let model = isdc_synth::OpDelayModel::new(lib.clone());
+        let oracle = isdc_synth::SynthesisOracle::new(lib);
+        let graph = isdc_benchsuite::designs::rrot();
+        let mut session = IsdcSession::new(&graph, &model, &oracle);
+        let base =
+            IsdcConfig { max_iterations: 1, threads: 1, ..IsdcConfig::paper_defaults(2500.0) };
+        let token = isdc_cancel::CancelToken::with_deadline(Duration::from_secs(10));
+        let _scope = token.install();
+        let search = min_feasible_period(&mut session, &base, 1.0, 2500.0, f64::MIN_POSITIVE)
+            .expect("the search ends before its deadline");
+        let min = search.min_period_ps.expect("2500 ps is feasible");
+        let below = f64::from_bits(min.to_bits() - 1);
+        assert!(
+            search.probes.iter().any(|p| p.clock_period_ps == below && !p.feasible),
+            "the double just below {min} ps was probed infeasible"
+        );
+        assert!(search.probes.len() <= 1 + 64, "{} probes", search.probes.len());
     }
 
     #[test]

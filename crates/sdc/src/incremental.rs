@@ -43,6 +43,26 @@ struct WarmState {
     excess: Vec<i64>,
     canon: CanonGraph,
     scratch: SolverScratch,
+    /// The network carries no flow yet (built by a cold start or a
+    /// potential import, not drained since), so the next drain opens with
+    /// the zero-cost max flow.
+    zero_flow: bool,
+}
+
+impl WarmState {
+    /// A flowless network over `system`'s constraints at potentials `pi`,
+    /// with the objective's full supply as excess.
+    fn new(system: &DifferenceSystem, weights: &[i64], pi: Vec<i64>) -> Self {
+        let n = system.num_vars();
+        let mut net = FlowNetwork::new(n);
+        for c in system.constraints() {
+            net.add_arc(c.u.index(), c.v.index(), c.bound);
+        }
+        // Node v needs net inflow w_v; excess = -w (positive = source).
+        let excess = weights.iter().map(|&w| -w).collect();
+        let canon = CanonGraph::new(system);
+        Self { net, pi, excess, canon, scratch: SolverScratch::new(n), zero_flow: true }
+    }
 }
 
 /// A reusable SDC LP solver that persists the min-cost-flow state across
@@ -176,21 +196,20 @@ impl IncrementalSolver {
     }
 
     /// Drain counters of the most recent [`IncrementalSolver::solve`]:
-    /// augmenting paths pushed (one Dijkstra search each, so `dijkstras ==
-    /// paths`), nodes settled and flow delivered. Zero for cached
-    /// zero-delta re-solves and pure feasibility queries (no drain runs at
-    /// all there).
+    /// Dijkstra searches, nodes settled, augmenting paths pushed and flow
+    /// delivered (see [`DrainStats`]). Zero for cached zero-delta re-solves
+    /// and pure feasibility queries (no drain runs at all there).
     pub fn last_drain_stats(&self) -> DrainStats {
         self.last_drain
     }
 
     /// Routes every subsequent solve through the retained reference drain
-    /// (index-only ties, per-search allocations and an O(n) potential
-    /// update per path) instead of the deficits-first one, and starts cold
-    /// solves from the plain Bellman-Ford point instead of the tightened
-    /// one ([`DifferenceSystem::lower_weighted`]). Results are bit-identical
-    /// by construction; only search counts and time change. A test/bench
-    /// hook, not a tuning knob.
+    /// (no zero-cost max flow, index-only ties, per-search allocations and
+    /// an O(n) potential update per path) instead of the deficits-first
+    /// one, and starts cold solves from the plain Bellman-Ford point
+    /// instead of the tightened one ([`DifferenceSystem::lower_weighted`]).
+    /// Results are bit-identical by construction; only search counts and
+    /// time change. A test/bench hook, not a tuning knob.
     #[doc(hidden)]
     pub fn use_reference_drain(&mut self, on: bool) {
         self.serial_drain = on;
@@ -226,15 +245,8 @@ impl IncrementalSolver {
         if self.system.first_violation(&x).is_some() {
             return false;
         }
-        let mut net = FlowNetwork::new(n);
-        for c in self.system.constraints() {
-            net.add_arc(c.u.index(), c.v.index(), c.bound);
-        }
-        let excess: Vec<i64> = self.weights.iter().map(|&w| -w).collect();
-        let canon = CanonGraph::new(&self.system);
+        self.state = Some(WarmState::new(&self.system, &self.weights, pi.to_vec()));
         self.canon_stale = false;
-        let scratch = SolverScratch::new(n);
-        self.state = Some(WarmState { net, pi: pi.to_vec(), excess, canon, scratch });
         self.cached = None;
         self.pending = true;
         true
@@ -323,7 +335,6 @@ impl IncrementalSolver {
     ///
     /// See [`crate::minimize`].
     pub fn solve(&mut self) -> Result<LpSolution, SolveError> {
-        let n = self.system.num_vars();
         self.last_drain = DrainStats::default();
         if self.zero_objective {
             // Pure feasibility query: any satisfying point is optimal.
@@ -360,17 +371,9 @@ impl IncrementalSolver {
                     "the tightened start must stay feasible"
                 );
             }
-            let mut net = FlowNetwork::new(n);
-            for c in self.system.constraints() {
-                net.add_arc(c.u.index(), c.v.index(), c.bound);
-            }
-            // Node v needs net inflow w_v; excess = -w (positive = source).
-            let excess: Vec<i64> = self.weights.iter().map(|&w| -w).collect();
-            let pi: Vec<i64> = feasible.iter().map(|&x| -x).collect();
-            let canon = CanonGraph::new(&self.system);
+            let pi = feasible.iter().map(|&x| -x).collect();
+            self.state = Some(WarmState::new(&self.system, &self.weights, pi));
             self.canon_stale = false;
-            let scratch = SolverScratch::new(n);
-            self.state = Some(WarmState { net, pi, excess, canon, scratch });
         }
         if self.canon_stale {
             // Constraints were appended since the canonicalization graph was
@@ -390,9 +393,11 @@ impl IncrementalSolver {
                 &mut state.excess,
                 &mut state.pi,
                 &mut state.scratch,
+                state.zero_flow,
                 &mut drain,
             )
         };
+        state.zero_flow = false;
         drain_span.note(
             "drain_stats",
             &[
@@ -787,9 +792,14 @@ mod tests {
     #[test]
     fn drain_stats_reset_on_cached_and_feasibility_solves() {
         let (sys, weights, timing) = chain_system();
+        let supply: u64 = weights.iter().filter(|&&w| w < 0).map(|&w| w.unsigned_abs()).sum();
         let mut solver = IncrementalSolver::new(sys.clone(), weights).unwrap();
         solver.solve().unwrap();
-        assert!(solver.last_drain_stats().dijkstras > 0, "the cold solve drains");
+        // The cold solve drains the objective's whole supply (its zero-cost
+        // share by max flow, without any Dijkstra).
+        let cold = solver.last_drain_stats();
+        assert!(cold.paths > 0, "the cold solve drains: {cold:?}");
+        assert_eq!(cold.flow_pushed, supply, "{cold:?}");
         // Zero-delta re-solve: served from cache, no drain at all.
         solver.solve().unwrap();
         assert_eq!(solver.last_drain_stats(), DrainStats::default());

@@ -30,10 +30,16 @@
 //!
 //! The drain itself ([`ssp_drain`]) runs one early-exit single-source
 //! Dijkstra per augmenting path, popping deficits first among equal
-//! distances, for cold full-supply drains and warm re-drains alike.
-//! [`ssp_drain_serial`] is the retained reference: the original algorithm,
-//! run from the plain Bellman-Ford start, that the drain is proven
-//! bit-identical against. [`DrainStats`] counts what the search did.
+//! distances. A drain that starts from zero flow (a cold start, or
+//! potentials imported by
+//! [`IncrementalSolver::warm_from_potentials`](crate::IncrementalSolver::warm_from_potentials))
+//! first moves all the supply that residual arcs of reduced cost exactly 0
+//! can carry as one max flow ([`zero_cost_max_flow`]) and leaves only the
+//! rest to those searches; a re-drain after relaxed bounds runs the
+//! searches alone. [`ssp_drain_serial`] is the retained reference: the
+//! original algorithm, run from the plain Bellman-Ford start, that the
+//! drain is proven bit-identical against. [`DrainStats`] counts what the
+//! search did.
 //!
 //! Because the LP can have many optimal vertices, the raw SSP potentials
 //! depend on pivot order. To make every solve path (cold, and the
@@ -60,14 +66,17 @@ pub struct LpSolution {
 }
 
 /// Counters from the successive-shortest-paths drain of one solve: how much
-/// search the solver actually ran. Every augmenting path costs one
-/// early-exit Dijkstra, so `dijkstras == paths`; `nodes_settled` is the
-/// measure of search effort.
+/// search the solver actually ran. On a re-drain every augmenting path
+/// costs one early-exit Dijkstra, so `dijkstras == paths`. A drain from
+/// zero flow delivers most of its paths by the zero-cost max flow, which
+/// runs no Dijkstra, so there `dijkstras <= paths`. `nodes_settled` is the
+/// measure of search effort either way.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DrainStats {
-    /// Dijkstra searches run, one per augmenting path.
+    /// Dijkstra searches run, one per path the max flow left to search for.
     pub dijkstras: u64,
-    /// Nodes settled across all searches.
+    /// Nodes settled across all Dijkstra searches, plus nodes visited by
+    /// the max flow's breadth-first level searches.
     pub nodes_settled: u64,
     /// Augmenting source->deficit paths pushed along.
     pub paths: u64,
@@ -228,9 +237,11 @@ impl FlowNetwork {
 /// Persistent scratch for [`ssp_drain`]: the Dijkstra working set, reused
 /// across searches *and* across solves (it lives in the warm state), so a
 /// re-drain allocates no search buffers. Buffers are versioned — `stamp[v]`
-/// marks `dist`/`parent` valid and `settled[v]` marks settlement for the
-/// search whose counter matches — so clearing between searches is O(1),
-/// not O(n).
+/// marks `dist`/`parent`/`cur` valid and `settled[v]` marks settlement for
+/// the search whose counter matches — so clearing between searches is
+/// O(1), not O(n). A max-flow round of [`zero_cost_max_flow`] counts as
+/// one search: its levels live in `dist` and its BFS queue in
+/// `settle_order`.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct SolverScratch {
     dist: Vec<i64>,
@@ -239,10 +250,15 @@ pub(crate) struct SolverScratch {
     /// Shortest-path tree parent arc (valid while `stamp` matches); the
     /// augmentation walks it back from the deficit to the source.
     parent: Vec<usize>,
+    /// Max-flow current-arc pointer into the node's adjacency (valid while
+    /// `stamp` matches): arcs before it are exhausted for the round.
+    cur: Vec<u32>,
     version: u32,
     heap: BinaryHeap<Reverse<(i64, usize)>>,
     /// Nodes settled this search, in settle (= distance) order.
     settle_order: Vec<usize>,
+    /// The max-flow DFS path, as a stack of arc indices.
+    path: Vec<usize>,
 }
 
 impl SolverScratch {
@@ -252,9 +268,11 @@ impl SolverScratch {
             stamp: vec![0; n],
             settled: vec![0; n],
             parent: vec![usize::MAX; n],
+            cur: vec![0; n],
             version: 0,
             heap: BinaryHeap::new(),
             settle_order: Vec::new(),
+            path: Vec::new(),
         }
     }
 
@@ -300,18 +318,28 @@ impl SolverScratch {
 ///   node has `dist <= dt` and everything left in the heap, hence every
 ///   unsettled node's true distance, is `>= dt`.
 ///
-/// The tie rule can change which deficit a search stops at, and so which
-/// optimal flow the drain ends with, but never the canonical assignment
-/// (see [`canonical_assignment`]). Counters are accumulated into `stats`.
+/// With `zero_flow` set (the network carries no flow yet: a cold start, or
+/// imported potentials), the drain first runs [`zero_cost_max_flow`] and
+/// the searches deliver only what it leaves. Re-drains pass `false`: their
+/// excess is what canceled flow re-exposed, and a max flow there re-walks
+/// the zero-cost region around every relaxed arc for little gain.
+///
+/// The tie rule and the max flow can change which optimal flow the drain
+/// ends with, but never the canonical assignment (see
+/// [`canonical_assignment`]). Counters are accumulated into `stats`.
 pub(crate) fn ssp_drain(
     net: &mut FlowNetwork,
     excess: &mut [i64],
     pi: &mut [i64],
     scratch: &mut SolverScratch,
+    zero_flow: bool,
     stats: &mut DrainStats,
 ) -> Result<(), SolveError> {
     let n = excess.len();
     debug_assert_eq!(scratch.dist.len(), n, "scratch sized for this network");
+    if zero_flow {
+        zero_cost_max_flow(net, excess, pi, scratch, stats)?;
+    }
     // Heap key of a node: itself if it is a deficit, `n` past it otherwise,
     // so deficits sort first at equal distance (see the doc comment).
     let key = |v: usize, excess: &[i64]| if excess[v] < 0 { v } else { v + n };
@@ -400,6 +428,138 @@ pub(crate) fn ssp_drain(
         // Fold the deferred share into the real potentials: one O(n) pass
         // per drain call instead of one per augmentation.
         pi.iter_mut().for_each(|p| *p += offset);
+    }
+    Ok(())
+}
+
+/// Dinic max flow (Dinic, 1970) over the residual arcs whose reduced cost
+/// is exactly 0: the primal-dual step that moves every unit of supply a
+/// zero-cost route can carry at once (Ahuja, Magnanti & Orlin, *Network
+/// Flows*, 1993, §9.8), where single-source searches would each re-walk
+/// the same zero-cost region to route around deficits earlier paths
+/// filled. Pushing along zero-reduced-cost arcs opens only
+/// zero-reduced-cost reverse arcs, so every reduced cost stays
+/// nonnegative and no potential moves. What no zero-cost route can carry
+/// stays as excess for [`ssp_drain`]'s searches.
+///
+/// Each round runs one BFS that labels levels from every source with
+/// excess and stops at the first level holding a deficit, then a
+/// blocking-flow DFS with a current-arc pointer per node that walks the
+/// sources in descending index order, the order the searches pop them in.
+/// Rounds repeat until a BFS reaches no deficit; each one lengthens the
+/// shortest zero-cost route, so there are at most `n`. BFS visits count
+/// as `nodes_settled`, augmentations as `paths`.
+fn zero_cost_max_flow(
+    net: &mut FlowNetwork,
+    excess: &mut [i64],
+    pi: &[i64],
+    scratch: &mut SolverScratch,
+    stats: &mut DrainStats,
+) -> Result<(), SolveError> {
+    let mut sources: Vec<usize> = (0..excess.len()).filter(|&v| excess[v] > 0).collect();
+    while !sources.is_empty() {
+        // Per-round cancellation poll; the caller discards the partial flow
+        // on the error, as it does for the searches.
+        isdc_cancel::checkpoint().map_err(|_| SolveError::Cancelled)?;
+        scratch.begin_search();
+        let version = scratch.version;
+        for &s in &sources {
+            scratch.stamp[s] = version;
+            scratch.dist[s] = 0;
+            scratch.cur[s] = 0;
+            scratch.settle_order.push(s);
+        }
+        // BFS levels. Every node of the first deficit level is labeled by
+        // the time the queue reaches that level, so it is never expanded.
+        let mut limit = i64::MAX;
+        let mut head = 0;
+        while let Some(&u) = scratch.settle_order.get(head) {
+            head += 1;
+            let level = scratch.dist[u];
+            if level >= limit {
+                break;
+            }
+            for &arc in &net.adj[u] {
+                let (v, cost, cap) = net.arcs[arc];
+                if cap <= 0 || scratch.stamp[v] == version {
+                    continue;
+                }
+                let reduced = cost + pi[u] - pi[v];
+                debug_assert!(reduced >= 0, "reduced cost must stay nonnegative");
+                if reduced != 0 {
+                    continue;
+                }
+                scratch.stamp[v] = version;
+                scratch.dist[v] = level + 1;
+                scratch.cur[v] = 0;
+                scratch.settle_order.push(v);
+                if excess[v] < 0 {
+                    limit = level + 1;
+                }
+            }
+        }
+        stats.nodes_settled += scratch.settle_order.len() as u64;
+        if limit == i64::MAX {
+            return Ok(()); // no zero-cost route to a deficit remains
+        }
+        // Blocking flow over the level graph: zero-reduced-cost residual
+        // arcs from one level to the next. Arcs exhausted for the round
+        // are skipped for good by the current-arc pointer.
+        for &root in sources.iter().rev() {
+            scratch.path.clear();
+            let mut u = root;
+            while excess[root] > 0 {
+                if excess[u] < 0 {
+                    let mut amount = excess[root].min(-excess[u]);
+                    for &arc in &scratch.path {
+                        amount = amount.min(net.residual_cap(arc));
+                    }
+                    debug_assert!(amount > 0);
+                    for &arc in &scratch.path {
+                        net.push(arc, amount);
+                    }
+                    excess[root] -= amount;
+                    excess[u] += amount;
+                    stats.paths += 1;
+                    stats.flow_pushed += amount as u64;
+                    // Retreat to the tail of the first saturated arc; with
+                    // none, the deficit is filled and is now a dead end.
+                    if let Some(cut) =
+                        scratch.path.iter().position(|&arc| net.residual_cap(arc) == 0)
+                    {
+                        u = net.arc_from(scratch.path[cut]);
+                        scratch.path.truncate(cut);
+                    }
+                    continue;
+                }
+                let level = scratch.dist[u];
+                let mut next = None;
+                while level < limit && (scratch.cur[u] as usize) < net.adj[u].len() {
+                    let arc = net.adj[u][scratch.cur[u] as usize];
+                    let (v, cost, cap) = net.arcs[arc];
+                    if cap > 0
+                        && scratch.stamp[v] == version
+                        && scratch.dist[v] == level + 1
+                        && cost + pi[u] - pi[v] == 0
+                    {
+                        next = Some((arc, v));
+                        break;
+                    }
+                    scratch.cur[u] += 1;
+                }
+                if let Some((arc, v)) = next {
+                    scratch.path.push(arc);
+                    u = v;
+                } else if let Some(arc) = scratch.path.pop() {
+                    // Dead end: retreat and exhaust the arc that led here.
+                    u = net.arc_from(arc);
+                    scratch.cur[u] += 1;
+                } else {
+                    break; // this source reaches no deficit this round
+                }
+            }
+        }
+        sources.retain(|&v| excess[v] > 0);
     }
     Ok(())
 }

@@ -46,6 +46,16 @@ fn brute_force(sys: &DifferenceSystem, weights: &[i64], lo: i64, hi: i64) -> Opt
     }
 }
 
+/// A solver seeded with potentials `-hidden`, the point every generated
+/// system is feasible around. The import succeeds unless the objective is
+/// all zeros, which needs no flow network.
+fn import_hidden(sys: &DifferenceSystem, weights: &[i64], hidden: &[i64]) -> IncrementalSolver {
+    let mut solver = IncrementalSolver::new(sys.clone(), weights.to_vec()).unwrap();
+    let pi: Vec<i64> = hidden.iter().map(|&h| -h).collect();
+    assert_eq!(solver.warm_from_potentials(&pi), weights.iter().any(|&w| w != 0));
+    solver
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
@@ -130,8 +140,10 @@ proptest! {
     /// drain — across the initial solve and arbitrary mixed relax/tighten
     /// bound sequences (relaxations re-drain warm in both; tightenings force
     /// both onto the cold path, where the reference starts from the plain
-    /// Bellman-Ford point and the solver from the tightened one). Also
-    /// pinned against a from-scratch `minimize` at every step.
+    /// Bellman-Ford point and the solver from the tightened one). A third
+    /// solver enters through imported potentials `-hidden`, so its first
+    /// drain also starts from zero flow but at another feasible point. All
+    /// three are pinned against a from-scratch `minimize` at every step.
     #[test]
     fn drain_matches_reference_drain(
         n in 3usize..8,
@@ -164,7 +176,11 @@ proptest! {
         let mut drained = IncrementalSolver::new(sys.clone(), weights.clone()).unwrap();
         let mut serial = IncrementalSolver::new(sys.clone(), weights.clone()).unwrap();
         serial.use_reference_drain(true);
-        prop_assert_eq!(drained.solve(), serial.solve(), "initial solves diverged");
+        let mut imported = import_hidden(&sys, &weights, &hidden[..n]);
+        let s = serial.solve();
+        prop_assert_eq!(&drained.solve(), &s, "initial solves diverged");
+        prop_assert_eq!(&imported.solve(), &s, "initial imported solve diverged");
+        prop_assert_eq!(&s, &minimize(&sys, &weights), "initial solve diverged from minimize");
 
         let m = sys.constraints().len();
         for (step, &(ci, delta)) in deltas.iter().enumerate() {
@@ -172,10 +188,12 @@ proptest! {
             let bound = sys.constraints()[ci].bound + delta;
             drained.update_bound(ci, bound);
             serial.update_bound(ci, bound);
+            imported.update_bound(ci, bound);
             sys.set_bound(ci, bound);
             let b = drained.solve();
             let s = serial.solve();
             prop_assert_eq!(&b, &s, "step {}: drain vs reference diverged", step);
+            prop_assert_eq!(&imported.solve(), &s, "step {}: imported vs reference diverged", step);
             prop_assert_eq!(
                 b.is_ok(), minimize(&sys, &weights).is_ok(),
                 "step {}: solvability changed under the drain", step
@@ -294,7 +312,11 @@ proptest! {
         let mut drained = IncrementalSolver::new(sys.clone(), weights.clone()).unwrap();
         let mut serial = IncrementalSolver::new(sys.clone(), weights.clone()).unwrap();
         serial.use_reference_drain(true);
-        prop_assert_eq!(drained.solve(), serial.solve(), "initial solves diverged");
+        let mut imported = import_hidden(&sys, &weights, &hidden);
+        let s = serial.solve();
+        prop_assert_eq!(&drained.solve(), &s, "initial solves diverged");
+        prop_assert_eq!(&imported.solve(), &s, "initial imported solve diverged");
+        prop_assert_eq!(&s, &minimize(&sys, &weights), "initial solve diverged from minimize");
 
         let m = sys.constraints().len();
         for (step, &(ci, delta)) in deltas.iter().enumerate() {
@@ -302,10 +324,12 @@ proptest! {
             let bound = sys.constraints()[ci].bound + delta;
             drained.update_bound(ci, bound);
             serial.update_bound(ci, bound);
+            imported.update_bound(ci, bound);
             sys.set_bound(ci, bound);
             let b = drained.solve();
             let s = serial.solve();
             prop_assert_eq!(&b, &s, "step {}: drain vs reference diverged", step);
+            prop_assert_eq!(&imported.solve(), &s, "step {}: imported vs reference diverged", step);
             if let Ok(sol) = b {
                 prop_assert_eq!(
                     sol, minimize(&sys, &weights).unwrap(),

@@ -108,6 +108,30 @@ fn sub_picosecond_min_period_search_finds_no_period() {
 }
 
 #[test]
+fn min_period_search_with_a_tiny_tol_ends() {
+    // A tolerance finer than the spacing of doubles near the answer ends the
+    // search once the interval stops shrinking. The deadline turns a hang
+    // into exit 4.
+    let out = cli(&[
+        "sweep",
+        "--bench",
+        "rrot",
+        "--points",
+        "1",
+        "--iterations",
+        "1",
+        "--min-period",
+        "--tol",
+        "1e-20",
+        "--deadline",
+        "60000",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout.contains("minimum feasible period: "), "{stdout}");
+}
+
+#[test]
 fn grid_size_outside_the_cap_exits_2() {
     // No size outside 1..=10000 reaches the grid allocation: usize::MAX
     // would overflow it, and one past the cap is the smallest size refused.
