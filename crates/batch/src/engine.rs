@@ -280,10 +280,10 @@ pub enum JobStatus {
         /// Wall-clock the job's shards spent before the cut, in
         /// milliseconds.
         elapsed_ms: u64,
-        /// Sweep points / probes that completed across the job's shards
-        /// before cancellation landed (each one bit-identical to the
-        /// uncancelled run's corresponding point — cancellation is
-        /// clean-cut).
+        /// Sweep points that completed across the job's shards before
+        /// cancellation landed (each one bit-identical to the uncancelled
+        /// run's corresponding point — cancellation is clean-cut). Always 0
+        /// for a search, whose one run is all it schedules.
         points_completed: usize,
         /// The cancelled worker's flight tail (like
         /// [`JobError::flight`]): the last spans and notes before the cut,
@@ -329,8 +329,8 @@ pub struct ShardJob {
 /// Expands jobs into the shard list the worker pool consumes.
 ///
 /// Sweeps split into contiguous period chunks of at most `shard_points`
-/// (see [`BatchOptions::shard_points`] for the automatic size); searches
-/// are inherently sequential and stay whole. Chunking never reorders
+/// (see [`BatchOptions::shard_points`] for the automatic size); a search
+/// is one run and stays whole. Chunking never reorders
 /// periods, so a shard of an ascending sweep still warm-starts each point
 /// from its tighter neighbour.
 ///
@@ -384,17 +384,22 @@ pub struct JobResult {
     /// The job as submitted.
     pub job: Job,
     /// Per-run records — sweep points in the job's period order, or a
-    /// search's probes in probe order. The same records
-    /// [`isdc_core::sweep_clock_period`] produces, schedule included.
+    /// search's one record ([`isdc_core::MinPeriodSearch::point`]). The
+    /// same records [`isdc_core::sweep_clock_period`] produces, schedule
+    /// included.
     pub points: Vec<SweepPoint>,
     /// The found minimum period, for [`JobKind::MinPeriod`] jobs.
     pub min_period_ps: Option<Picos>,
+    /// The design's largest naive node delay, which no feasible period is
+    /// below, for [`JobKind::MinPeriod`] jobs
+    /// ([`isdc_core::MinPeriodSearch::floor`]).
+    pub floor_ps: Option<Picos>,
     /// How many shards the job was split into.
     pub shards: usize,
     /// Summed worker wall-clock across the job's shards.
     pub elapsed: Duration,
-    /// Terminal status. `points` and `min_period_ps` are withheld (empty /
-    /// `None`) unless this is [`JobStatus::Ok`].
+    /// Terminal status. `points`, `min_period_ps` and `floor_ps` are
+    /// withheld (empty / `None`) unless this is [`JobStatus::Ok`].
     pub status: JobStatus,
     /// Transient-failure retries spent across the job's shards, including
     /// retries that eventually succeeded.
@@ -430,10 +435,11 @@ pub struct BatchReport {
     /// Shared-cache counter deltas over the batch (hits/misses/inserts by
     /// this batch's workers only).
     pub cache: CacheStats,
-    /// The fleet metrics frame: every run's telemetry frame scoped under a
-    /// deterministic `job{j}/pt{p}/…` key (plan order, so keys are
-    /// thread-count-independent) and max-joined into one store.
-    /// [`MetricsFrame::totals`] sums it back into fleet counters.
+    /// The fleet metrics frame: every run's telemetry frame inserted under
+    /// deterministic `job{j}/pt{p}/…` keys (plan order, so keys are
+    /// thread-count-independent). The keys are disjoint, so no value
+    /// overwrites another; [`MetricsFrame::totals`] sums them into fleet
+    /// counters.
     pub metrics: MetricsFrame,
 }
 
@@ -502,6 +508,7 @@ fn fleet_frame(jobs: &[JobResult]) -> MetricsFrame {
 struct ShardOutput {
     points: Vec<SweepPoint>,
     min_period_ps: Option<Picos>,
+    floor_ps: Option<Picos>,
     elapsed: Duration,
     /// Transient-failure retries this shard spent before succeeding.
     retries: u32,
@@ -638,13 +645,20 @@ fn run_shard<O: DelayOracle + ?Sized>(
     match &shard.kind {
         JobKind::Sweep { periods } => {
             let points = sweep_clock_period(&mut session, &design.base, periods)?;
-            Ok(ShardOutput { points, min_period_ps: None, elapsed: start.elapsed(), retries: 0 })
+            Ok(ShardOutput {
+                points,
+                min_period_ps: None,
+                floor_ps: None,
+                elapsed: start.elapsed(),
+                retries: 0,
+            })
         }
         JobKind::MinPeriod { lo, hi, tol_ps } => {
             let search = min_feasible_period(&mut session, &design.base, *lo, *hi, *tol_ps)?;
             Ok(ShardOutput {
-                points: search.probes,
+                points: vec![search.point],
                 min_period_ps: search.min_period_ps,
+                floor_ps: search.floor.map(|(_, delay)| delay),
                 elapsed: start.elapsed(),
                 retries: 0,
             })
@@ -828,6 +842,7 @@ pub fn run_batch<O: DelayOracle + ?Sized>(
             job: job.clone(),
             points: Vec::new(),
             min_period_ps: None,
+            floor_ps: None,
             shards: 0,
             elapsed: Duration::ZERO,
             status: JobStatus::Ok,
@@ -844,6 +859,7 @@ pub fn run_batch<O: DelayOracle + ?Sized>(
                 result.retries += out.retries;
                 result.points.extend(out.points);
                 result.min_period_ps = result.min_period_ps.or(out.min_period_ps);
+                result.floor_ps = result.floor_ps.or(out.floor_ps);
                 result.shards += 1;
                 result.elapsed += out.elapsed;
             }
@@ -901,6 +917,7 @@ pub fn run_batch<O: DelayOracle + ?Sized>(
         if !result.status.is_ok() {
             result.points.clear();
             result.min_period_ps = None;
+            result.floor_ps = None;
         }
     }
     drop(batch_span);
@@ -979,6 +996,7 @@ pub fn serial_reference<O: DelayOracle + ?Sized>(
             job: job.clone(),
             points: out.points,
             min_period_ps: out.min_period_ps,
+            floor_ps: out.floor_ps,
             shards: 1,
             elapsed: out.elapsed,
             status: JobStatus::Ok,

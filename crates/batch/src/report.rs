@@ -182,6 +182,9 @@ pub fn render_batch_json(doc: &BatchBenchDoc<'_>) -> String {
         if let Some(min) = job.min_period_ps {
             let _ = write!(out, ", \"min_period_ps\": {min:?}");
         }
+        if let Some(floor) = job.floor_ps {
+            let _ = write!(out, ", \"floor_ps\": {floor:?}");
+        }
         let drain = |leaf: &str| job.points.iter().map(|p| p.drain_total(leaf)).sum::<u64>();
         let _ = write!(
             out,
@@ -234,6 +237,7 @@ mod tests {
                 job: Job::sweep("tiny", vec![100.0]),
                 points: vec![infeasible],
                 min_period_ps: None,
+                floor_ps: None,
                 shards: 1,
                 elapsed: Duration::from_nanos(5),
                 status,
@@ -290,6 +294,28 @@ mod tests {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
         assert!(!json.contains("NaN"), "rates must be guarded: {json}");
+    }
+
+    #[test]
+    fn min_period_rows_carry_their_answer_and_floor() {
+        let mut report = one_job_report(JobStatus::Ok);
+        report.jobs[0].job = Job::min_period("tiny", 1.0, 2500.0, 10.0);
+        report.jobs[0].min_period_ps = Some(346.6796875);
+        report.jobs[0].floor_ps = Some(338.25);
+        let doc = BatchBenchDoc {
+            mode: "cli",
+            designs: 1,
+            report: &report,
+            hardware_threads: 2,
+            repeats: 1,
+            serial_total: None,
+            independent_total: None,
+            scaling: &[],
+            bit_identical: false,
+        };
+        let json = render_batch_json(&doc);
+        assert!(json.contains("\"type\": \"min_period\""), "{json}");
+        assert!(json.contains("\"min_period_ps\": 346.6796875, \"floor_ps\": 338.25"), "{json}");
     }
 
     #[test]

@@ -45,8 +45,8 @@ pub enum JobKind {
         /// The clock periods to schedule for, in execution order.
         periods: Vec<Picos>,
     },
-    /// Binary-search the smallest feasible period
-    /// ([`isdc_core::min_feasible_period`] semantics).
+    /// Binary-search the smallest feasible period, then schedule once at
+    /// it ([`isdc_core::min_feasible_period`] semantics).
     MinPeriod {
         /// Lower search bound (may be infeasible).
         lo: Picos,
@@ -94,8 +94,9 @@ impl Job {
         self
     }
 
-    /// Number of session runs the job performs up front (probes of a search
-    /// are counted as 0 — they depend on feasibility outcomes).
+    /// Number of sweep points the job plans, which sizes automatic shards.
+    /// A search counts 0: its one run (none when `hi` is below the design's
+    /// timing floor) is never split across shards.
     pub fn planned_points(&self) -> usize {
         match &self.kind {
             JobKind::Sweep { periods } => periods.len(),

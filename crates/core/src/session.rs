@@ -160,6 +160,25 @@ impl<'a, O: DelayOracle + ?Sized> IsdcSession<'a, O> {
         self.runs
     }
 
+    /// The design's timing floor: the first node with the largest naive
+    /// delay, and that delay. A run at period `T` fails with
+    /// [`ScheduleError::OperationExceedsClock`] exactly when the delay
+    /// exceeds `T` — the scheduler makes that `>` test on the naive matrix
+    /// before a run's first solve, and feedback only ever lowers a node's
+    /// delay. `None` when no node has a delay (an empty graph).
+    pub fn timing_floor(&self) -> Option<(NodeId, Picos)> {
+        let delays = self.model.all_node_delays(self.graph);
+        let mut floor: Option<(NodeId, Picos)> = None;
+        for (v, d) in self.graph.node_ids().zip(delays) {
+            // `>` skips NaN exactly as the scheduler's test does, and
+            // keeps the first of equal maxima, the node it reports.
+            if d > floor.map_or(f64::NEG_INFINITY, |(_, max)| max) {
+                floor = Some((v, d));
+            }
+        }
+        floor
+    }
+
     /// Merges a persisted snapshot (delay entries and potentials) into the
     /// session, returning the number of delay entries merged. Tagged with
     /// the session oracle's identity, like
@@ -206,7 +225,7 @@ impl<'a, O: DelayOracle + ?Sized> IsdcSession<'a, O> {
         let caching = CachingOracle::with_cache(self.oracle, Arc::clone(&self.cache));
         let stats_before = self.cache.stats();
         // Strongest seed first: the previous run's engine, retargeted to
-        // this run's period (cloned, so an infeasible probe cannot consume
+        // this run's period (cloned, so an infeasible period cannot consume
         // it). Fallback — e.g. a fresh session restored from a snapshot —
         // is the nearest stored potential vector: exact clock first, then
         // the closest shorter period (its optimum satisfies this run's

@@ -17,8 +17,10 @@
 //!   warm-starts from the previous one;
 //! - [`min_feasible_period`] — binary search for the smallest period any
 //!   schedule can meet (the paper doubles the target period on
-//!   infeasibility; this finds the exact floor instead). Infeasible probes
-//!   fail before any downstream evaluation, so they are nearly free.
+//!   infeasibility; this finds the exact floor instead). A period is
+//!   feasible exactly when it reaches the largest naive node delay
+//!   ([`IsdcSession::timing_floor`]), so the search bisects on that
+//!   comparison and runs ISDC once, at its answer.
 //!
 //! [`render_sweep_json`] serializes the per-run records (warm starts,
 //! cache hit rates, solver statistics) in the `BENCH_sweep.json` layout
@@ -29,6 +31,7 @@ use crate::pipeline::StageKind;
 use crate::schedule::Schedule;
 use crate::scheduler::ScheduleError;
 use crate::session::{IsdcSession, SessionRun};
+use isdc_ir::NodeId;
 use isdc_synth::DelayOracle;
 use isdc_techlib::Picos;
 use isdc_telemetry::{escape_json, MetricsFrame};
@@ -258,21 +261,31 @@ pub struct MinPeriodSearch {
     /// The smallest period (within `tol_ps`) at which scheduling succeeds,
     /// or `None` when even the upper bound is infeasible.
     pub min_period_ps: Option<Picos>,
-    /// Every probe the search ran, in probe order.
-    pub probes: Vec<SweepPoint>,
+    /// Why the answer is where it is: the node whose own naive delay is the
+    /// design's largest, and that delay ([`IsdcSession::timing_floor`]).
+    /// No period below it is feasible. `None` only for an empty graph.
+    pub floor: Option<(NodeId, Picos)>,
+    /// The search's one record: the ISDC run at `min_period_ps`, or the
+    /// infeasible record at `hi` when that is below the floor.
+    pub point: SweepPoint,
 }
 
 /// Binary-searches the smallest feasible clock period in `[lo, hi]` to a
 /// resolution of `tol_ps`, or until `lo` and `hi` are adjacent doubles when
-/// `tol_ps` is finer than that, scheduling through the session so feasible
-/// probes reuse each other's work. `lo` may be infeasible; `hi` should be
-/// feasible (otherwise the search reports `None`). Probes skip the
-/// per-iteration oracle metrics ([`IsdcConfig::iteration_metrics`]) —
-/// schedules and feasibility are unaffected.
+/// `tol_ps` is finer than that, then schedules once through the session at
+/// the answer. `lo` may be infeasible; `hi` should be feasible (otherwise
+/// the search reports `None` and runs nothing).
+///
+/// A run fails as infeasible only when a node's own delay exceeds the
+/// period, so each bisection step compares the period against the
+/// session's [`IsdcSession::timing_floor`] instead of running ISDC there;
+/// the answer is bit-identical to bisecting over full runs. The one run
+/// skips the per-iteration oracle metrics
+/// ([`IsdcConfig::iteration_metrics`]); its schedule is unaffected.
 ///
 /// # Errors
 ///
-/// Propagates solver failures that do not signal infeasibility.
+/// Propagates the run's failures.
 ///
 /// # Panics
 ///
@@ -287,44 +300,36 @@ pub fn min_feasible_period<O: DelayOracle + ?Sized>(
     assert!(tol_ps > 0.0, "tolerance must be positive");
     assert!(lo <= hi, "empty search interval");
     let _span = isdc_telemetry::span("min_period_search");
-    let mut probes = Vec::new();
-    let mut probe =
-        |session: &mut IsdcSession<'_, O>, clock: Picos| -> Result<bool, ScheduleError> {
-            // Probes are pure feasibility/quality stepping stones — nobody
-            // reads their per-iteration error columns, so none of them pay
-            // the oracle metrics (same reasoning as a sweep's inner points).
-            let config =
-                IsdcConfig { clock_period_ps: clock, iteration_metrics: false, ..base.clone() };
-            match session.run(&config) {
-                Ok(run) => {
-                    probes.push(SweepPoint::from_session_run(&run));
-                    Ok(true)
-                }
-                Err(e) if is_infeasibility(&e) => {
-                    probes.push(SweepPoint::infeasible(clock));
-                    Ok(false)
-                }
-                Err(e) => Err(e),
-            }
-        };
-    if !probe(session, hi)? {
-        return Ok(MinPeriodSearch { min_period_ps: None, probes });
+    let floor = session.timing_floor();
+    let feasible = |clock: Picos| floor.is_none_or(|(_, delay)| clock >= delay);
+    if !feasible(hi) {
+        return Ok(MinPeriodSearch {
+            min_period_ps: None,
+            floor,
+            point: SweepPoint::infeasible(hi),
+        });
     }
     let (mut lo, mut hi) = (lo, hi);
     while hi - lo > tol_ps {
         let mid = lo + (hi - lo) / 2.0;
         if mid <= lo || mid >= hi {
             // `lo` and `hi` are adjacent doubles: the midpoint rounds onto
-            // one of them, so no probe can narrow the interval further.
+            // one of them, so no step can narrow the interval further.
             break;
         }
-        if probe(session, mid)? {
+        if feasible(mid) {
             hi = mid;
         } else {
             lo = mid;
         }
     }
-    Ok(MinPeriodSearch { min_period_ps: Some(hi), probes })
+    let config = IsdcConfig { clock_period_ps: hi, iteration_metrics: false, ..base.clone() };
+    let run = session.run(&config)?;
+    Ok(MinPeriodSearch {
+        min_period_ps: Some(hi),
+        floor,
+        point: SweepPoint::from_session_run(&run),
+    })
 }
 
 /// Serializes sweep records as the `BENCH_sweep.json` document: design
@@ -468,8 +473,9 @@ mod tests {
     fn min_period_search_ends_at_adjacent_doubles() {
         // A tolerance finer than the spacing of doubles near the answer:
         // the bisection must stop once `lo` and `hi` are adjacent, where
-        // the midpoint rounds onto one of them, instead of re-probing it
-        // forever. The deadline turns a hang into a failure.
+        // the midpoint rounds onto one of them, instead of looping forever.
+        // It stops with `hi` on the floor itself, and the search's one
+        // record is the run there.
         let lib = isdc_techlib::TechLibrary::sky130();
         let model = isdc_synth::OpDelayModel::new(lib.clone());
         let oracle = isdc_synth::SynthesisOracle::new(lib);
@@ -477,17 +483,22 @@ mod tests {
         let mut session = IsdcSession::new(&graph, &model, &oracle);
         let base =
             IsdcConfig { max_iterations: 1, threads: 1, ..IsdcConfig::paper_defaults(2500.0) };
-        let token = isdc_cancel::CancelToken::with_deadline(Duration::from_secs(10));
-        let _scope = token.install();
         let search = min_feasible_period(&mut session, &base, 1.0, 2500.0, f64::MIN_POSITIVE)
-            .expect("the search ends before its deadline");
+            .expect("rrot schedules at its floor");
         let min = search.min_period_ps.expect("2500 ps is feasible");
-        let below = f64::from_bits(min.to_bits() - 1);
-        assert!(
-            search.probes.iter().any(|p| p.clock_period_ps == below && !p.feasible),
-            "the double just below {min} ps was probed infeasible"
-        );
-        assert!(search.probes.len() <= 1 + 64, "{} probes", search.probes.len());
+        let (_, floor) = search.floor.expect("rrot has nodes");
+        assert_eq!(min.to_bits(), floor.to_bits(), "the answer is the floor exactly");
+        assert_eq!(search.point.clock_period_ps, min);
+        assert!(search.point.feasible && search.point.schedule.is_some());
+        assert_eq!(session.runs_completed(), 1, "the search runs ISDC once");
+
+        let below = f64::from_bits(floor.to_bits() - 1);
+        let none = min_feasible_period(&mut session, &base, 1.0, below, 10.0)
+            .expect("a bound below the floor is an answer, not an error");
+        assert_eq!(none.min_period_ps, None);
+        assert_eq!(none.point.clock_period_ps, below);
+        assert!(!none.point.feasible);
+        assert_eq!(session.runs_completed(), 1, "a search with no feasible period runs nothing");
     }
 
     #[test]

@@ -29,7 +29,8 @@
 //!   --from <ps>           lowest clock period (default: the design clock)
 //!   --to <ps>             highest clock period (default: 2x --from)
 //!   --points <n>          grid points, ascending (default 10, at most 10000)
-//!   --min-period          also binary-search the minimum feasible period
+//!   --min-period          also find the minimum feasible period (bisected on
+//!                         the largest op delay, then scheduled once)
 //!   --tol <ps>            search resolution for --min-period (default 10)
 //!   --cache-file <file>   load/save the session snapshot (delays + potentials)
 //!   --deadline <ms>       wall-clock budget; a cut-short sweep still prints
@@ -670,13 +671,16 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
     if args.has("--min-period") && !timed_out {
         // The search starts at 1 ps, or at `to` itself when that is lower.
         match min_feasible_period(&mut session, &base, to.min(1.0), to, tol) {
-            Ok(search) => match search.min_period_ps {
-                Some(p) => println!(
-                    "minimum feasible period: {p:.0}ps (+-{tol}ps, {} probes)",
-                    search.probes.len()
-                ),
-                None => println!("no feasible period at or below {to}ps"),
-            },
+            Ok(search) => {
+                // Why the period is where it is: the slowest single op.
+                let floor = search.floor.map_or(String::new(), |(node, delay)| {
+                    format!(", floor {delay:.1}ps: the delay of {node} ({})", g.node(node).kind)
+                });
+                match search.min_period_ps {
+                    Some(p) => println!("minimum feasible period: {p:.0}ps (+-{tol}ps{floor})"),
+                    None => println!("no feasible period at or below {to}ps{floor}"),
+                }
+            }
             Err(isdc::core::ScheduleError::DeadlineExceeded) => timed_out = true,
             Err(e) => return Err(e.to_string().into()),
         }
@@ -1020,6 +1024,9 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
         );
         if let Some(min) = job.min_period_ps {
             println!("{:<28} |   -> minimum feasible period {min:.0}ps", "");
+        }
+        if let Some(floor) = job.floor_ps {
+            println!("{:<28} |   -> floor {floor:.1}ps (the largest op delay)", "");
         }
         if let JobStatus::Failed(error) = &job.status {
             println!("{:<28} |   -> {error}", "");

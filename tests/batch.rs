@@ -54,9 +54,11 @@ fn serial_points(design: &BatchDesign, kind: &JobKind) -> Vec<SweepPoint> {
             sweep_clock_period(&mut session, &design.base, periods).expect("serial sweep")
         }
         JobKind::MinPeriod { lo, hi, tol_ps } => {
-            min_feasible_period(&mut session, &design.base, *lo, *hi, *tol_ps)
-                .expect("serial search")
-                .probes
+            vec![
+                min_feasible_period(&mut session, &design.base, *lo, *hi, *tol_ps)
+                    .expect("serial search")
+                    .point,
+            ]
         }
     }
 }
@@ -154,15 +156,17 @@ fn spec_file_roundtrip_drives_the_engine() {
     .expect("batch");
     assert!(report.jobs[0].points[0].feasible);
     let found = report.jobs[1].min_period_ps.expect("design clock is feasible");
-    // Same floor the serial search finds.
+    let floor = report.jobs[1].floor_ps.expect("a search reports its floor");
+    assert!(found >= floor && found - floor <= 50.0, "found {found}ps, floor {floor}ps");
+    // The same one record the serial search makes: the run at its answer.
     let serial = serial_points(&designs[1], &jobs[1].kind);
-    assert!(serial.iter().any(|p| p.feasible));
-    assert_eq!(
-        report.jobs[1].points.iter().map(|p| p.clock_period_ps).collect::<Vec<_>>(),
-        serial.iter().map(|p| p.clock_period_ps).collect::<Vec<_>>(),
-        "probe sequences must match"
-    );
-    assert!(found > 0.0);
+    assert_eq!(serial.len(), 1);
+    assert_eq!(report.jobs[1].points.len(), 1);
+    let (batch, serial) = (&report.jobs[1].points[0], &serial[0]);
+    assert_eq!(batch.clock_period_ps, found);
+    assert_eq!(serial.clock_period_ps, found);
+    assert!(batch.feasible && serial.feasible);
+    assert_eq!(batch.schedule, serial.schedule);
 }
 
 #[test]

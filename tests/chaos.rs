@@ -486,23 +486,51 @@ fn stall_watchdog_cancels_a_silent_worker() {
     }
 }
 
+/// A delegating oracle whose `evaluate` does not return before `budget`
+/// has passed since the call began. A shard claimed inside a fleet budget
+/// of that length therefore reaches its next checkpoint only after the
+/// budget expired, however fast the host runs the rest of the shard.
+struct OutlastBudget<'a> {
+    inner: &'a SynthesisOracle,
+    budget: Duration,
+}
+
+impl DelayOracle for OutlastBudget<'_> {
+    fn evaluate(&self, graph: &isdc::ir::Graph, members: &[isdc::ir::NodeId]) -> DelayReport {
+        std::thread::sleep(self.budget);
+        self.inner.evaluate(graph, members)
+    }
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+}
+
 /// A 1ms fleet budget: every job lands as TimedOut — claimed shards are
 /// cut at their first checkpoint, unclaimed ones are abandoned with the
 /// budget named as the reason — and no job is misreported as Skipped.
+/// The oracle outlasts the budget, so no claimed shard can finish inside
+/// it on a fast host.
 #[test]
 fn fleet_budget_times_out_the_whole_queue() {
     let _g = chaos_guard();
     faults::clear();
     let (designs, jobs) = fixture();
+    let budget = Duration::from_millis(1);
     let options = BatchOptions {
         threads: 2,
         shard_points: 1,
         fail_policy: FailPolicy::KeepGoing,
         max_retries: 0,
-        fleet_deadline: Some(Duration::from_millis(1)),
+        fleet_deadline: Some(budget),
         stall_timeout: None,
     };
-    let report = run_opts(&designs, &jobs, &options);
+    let lib = TechLibrary::sky130();
+    let model = OpDelayModel::new(lib.clone());
+    let inner = SynthesisOracle::new(lib);
+    let oracle = OutlastBudget { inner: &inner, budget };
+    let cache = Arc::new(DelayCache::new());
+    let report = run_batch(&designs, &jobs, &options, &model, &oracle, &cache)
+        .expect("only planning errors fail the call, and the fixture plans cleanly");
     assert_eq!(
         report.jobs_timed_out(),
         report.jobs.len(),

@@ -5,9 +5,10 @@
 //! from the second point on — and the learned state must survive a snapshot
 //! round-trip to disk.
 
+use isdc::benchsuite::{random_dag, RandomDagConfig};
 use isdc::core::{
     linear_grid, min_feasible_period, run_isdc, sweep_clock_period, sweep_clock_period_independent,
-    IsdcConfig, IsdcSession,
+    IsdcConfig, IsdcSession, ScheduleError,
 };
 use isdc::synth::{OpDelayModel, SynthesisOracle};
 use isdc::techlib::TechLibrary;
@@ -128,10 +129,85 @@ fn min_feasible_period_search_finds_the_timing_floor() {
     let floor = model.all_node_delays(&bench.graph).into_iter().fold(0.0f64, f64::max);
     assert!(found >= floor, "found {found}ps below the analytic floor {floor}ps");
     assert!(found - floor <= tol, "search stopped {found}ps, floor {floor}ps, tol {tol}ps");
-    assert!(search.probes.iter().any(|p| !p.feasible), "the search must have probed below");
+    assert_eq!(search.floor.map(|(_, delay)| delay), Some(floor), "the search names its floor");
+    // The search's one record is the run at its answer.
+    assert_eq!(session.runs_completed(), 1, "the search runs ISDC once");
+    assert_eq!(search.point.clock_period_ps, found);
+    assert!(search.point.feasible);
 
     // Spot-check against a direct run: feasible at `found`, infeasible at
     // the floor minus a hair.
     assert!(run_isdc(&bench.graph, &model, &oracle, &quick(found)).is_ok());
     assert!(run_isdc(&bench.graph, &model, &oracle, &quick(floor - 1.0)).is_err());
+}
+
+/// Golden answers, read from the bisection over full ISDC runs that the
+/// closed-form search replaced: the two searches of the benchmark's `batch`
+/// workload and CI's batch-spec search. The answers depend only on the
+/// naive node delays, so a cheap iteration budget pins them as well as the
+/// full one does.
+#[test]
+fn min_period_answers_match_golden_pins() {
+    let suite = isdc::benchsuite::suite();
+    let lib = TechLibrary::sky130();
+    let model = OpDelayModel::new(lib.clone());
+    let oracle = SynthesisOracle::new(lib);
+    for (design, lo, hi, answer) in [
+        ("crc32", 250.0, 2500.0, 346.6796875f64),
+        ("sha256", 250.0, 2500.0, 1190.4296875),
+        ("ml_core_datapath1", 1.0, 2500.0, 1650.73046875),
+    ] {
+        let bench = suite.iter().find(|b| b.name == design).expect("a suite design");
+        let base = IsdcConfig {
+            subgraphs_per_iteration: 8,
+            max_iterations: 2,
+            threads: 1,
+            ..IsdcConfig::paper_defaults(bench.clock_period_ps)
+        };
+        let mut session = IsdcSession::new(&bench.graph, &model, &oracle);
+        let search = min_feasible_period(&mut session, &base, lo, hi, 10.0).expect("search");
+        let found = search.min_period_ps.expect("hi is feasible");
+        assert_eq!(found.to_bits(), answer.to_bits(), "{design}: found {found:?}ps");
+        // The one record is exactly the independent run at the answer.
+        let config = IsdcConfig { clock_period_ps: found, iteration_metrics: false, ..base };
+        let independent = run_isdc(&bench.graph, &model, &oracle, &config).expect("feasible");
+        assert_eq!(search.point.clock_period_ps, found, "{design}");
+        assert_eq!(search.point.schedule.as_ref(), Some(&independent.schedule), "{design}");
+    }
+}
+
+/// The predicate the search bisects on, checked against real runs: a run
+/// at the largest naive node delay succeeds, and a run at the next double
+/// below fails with `OperationExceedsClock` naming the session's floor
+/// node — on every suite design and on seeded random DAGs.
+#[test]
+fn period_feasibility_is_the_largest_node_delay() {
+    let lib = TechLibrary::sky130();
+    let model = OpDelayModel::new(lib.clone());
+    let oracle = SynthesisOracle::new(lib);
+    let suite = isdc::benchsuite::suite();
+    let random: Vec<_> =
+        (0..24).map(|seed| random_dag(&RandomDagConfig::default(), seed)).collect();
+    let config = |clock: f64| IsdcConfig {
+        subgraphs_per_iteration: 4,
+        max_iterations: 1,
+        threads: 1,
+        ..IsdcConfig::paper_defaults(clock)
+    };
+    for graph in suite.iter().map(|b| &b.graph).chain(&random) {
+        let d_max = model.all_node_delays(graph).into_iter().fold(0.0f64, f64::max);
+        let (node, floor) =
+            IsdcSession::new(graph, &model, &oracle).timing_floor().expect("a nonempty graph");
+        assert_eq!(floor.to_bits(), d_max.to_bits(), "{}", graph.name());
+        if let Err(e) = run_isdc(graph, &model, &oracle, &config(d_max)) {
+            panic!("{}: a run at the floor {d_max}ps failed: {e}", graph.name());
+        }
+        let below = f64::from_bits(d_max.to_bits() - 1);
+        match run_isdc(graph, &model, &oracle, &config(below)).map(|_| ()) {
+            Err(ScheduleError::OperationExceedsClock { node: n, delay_ps, .. }) => {
+                assert_eq!((n, delay_ps.to_bits()), (node, d_max.to_bits()), "{}", graph.name());
+            }
+            other => panic!("{}: expected OperationExceedsClock, got {other:?}", graph.name()),
+        }
+    }
 }
