@@ -410,14 +410,9 @@ impl JobResult {
     /// Cache hits over lookups across the job's runs, or 0.0 without
     /// lookups (infeasible-only jobs must render as 0.0, not NaN).
     pub fn cache_hit_rate(&self) -> f64 {
-        let hits: u64 = self.points.iter().map(|p| p.cache_hits).sum();
-        let misses: u64 = self.points.iter().map(|p| p.cache_misses).sum();
-        let total = hits + misses;
-        if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
-        }
+        let hits = self.points.iter().map(|p| p.cache_hits).sum();
+        let misses = self.points.iter().map(|p| p.cache_misses).sum();
+        CacheStats { hits, misses, ..CacheStats::default() }.hit_rate()
     }
 }
 

@@ -302,7 +302,7 @@ fn bench_cold_vs_warm(c: &mut Criterion) {
             speedup,
             fresh.last_drain_stats().nodes_settled,
             sparsity.constraints_emitted,
-            sparsity.pruned(),
+            sparsity.pruned,
             sparsity.pruning_ratio()
         ));
     }

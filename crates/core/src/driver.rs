@@ -170,12 +170,8 @@ pub struct IterationRecord {
 impl IterationRecord {
     /// Cache hits over lookups for this iteration, or 0.0 without lookups.
     pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
+        CacheStats { hits: self.cache_hits, misses: self.cache_misses, ..CacheStats::default() }
+            .hit_rate()
     }
 }
 

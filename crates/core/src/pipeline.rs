@@ -117,8 +117,7 @@ pub(crate) struct RunMetrics {
     drain_flow_pushed: Counter,
     lp_pairs_scanned: Counter,
     lp_constraints_emitted: Counter,
-    lp_dominance_pruned: Counter,
-    lp_bucket_deduped: Counter,
+    lp_pruned: Counter,
     /// Pipeline iterations completed (excluding the initial solve).
     pub(crate) iterations: Counter,
     /// Subgraphs sent to the oracle (post-dedupe), summed over iterations.
@@ -149,8 +148,7 @@ impl RunMetrics {
         let drain_flow_pushed = registry.counter("drain/flow_pushed");
         let lp_pairs_scanned = registry.counter("lp/pairs_scanned");
         let lp_constraints_emitted = registry.counter("lp/constraints_emitted");
-        let lp_dominance_pruned = registry.counter("lp/dominance_pruned");
-        let lp_bucket_deduped = registry.counter("lp/bucket_deduped");
+        let lp_pruned = registry.counter("lp/pruned");
         let iterations = registry.counter("run/iterations");
         let subgraphs_evaluated = registry.counter("run/subgraphs_evaluated");
         let oracle_metrics_ns = registry.counter("stage/oracle_metrics/ns");
@@ -168,8 +166,7 @@ impl RunMetrics {
             drain_flow_pushed,
             lp_pairs_scanned,
             lp_constraints_emitted,
-            lp_dominance_pruned,
-            lp_bucket_deduped,
+            lp_pruned,
             iterations,
             subgraphs_evaluated,
             oracle_metrics_ns,
@@ -207,8 +204,7 @@ impl RunMetrics {
     fn record_lp(&self, delta: SparsifyStats) {
         self.lp_pairs_scanned.add(delta.pairs_scanned);
         self.lp_constraints_emitted.add(delta.constraints_emitted);
-        self.lp_dominance_pruned.add(delta.dominance_pruned);
-        self.lp_bucket_deduped.add(delta.bucket_deduped);
+        self.lp_pruned.add(delta.pruned);
     }
 }
 

@@ -15,31 +15,28 @@
 //! # LP sparsification
 //!
 //! Eq. 2 names a constraint for every delay-matrix pair — `O(n^2)` of them —
-//! but most are implied by others. Emission runs a per-source topological
-//! sweep ([`sweep_source`]) that tracks, for each node `w`, the tightest
-//! bound on `x_u - x_w` already provable from dependency 0-edges plus the
-//! timing constraints emitted so far for source `u`. A pair's own bound is
-//! emitted only when it is *strictly tighter* than that chain:
+//! but most are implied by others. Emission ([`sweep_source`]) decides each
+//! pair `(u, w)` from its own row alone: a pair whose bound `-(k-1)` is
+//! negative gets its own constraint unless some operand `p ≠ u` of `w` has
+//! `D[u][p] > (k-1)·Tclk`. Such an operand's bound is at least as tight, and
+//! the dependency `x_p <= x_w` carries it to `w`, so the pair is **pruned**.
+//! By induction in topological order every pair's bound is emitted or
+//! implied, whatever the matrix: the rule does not assume that delays grow
+//! along paths.
 //!
-//! - **dominance pruning** — if the chain through an intermediate already
-//!   proves a tighter bound, the pair's constraint is dropped;
-//! - **bucket representatives** — pairs sharing a source collapse into
-//!   `ceil(d/Tclk)` buckets along each chain: the first pair reaching a
-//!   bucket emits the representative constraint, later members of the same
-//!   bucket are deduplicated against it.
-//!
-//! Dropped pairs stay droppable only while their dominators hold, so the
-//! incremental engine re-runs the same sweep over dirty rows (or every row
-//! on a [`IncrementalScheduler::retarget`]) and reconciles by one rule: a
-//! pair that has a timing constraint keeps it at its current Eq. 2 bound,
+//! A pruned pair stays pruned only while its operand's bound holds, so the
+//! incremental engine re-decides every pair of the dirty rows (or of every
+//! row on a [`IncrementalScheduler::retarget`]) and reconciles by one rule:
+//! a pair that has a timing constraint keeps it at its current Eq. 2 bound,
 //! and a pair that newly needs one is *promoted* to its own constraint (see
 //! [`isdc_sdc::IncrementalSolver::add_constraint`]). Nothing is ever
-//! demoted: a kept constraint the sweep no longer emits is implied by the
-//! chain, so it moves neither the polyhedron nor any shortest-path distance
-//! of the canonicalization. The sparse and dense systems describe the same
-//! polyhedron, and `canonical_assignment` is a geometric property of that
-//! polyhedron, so schedules are bit-identical ([`schedule_with_matrix_dense`]
-//! retains the dense emission as the test reference).
+//! demoted: a kept constraint the rule no longer emits is implied through an
+//! operand, so it moves neither the polyhedron nor any shortest-path
+//! distance of the canonicalization. The sparse and dense systems describe
+//! the same polyhedron, and `canonical_assignment` is a geometric property
+//! of that polyhedron, so schedules are bit-identical
+//! ([`schedule_with_matrix_dense`] retains the dense emission as the test
+//! reference).
 
 use crate::delay::{DelayMatrix, DirtySet};
 use crate::schedule::Schedule;
@@ -155,9 +152,9 @@ pub fn schedule_with_matrix(
 }
 
 /// [`schedule_with_matrix`] through the *dense* Eq. 2 emission — one
-/// constraint per delay-matrix pair, no dominance pruning or bucket
-/// deduplication. The identity-test reference: sparse and dense systems
-/// bound the same polyhedron, so schedules must match bit for bit.
+/// constraint per delay-matrix pair, none pruned. The identity-test
+/// reference: sparse and dense systems bound the same polyhedron, so
+/// schedules must match bit for bit.
 #[doc(hidden)]
 pub fn schedule_with_matrix_dense(
     graph: &Graph,
@@ -180,24 +177,15 @@ pub struct SparsifyStats {
     pub pairs_scanned: u64,
     /// Pairs that emitted (or kept, on reconciliation) their own constraint.
     pub constraints_emitted: u64,
-    /// Pairs dropped because a chain through an intermediate already proves
-    /// a *strictly tighter* bound.
-    pub dominance_pruned: u64,
-    /// Pairs dropped because an earlier pair of the same source already
-    /// carries the same `ceil(d/Tclk)` bucket's bound along the chain.
-    pub bucket_deduped: u64,
+    /// Pairs with a negative bound left to an operand whose bound is at
+    /// least as tight: constraints the dense emission would have added.
+    pub pruned: u64,
 }
 
 impl SparsifyStats {
-    /// Constraints the dense emission would have added but the sweep
-    /// dropped.
-    pub fn pruned(&self) -> u64 {
-        self.dominance_pruned + self.bucket_deduped
-    }
-
     /// Constraints the dense Eq. 2 emission would have added.
     pub fn dense_constraints(&self) -> u64 {
-        self.constraints_emitted + self.pruned()
+        self.constraints_emitted + self.pruned
     }
 
     /// Fraction of dense constraints dropped; `>= 0.5` means the LP shrank
@@ -207,7 +195,7 @@ impl SparsifyStats {
         if dense == 0 {
             0.0
         } else {
-            self.pruned() as f64 / dense as f64
+            self.pruned as f64 / dense as f64
         }
     }
 
@@ -221,8 +209,7 @@ impl SparsifyStats {
             constraints_emitted: self
                 .constraints_emitted
                 .saturating_sub(earlier.constraints_emitted),
-            dominance_pruned: self.dominance_pruned.saturating_sub(earlier.dominance_pruned),
-            bucket_deduped: self.bucket_deduped.saturating_sub(earlier.bucket_deduped),
+            pruned: self.pruned.saturating_sub(earlier.pruned),
         }
     }
 }
@@ -238,7 +225,6 @@ struct BuiltLp {
     /// iteration (and thus constraint ids) stays deterministic.
     timing: Vec<BTreeMap<u32, usize>>,
     stats: SparsifyStats,
-    chain: ChainScratch,
 }
 
 /// Eq. 2's bound for a pair with critical-path delay `d`: split across
@@ -269,94 +255,46 @@ fn timing_bound(d: Picos, clock_period_ps: Picos) -> i64 {
     -(stages - 1)
 }
 
-/// "No bound provable" sentinel in the dominance chain; large enough that
-/// any real bound wins a `min`, small enough that arithmetic cannot wrap.
-const UNREACHED: i64 = i64::MAX / 2;
-
-/// Per-sweep scratch for [`sweep_source`]: `bound[w]` is the tightest bound
-/// on `x_u - x_w` provable so far, valid only when `stamp[w]` carries the
-/// current sweep's version (version stamps make resets O(1) instead of
-/// O(n) per source).
-#[derive(Clone, Debug)]
-struct ChainScratch {
-    bound: Vec<i64>,
-    stamp: Vec<u64>,
-    version: u64,
-}
-
-impl ChainScratch {
-    fn new(n: usize) -> Self {
-        Self { bound: vec![0; n], stamp: vec![0; n], version: 0 }
-    }
-}
-
-/// The sparsifying emission sweep for one source `u` (see the module docs).
+/// The sparsified Eq. 2 emission for one source `u` (see the module docs).
 ///
-/// Walks sinks in node-id order — which is topological, operands always
-/// having smaller ids than their users — maintaining `chain[w]`, the
-/// tightest bound on `x_u - x_w` provable from dependency 0-edges plus the
-/// timing constraints *this sweep decided to emit*. For every pair with a
-/// delay entry, `on_pair(w, bound, emitted)` reports the pair's Eq. 2 bound
-/// and whether it needs its own constraint (`emitted` is true exactly when
-/// the bound is negative and strictly tighter than the chain). The diagonal
-/// is skipped: a node's fit in the period is the caller's feasibility
-/// check, not a difference constraint.
-///
-/// Soundness: every finite `chain[w]` is witnessed by a path of emitted
-/// source-`u` constraints and dependency edges, all of whose intermediates
-/// lie strictly between `u` and `w` in id order — so dropping a pair never
-/// weakens the system, and the chain never claims a bound tighter than the
-/// true path bound (delay entries exist exactly for operand-reachable
-/// pairs, and path delays dominate their prefixes).
+/// For every sink `w` with a delay entry from `u`, `on_pair(w, bound,
+/// emitted)` reports the pair's Eq. 2 bound `-(k-1)` and whether it needs
+/// its own constraint: `emitted` is true exactly when the bound is negative
+/// and every operand `p ≠ u` of `w` with an entry has `D[u][p] <=
+/// (k-1)·Tclk`, i.e. a looser bound of its own. The product is rounded as
+/// [`timing_bound`] rounds it, so the test agrees with the operands' own
+/// stage counts. The diagonal is skipped: a node's fit in the period is the
+/// caller's feasibility check, not a difference constraint.
 fn sweep_source(
     graph: &Graph,
     delays: &DelayMatrix,
     clock_period_ps: Picos,
     u: NodeId,
-    chain: &mut ChainScratch,
     stats: &mut SparsifyStats,
     mut on_pair: impl FnMut(NodeId, i64, bool),
 ) {
-    chain.version += 1;
-    let version = chain.version;
-    chain.stamp[u.index()] = version;
-    chain.bound[u.index()] = 0;
     for w in graph.node_ids().skip(u.index() + 1) {
-        let mut incoming = UNREACHED;
-        for &p in &graph.node(w).operands {
-            if chain.stamp[p.index()] == version {
-                incoming = incoming.min(chain.bound[p.index()]);
-            }
-        }
-        let own = delays.get(u, w).map(|d| {
-            stats.pairs_scanned += 1;
-            timing_bound(d, clock_period_ps)
-        });
-        let mut best = incoming;
-        if let Some(own) = own {
-            let emitted = own < 0 && own < incoming;
+        let Some(d) = delays.get(u, w) else { continue };
+        stats.pairs_scanned += 1;
+        let bound = timing_bound(d, clock_period_ps);
+        let mut emitted = false;
+        if bound < 0 {
+            let operands = graph.node(w).operands.iter().filter(|&&p| p != u);
+            let reach = operands.filter_map(|&p| delays.get(u, p)).fold(0.0, f64::max);
+            emitted = reach <= (-bound) as f64 * clock_period_ps;
             if emitted {
                 stats.constraints_emitted += 1;
-                best = own;
-            } else if own < 0 {
-                if own == incoming {
-                    stats.bucket_deduped += 1;
-                } else {
-                    stats.dominance_pruned += 1;
-                }
+            } else {
+                stats.pruned += 1;
             }
-            on_pair(w, own, emitted);
         }
-        if best != UNREACHED {
-            chain.stamp[w.index()] = version;
-            chain.bound[w.index()] = best;
-        }
+        on_pair(w, bound, emitted);
     }
 }
 
 /// Builds the full SDC LP of paper §II for the given delay matrix.
-/// `sparsify` selects the Eq. 2 emission: the dominance/bucket sweep, or
-/// the dense one-constraint-per-pair reference.
+/// `sparsify` selects the Eq. 2 emission: the operand rule of
+/// [`sweep_source`], or the dense one-constraint-per-pair reference.
 fn build_lp(
     graph: &Graph,
     delays: &DelayMatrix,
@@ -377,7 +315,6 @@ fn build_lp(
     let mut weights = vec![0i64; 2 * n + 1];
     let mut timing: Vec<BTreeMap<u32, usize>> = vec![BTreeMap::new(); n];
     let mut stats = SparsifyStats::default();
-    let mut chain = ChainScratch::new(n);
 
     // Dependencies: x_p <= x_v.
     for (v, node) in graph.iter() {
@@ -390,7 +327,7 @@ fn build_lp(
     if sparsify {
         for u in graph.node_ids() {
             let map = &mut timing[u.index()];
-            sweep_source(graph, delays, clock_period_ps, u, &mut chain, &mut stats, |w, b, e| {
+            sweep_source(graph, delays, clock_period_ps, u, &mut stats, |w, b, e| {
                 if e {
                     map.insert(w.0, sys.add_constraint(x(u), x(w), b));
                 }
@@ -449,23 +386,22 @@ fn build_lp(
         weights[x(v).index()] -= w;
     }
 
-    Ok(BuiltLp { sys, weights, timing, stats, chain })
+    Ok(BuiltLp { sys, weights, timing, stats })
 }
 
-/// Re-runs the emission sweep for source `u` against the live solver and
-/// reconciles what the sweep wants with what the system carries, by one
-/// rule:
+/// Re-decides every pair of source `u` against the live solver and
+/// reconciles what the emission rule wants with what the system carries, by
+/// one rule:
 ///
 /// - a pair that has a timing constraint keeps it at its current Eq. 2
 ///   bound through `update_bound` (a no-op when the bound is unchanged;
 ///   relaxations stay warm, tightenings cold-fall on their own), whether or
-///   not the sweep still emits it — a constraint it no longer emits is
-///   implied by the chain, so keeping it changes no schedule;
+///   not the rule still emits it — a constraint it no longer emits is
+///   implied through an operand, so keeping it changes no schedule;
 /// - a pair that needs a constraint it never had is **promoted** via
-///   `add_constraint` (warm-safe under monotone feedback: the old optimum
-///   satisfied the chain bound that used to dominate the pair, which is at
-///   least as tight as the promoted bound).
-#[allow(clippy::too_many_arguments)]
+///   `add_constraint` (warm-safe under monotone feedback: the pruned pair's
+///   old bound was implied, so the old optimum satisfied it, and the
+///   promoted bound is no tighter).
 fn reconcile_source(
     graph: &Graph,
     delays: &DelayMatrix,
@@ -473,10 +409,9 @@ fn reconcile_source(
     u: NodeId,
     solver: &mut IncrementalSolver,
     map: &mut BTreeMap<u32, usize>,
-    chain: &mut ChainScratch,
     stats: &mut SparsifyStats,
 ) {
-    sweep_source(graph, delays, clock_period_ps, u, chain, stats, |w, bound, emitted| {
+    sweep_source(graph, delays, clock_period_ps, u, stats, |w, bound, emitted| {
         match map.get(&w.0) {
             Some(&id) => solver.update_bound(id, bound),
             None if emitted => {
@@ -548,7 +483,6 @@ pub struct IncrementalScheduler {
     /// Per source: sink index -> timing constraint id (see
     /// [`BuiltLp::timing`]).
     timing: Vec<BTreeMap<u32, usize>>,
-    chain: ChainScratch,
     stats: SparsifyStats,
 }
 
@@ -566,13 +500,7 @@ impl IncrementalScheduler {
     ) -> Result<Self, ScheduleError> {
         let built = build_lp(graph, delays, clock_period_ps, true)?;
         let solver = IncrementalSolver::new(built.sys, built.weights)?;
-        Ok(Self {
-            clock_period_ps,
-            solver,
-            timing: built.timing,
-            chain: built.chain,
-            stats: built.stats,
-        })
+        Ok(Self { clock_period_ps, solver, timing: built.timing, stats: built.stats })
     }
 
     /// Re-solves after delay-matrix changes covered by `dirty`, reusing the
@@ -591,22 +519,14 @@ impl IncrementalScheduler {
         dirty: &DirtySet,
     ) -> Result<Schedule, ScheduleError> {
         check_node_delays(graph, delays, self.clock_period_ps)?;
-        // A sweep's decisions depend only on its source's delay row, so
-        // dirty *rows* are exactly the sweeps whose inputs changed; within
-        // a row the sweep re-derives every pair from the matrix, making
-        // repeated marks and row/col shapes equally cheap to honor.
-        let Self { clock_period_ps, solver, timing, chain, stats } = self;
+        // A pair's decision depends only on its source's delay row, so
+        // dirty *rows* are exactly the sources whose inputs changed; within
+        // a row every pair is re-derived from the matrix, making repeated
+        // marks and row/col shapes equally cheap to honor.
+        let Self { clock_period_ps, solver, timing, stats } = self;
         for u in dirty.rows() {
-            reconcile_source(
-                graph,
-                delays,
-                *clock_period_ps,
-                u,
-                solver,
-                &mut timing[u.index()],
-                chain,
-                stats,
-            );
+            let map = &mut timing[u.index()];
+            reconcile_source(graph, delays, *clock_period_ps, u, solver, map, stats);
         }
         let solution = solver.solve()?;
         Ok(solution_to_schedule(graph, &solution.assignment))
@@ -651,8 +571,8 @@ impl IncrementalScheduler {
         self.solver.potentials()
     }
 
-    /// Re-targets the engine to a new clock period by re-running the
-    /// emission sweep for every source at `clock_period_ps` — the strongest
+    /// Re-targets the engine to a new clock period by re-deciding every
+    /// pair of every source at `clock_period_ps` — the strongest
     /// cross-run reuse an [`IsdcSession`](crate::IsdcSession) sweep has:
     /// the whole difference system, flow and potentials survive the period
     /// change.
@@ -661,25 +581,17 @@ impl IncrementalScheduler {
     /// (for a session, the naive matrix its initial solve ran against).
     /// Eq. 2's bound is monotone in the period, so moving to a *longer*
     /// period relaxes every bound and the next solve stays warm; a shorter
-    /// period tightens bounds and promotes constraints the sweep used to
-    /// prune (new bucket representatives), either of which makes the next
+    /// period tightens bounds and promotes pairs whose operands no longer
+    /// carry a bound as tight as theirs, either of which makes the next
     /// solve fall back cold on its own. Either way the subsequent schedule
     /// is bit-identical to a fresh engine's; an infeasible period surfaces
     /// as [`IncrementalScheduler::reschedule`]'s usual feasibility error.
     pub fn retarget(&mut self, graph: &Graph, delays: &DelayMatrix, clock_period_ps: Picos) {
         self.clock_period_ps = clock_period_ps;
-        let Self { solver, timing, chain, stats, .. } = self;
+        let Self { solver, timing, stats, .. } = self;
         for u in graph.node_ids() {
-            reconcile_source(
-                graph,
-                delays,
-                clock_period_ps,
-                u,
-                solver,
-                &mut timing[u.index()],
-                chain,
-                stats,
-            );
+            let map = &mut timing[u.index()];
+            reconcile_source(graph, delays, clock_period_ps, u, solver, map, stats);
         }
     }
 
@@ -860,17 +772,17 @@ mod tests {
     }
 
     #[test]
-    fn chain_buckets_collapse_to_representatives() {
-        // Five 400ps Nots at 900ps: along each source's chain the bound
-        // steps -1, -1, -2 — the repeated -1 dedupes against its bucket
-        // representative, so the sparse LP carries 6 of the dense 9.
+    fn pairs_an_operand_bounds_as_tightly_are_pruned() {
+        // Five 400ps Nots at 900ps: along each source's row the bound steps
+        // -1 (1200ps), -1 (1600ps), -2 (2000ps). The 1600ps pair's operand
+        // sits at 1200ps > 1 * 900ps, so it already carries a -1 bound and
+        // the pair is pruned; the sparse LP carries 6 of the dense 9.
         let g = not_chain(5);
         let d = DelayMatrix::initialize(&g, &[0.0, 400.0, 400.0, 400.0, 400.0, 400.0]);
         let engine = IncrementalScheduler::new(&g, &d, 900.0).unwrap();
         let stats = engine.sparsify_stats();
         assert_eq!(stats.constraints_emitted, 6);
-        assert_eq!(stats.bucket_deduped, 3);
-        assert_eq!(stats.dominance_pruned, 0);
+        assert_eq!(stats.pruned, 3);
         assert_eq!(stats.dense_constraints(), 9);
         assert_eq!(
             schedule_with_matrix(&g, &d, 900.0).unwrap(),
@@ -898,11 +810,13 @@ mod tests {
     }
 
     #[test]
-    fn retarget_promotes_new_bucket_representatives() {
+    fn retarget_promotes_pairs_their_operands_stop_implying() {
         // At 900ps the (u, u+1) pairs (800ps) need no constraint and the
-        // (u, u+3) pairs dedupe against (u, u+2)'s bucket; tightening to
-        // 700ps promotes pairs the sweep used to skip, and the promoted
-        // system must still match both fresh emissions bit for bit.
+        // (u, u+3) pairs are pruned by their 1200ps operand's -1 bound. At
+        // 700ps the (u, u+3) bound is -2, which that operand (1200ps <=
+        // 2 * 700ps) no longer implies, so pairs the rule used to skip are
+        // promoted, and the promoted system must still match both fresh
+        // emissions bit for bit.
         let g = not_chain(5);
         let d = DelayMatrix::initialize(&g, &[0.0, 400.0, 400.0, 400.0, 400.0, 400.0]);
         let empty = crate::delay::DirtySet::new(g.len());
@@ -916,7 +830,7 @@ mod tests {
         let after = engine.sparsify_stats();
         assert!(
             after.constraints_emitted > before.constraints_emitted,
-            "the tighter period must emit (promote) new representatives: {after:?}"
+            "the tighter period must emit (promote) pruned pairs: {after:?}"
         );
         // And the promotions survive a round trip back to the build period.
         engine.retarget(&g, &d, 900.0);
@@ -1189,7 +1103,7 @@ mod tests {
     fn held_constraints_carry_their_eq2_bound() {
         // One engine on crc32's naive matrix, retargeted down, up, back and
         // far up. Every pair that holds a timing constraint carries exactly
-        // its current Eq. 2 bound, whether the sweep still emits it or not,
+        // its current Eq. 2 bound, whether the rule still emits it or not,
         // and the schedule matches both fresh emissions.
         let graph = isdc_benchsuite::designs::crc32();
         let d = naive(&graph);

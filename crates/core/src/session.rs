@@ -58,7 +58,7 @@
 use crate::driver::{run_pipeline, IsdcConfig, IsdcResult};
 use crate::pipeline::RunSeed;
 use crate::scheduler::{IncrementalScheduler, ScheduleError};
-use isdc_cache::{canonicalize, CachingOracle, DelayCache, Fingerprint};
+use isdc_cache::{canonicalize, CacheStats, CachingOracle, DelayCache, Fingerprint};
 use isdc_ir::{Graph, NodeId};
 use isdc_synth::{DelayOracle, OpDelayModel};
 use isdc_techlib::Picos;
@@ -87,12 +87,8 @@ pub struct SessionRun {
 impl SessionRun {
     /// Cache hits over lookups for this run, or 0.0 without lookups.
     pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
+        CacheStats { hits: self.cache_hits, misses: self.cache_misses, ..CacheStats::default() }
+            .hit_rate()
     }
 
     /// Iterations whose LP re-solve was warm-started.

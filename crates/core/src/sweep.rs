@@ -31,6 +31,7 @@ use crate::pipeline::StageKind;
 use crate::schedule::Schedule;
 use crate::scheduler::ScheduleError;
 use crate::session::{IsdcSession, SessionRun};
+use isdc_cache::CacheStats;
 use isdc_ir::NodeId;
 use isdc_synth::DelayOracle;
 use isdc_techlib::Picos;
@@ -78,12 +79,8 @@ pub struct SweepPoint {
 impl SweepPoint {
     /// Cache hits over lookups, or 0.0 without lookups.
     pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
+        CacheStats { hits: self.cache_hits, misses: self.cache_misses, ..CacheStats::default() }
+            .hit_rate()
     }
 
     /// A drain counter (`drain/dijkstras`, `drain/paths`, ...) from the

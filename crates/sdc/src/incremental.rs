@@ -256,14 +256,15 @@ impl IncrementalSolver {
     /// returning its id. The constraint set was historically frozen at
     /// construction; sparsified emission needs late additions — a delay or
     /// clock change can promote a pair that never had a constraint (its
-    /// bound used to be dominated by another pair's) into needing its own.
+    /// bound used to be implied by an operand pair's) into needing its own.
     ///
     /// Warm state survives the append exactly when the current optimum
     /// `-pi` already satisfies the new bound: the new arc then carries zero
     /// flow at nonnegative reduced cost, so dual feasibility is intact and
     /// the next solve re-drains warm. (Monotone-feedback promotions always
-    /// pass this test: the promoted bound is implied-or-looser than the
-    /// chain the old optimum satisfied.) Otherwise the warm state is
+    /// pass this test: the old optimum satisfied the operand bound that
+    /// implied the pair's old bound, and the promoted bound is no tighter
+    /// than that old bound.) Otherwise the warm state is
     /// dropped and the next solve runs cold — same contract as a
     /// tightening through [`IncrementalSolver::update_bound`].
     ///

@@ -201,11 +201,10 @@ impl RunReport {
         }
         let _ = writeln!(
             out,
-            "  lp: pairs_scanned {} emitted {} dominance_pruned {} bucket_deduped {}",
+            "  lp: pairs_scanned {} emitted {} pruned {}",
             self.counter("lp/pairs_scanned"),
             self.counter("lp/constraints_emitted"),
-            self.counter("lp/dominance_pruned"),
-            self.counter("lp/bucket_deduped"),
+            self.counter("lp/pruned"),
         );
         let _ = writeln!(
             out,

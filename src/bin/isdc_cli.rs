@@ -96,7 +96,7 @@
 use isdc::core::metrics::post_synthesis_slack;
 use isdc::core::{
     linear_grid, min_feasible_period, render_sweep_json, run_isdc, run_sdc, sweep_clock_period,
-    IsdcConfig, IsdcSession, ScoringStrategy, ShapeStrategy, MAX_GRID_POINTS,
+    CacheStats, IsdcConfig, IsdcSession, ScoringStrategy, ShapeStrategy, MAX_GRID_POINTS,
 };
 use isdc::ir::{dot, text, transform, Graph};
 use isdc::netlist::{aiger, lower_graph};
@@ -547,11 +547,11 @@ fn cmd_schedule(args: &[String]) -> Result<(), CliError> {
         if cache {
             // The run's own cache traffic, from its metrics frame.
             let counter = |key| result.metrics.counter_or_zero(key);
-            let hits = counter("cache/hits");
-            let lookups = hits + counter("cache/misses");
-            let rate = if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 };
+            let (hits, misses) = (counter("cache/hits"), counter("cache/misses"));
+            let rate = CacheStats { hits, misses, ..CacheStats::default() }.hit_rate();
             println!(
-                "cache: {hits} hits / {lookups} lookups ({:.0}% hit rate), {} entries inserted",
+                "cache: {hits} hits / {} lookups ({:.0}% hit rate), {} entries inserted",
+                hits + misses,
                 rate * 100.0,
                 counter("cache/inserts")
             );

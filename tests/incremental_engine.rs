@@ -2,7 +2,8 @@
 //! pure performance optimization. For any graph and any monotone feedback
 //! sequence, the warm-started incremental path must produce **bit-identical
 //! schedules** to a full Alg. 2 pass plus a fresh build and cold solve —
-//! across random DAGs (proptest) and every iteration of the full Table I
+//! across random DAGs (proptest, with per-output steps that leave delays
+//! shrinking along paths) and every iteration of the full Table I
 //! benchsuite. The Table I replay also pins `run_isdc`'s per-iteration
 //! estimation errors (Fig. 7) against a from-scratch recomputation.
 
@@ -24,12 +25,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 const CLOCK: f64 = 2500.0;
 
-/// A monotone feedback step: a window of nodes and the fraction of the
-/// window's current worst pair delay to report back.
-type FeedbackStep = (usize, usize, f64);
+/// A monotone feedback step: a window of nodes, the fraction of the
+/// window's current worst pair delay to report back, and whether the
+/// window's last member reports its own arrival, at the given fraction of
+/// that report, through per-output feedback.
+type FeedbackStep = (usize, usize, f64, bool, f64);
 
 fn feedback_strategy() -> impl Strategy<Value = (RandomDagConfig, u64, Vec<FeedbackStep>)> {
-    let step = (0usize..64, 2usize..8, 0.3f64..1.1);
+    let step = (0usize..64, 2usize..8, 0.3f64..1.1, prop::bool::ANY, 0.3f64..1.0);
     (8usize..40, 2usize..5, any::<u64>(), prop::collection::vec(step, 1..10)).prop_map(
         |(num_ops, num_params, seed, steps)| {
             (
@@ -41,12 +44,19 @@ fn feedback_strategy() -> impl Strategy<Value = (RandomDagConfig, u64, Vec<Feedb
     )
 }
 
-/// Resolves a feedback step against the graph: a contiguous node-id window
-/// and a delay derived from the *current* matrix (scaled worst member pair),
-/// which keeps the sequence monotone whenever the scale is below 1 and
-/// exercises no-op feedback when it is not.
-fn resolve_step(m: &DelayMatrix, n: usize, step: &FeedbackStep) -> (Vec<NodeId>, f64) {
-    let (start, len, scale) = *step;
+/// A feedback step resolved against the graph and the *current* matrix: a
+/// contiguous node-id window, the reported delay (the scaled worst member
+/// pair, which keeps the sequence monotone whenever the scale is below 1
+/// and exercises no-op feedback when it is not), and the per-output
+/// arrivals, empty for whole-window feedback.
+struct Report {
+    members: Vec<NodeId>,
+    delay_ps: f64,
+    arrivals: Vec<(NodeId, f64)>,
+}
+
+fn resolve_step(m: &DelayMatrix, n: usize, step: &FeedbackStep) -> Report {
+    let (start, len, scale, per_output, output_scale) = *step;
     let start = start % n;
     let members: Vec<NodeId> = (start..(start + len).min(n)).map(|i| NodeId(i as u32)).collect();
     let worst = members
@@ -54,7 +64,23 @@ fn resolve_step(m: &DelayMatrix, n: usize, step: &FeedbackStep) -> (Vec<NodeId>,
         .flat_map(|&u| members.iter().map(move |&v| (u, v)))
         .filter_map(|(u, v)| m.get(u, v))
         .fold(0.0f64, f64::max);
-    (members, worst * scale)
+    let delay_ps = worst * scale;
+    // The last member arrives before the window's fallback, so pairs ending
+    // there can drop below pairs ending at its operands.
+    let arrivals = match members.last() {
+        Some(&last) if per_output => vec![(last, delay_ps * output_scale)],
+        _ => Vec::new(),
+    };
+    Report { members, delay_ps, arrivals }
+}
+
+/// Applies `report` as Alg. 1 feedback, per output when it carries arrivals.
+fn apply(m: &mut DelayMatrix, report: &Report) -> DirtySet {
+    if report.arrivals.is_empty() {
+        m.apply_subgraph_feedback(&report.members, report.delay_ps)
+    } else {
+        m.apply_subgraph_feedback_per_output(&report.members, &report.arrivals, report.delay_ps)
+    }
 }
 
 proptest! {
@@ -74,14 +100,14 @@ proptest! {
         prop_assert_eq!(&initial, &schedule_with_matrix(&g, &full, CLOCK).unwrap());
         let mut carry = DirtySet::new(g.len());
         for (i, step) in steps.iter().enumerate() {
-            let (members, delay_ps) = resolve_step(&inc, g.len(), step);
+            let report = resolve_step(&inc, g.len(), step);
             // From-scratch path: full Alg. 2 pass + fresh LP build + cold solve.
-            full.apply_subgraph_feedback(&members, delay_ps);
+            apply(&mut full, &report);
             full.reformulate(&g);
             let cold = schedule_with_matrix(&g, &full, CLOCK).unwrap();
             // Incremental path: dirty-tracked feedback, worklist sweep
             // (carrying the previous pass's escaped writes), warm re-solve.
-            let mut dirty = inc.apply_subgraph_feedback(&members, delay_ps);
+            let mut dirty = apply(&mut inc, &report);
             dirty.union(&carry);
             carry = inc.reformulate_incremental(&g, &dirty);
             dirty.union(&carry);

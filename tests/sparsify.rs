@@ -1,14 +1,18 @@
-//! LP sparsification identity: the dominance-pruned, bucket-deduped Eq. 2
-//! emission is a pure constraint-count optimization. Sparse and dense
-//! systems bound the same polyhedron, so `canonical_assignment` must land
-//! on the same optimal point — across the full Table I benchsuite, every
-//! `retarget` path, and randomized clock ladders on random DAGs.
+//! LP sparsification identity: the operand rule's Eq. 2 emission is a pure
+//! constraint-count optimization. Sparse and dense systems bound the same
+//! polyhedron, so `canonical_assignment` must land on the same optimal
+//! point — across the full Table I benchsuite, every `retarget` path, and
+//! randomized clock ladders on random DAGs. The emitted and pruned counts
+//! are checked against a pair-by-pair count of the rule itself, on naive
+//! and feedback-final matrices.
 
 use isdc::benchsuite::{random_dag, RandomDagConfig};
 use isdc::core::{
-    schedule_with_matrix, schedule_with_matrix_dense, DelayMatrix, DirtySet, IncrementalScheduler,
+    run_isdc, schedule_with_matrix, schedule_with_matrix_dense, DelayMatrix, DirtySet,
+    IncrementalScheduler, IsdcConfig,
 };
-use isdc::synth::OpDelayModel;
+use isdc::ir::Graph;
+use isdc::synth::{OpDelayModel, SynthesisOracle};
 use isdc::techlib::TechLibrary;
 use proptest::prelude::*;
 
@@ -48,7 +52,7 @@ fn suite_retargets_match_dense_every_step() {
 }
 
 /// The tentpole's measurable bar: crc32's Eq. 2 constraint count drops by
-/// at least 2x (the dense LP carries ~78k).
+/// at least 2x (the dense LP carries ~75k).
 #[test]
 fn crc32_constraint_count_is_at_least_halved() {
     let model = OpDelayModel::new(TechLibrary::sky130());
@@ -61,13 +65,82 @@ fn crc32_constraint_count_is_at_least_halved() {
     let stats = engine.sparsify_stats();
     assert!(
         stats.dense_constraints() > 70_000,
-        "crc32's dense Eq. 2 emission should be ~78k constraints: {stats:?}"
+        "crc32's dense Eq. 2 emission should be ~75k constraints: {stats:?}"
     );
     assert!(
         stats.pruning_ratio() >= 0.5,
         "sparsification must cut the constraint count at least 2x: {stats:?}"
     );
-    assert_eq!(stats.dense_constraints(), stats.constraints_emitted + stats.pruned());
+    assert_eq!(stats.dense_constraints(), stats.constraints_emitted + stats.pruned);
+}
+
+/// Stages a `d`-ps pair spans at period `t`: the smallest `k` with
+/// `k·t >= d`, found by repeated addition. Exact for whole-picosecond
+/// periods such as the Table I clocks.
+fn stages(d: f64, t: f64) -> u64 {
+    let (mut k, mut reach) = (1, t);
+    while reach < d {
+        k += 1;
+        reach += t;
+    }
+    k
+}
+
+/// `(emitted, pruned)` by the operand rule, decided pair by pair: a pair
+/// spanning `k >= 2` stages is pruned iff some operand `p ≠ u` of its sink
+/// spans at least `k` stages from `u`.
+fn operand_rule_counts(g: &Graph, d: &DelayMatrix, t: f64) -> (u64, u64) {
+    let (mut emitted, mut pruned) = (0, 0);
+    for u in g.node_ids() {
+        for w in g.node_ids().skip(u.index() + 1) {
+            let Some(k) = d.get(u, w).map(|dw| stages(dw, t)).filter(|&k| k >= 2) else {
+                continue;
+            };
+            let operands = &g.node(w).operands;
+            if operands.iter().any(|&p| p != u && d.get(u, p).is_some_and(|dp| stages(dp, t) >= k))
+            {
+                pruned += 1;
+            } else {
+                emitted += 1;
+            }
+        }
+    }
+    (emitted, pruned)
+}
+
+/// Every Table I design at its own clock, on its naive matrix and on the
+/// final matrix of its `run_isdc`: a fresh engine emits and prunes exactly
+/// what the operand rule decides pair by pair. Per-output feedback leaves
+/// `ml_core_datapath0_opcode2`'s final matrix with delays that shrink along
+/// paths, where the rule emits 45 constraints and prunes 117.
+#[test]
+fn emission_counts_match_the_operand_rule() {
+    let lib = TechLibrary::sky130();
+    let model = OpDelayModel::new(lib.clone());
+    let oracle = SynthesisOracle::new(lib);
+    let (mut naive_total, mut final_total) = ((0, 0), (0, 0));
+    for b in isdc::benchsuite::suite() {
+        let (g, clock) = (&b.graph, b.clock_period_ps);
+        let config = IsdcConfig { threads: 1, ..IsdcConfig::paper_defaults(clock) };
+        let naive = DelayMatrix::initialize(g, &model.all_node_delays(g));
+        let run = run_isdc(g, &model, &oracle, &config).unwrap();
+        for (which, d, total) in
+            [("naive", &naive, &mut naive_total), ("final", &run.delays, &mut final_total)]
+        {
+            let stats = IncrementalScheduler::new(g, d, clock).unwrap().sparsify_stats();
+            let got = (stats.constraints_emitted, stats.pruned);
+            assert_eq!(got, operand_rule_counts(g, d, clock), "{} {which}", b.name);
+            match (b.name, which) {
+                ("crc32", "naive") => assert_eq!(got, (2_802, 72_245)),
+                ("ml_core_datapath0_opcode2", "final") => assert_eq!(got, (45, 117)),
+                _ => {}
+            }
+            total.0 += got.0;
+            total.1 += got.1;
+        }
+    }
+    assert_eq!(naive_total, (10_742, 126_998));
+    assert_eq!(final_total, (9_744, 112_027));
 }
 
 proptest! {
