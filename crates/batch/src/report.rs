@@ -212,8 +212,8 @@ mod tests {
     use super::*;
     use crate::engine::{JobError, JobErrorKind, JobResult};
     use crate::spec::Job;
-    use isdc_cache::json::Parser;
     use isdc_cache::CacheStats;
+    use isdc_telemetry::json::Parser;
 
     /// A one-job report whose only point is infeasible: zero lookups.
     fn one_job_report(status: JobStatus) -> BatchReport {

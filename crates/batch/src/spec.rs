@@ -26,14 +26,15 @@
 //! `points` must be an integer from 1 to [`MAX_GRID_POINTS`], the CLI's
 //! `--points` cap. A job's optional `deadline_ms` must be a whole number
 //! of milliseconds that fits in a `u64`, as the CLI's `--deadline` must.
-//! Unknown keys are ignored so the format can grow. The codec is
-//! hand-rolled on [`isdc_cache::json`] (the build environment has no
-//! `serde_json`).
+//! Unknown keys are ignored so the format can grow, but their values must
+//! be well formed JSON, and nothing may follow the closing `}`. The codec
+//! is hand-rolled on [`isdc_telemetry::json`] (the build environment has
+//! no `serde_json`).
 
-use isdc_cache::json::Parser;
 use isdc_core::{linear_grid, MAX_GRID_POINTS};
 use isdc_techlib::Picos;
 use isdc_telemetry::escape_json;
+use isdc_telemetry::json::Parser;
 use std::fmt::Write as _;
 
 /// What a [`Job`] asks the engine to do with its design.
@@ -147,7 +148,8 @@ pub fn render_jobs(jobs: &[Job]) -> String {
 /// Returns a description of the first malformed construct: unknown job
 /// types, sweeps without periods, a period-valued field that is not a
 /// finite number above 0, a `points` that is not an integer from 1 to
-/// [`MAX_GRID_POINTS`], grids with `to < from`, searches with `lo > hi`.
+/// [`MAX_GRID_POINTS`], grids with `to < from`, searches with `lo > hi`,
+/// and anything but whitespace after the closing `}`.
 pub fn parse_jobs(json: &str) -> Result<Vec<Job>, String> {
     let mut p = Parser::new(json);
     let mut jobs: Vec<Job> = Vec::new();
@@ -172,6 +174,7 @@ pub fn parse_jobs(json: &str) -> Result<Vec<Job>, String> {
             break;
         }
     }
+    p.finish()?;
     Ok(jobs)
 }
 

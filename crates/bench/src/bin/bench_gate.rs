@@ -21,89 +21,28 @@
 //! missing ones are skipped with a note; `--require` turns absence into a
 //! failure (CI passes the artifacts it just generated).
 
-use isdc_cache::json::Parser;
-use std::collections::BTreeMap;
+use isdc_telemetry::json::{self, Value};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-/// A minimal JSON value tree for the gate's read-only inspection.
-#[derive(Clone, Debug, PartialEq)]
-enum Value {
-    Number(f64),
-    Bool(bool),
-    Text(String),
-    Array(Vec<Value>),
-    Object(BTreeMap<String, Value>),
+/// Keyed reads of a document's fields.
+trait Field {
+    fn number(&self, key: &str) -> Option<f64>;
+    fn text(&self, key: &str) -> Option<&str>;
+    fn array(&self, key: &str) -> Option<&[Value]>;
 }
 
-impl Value {
-    fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser::new(text);
-        parse_value(&mut p)
-    }
-
-    fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Object(map) => map.get(key),
-            _ => None,
-        }
-    }
-
+impl Field for Value {
     fn number(&self, key: &str) -> Option<f64> {
-        match self.get(key) {
-            Some(Value::Number(x)) => Some(*x),
-            _ => None,
-        }
+        self.get(key)?.as_f64()
     }
 
     fn text(&self, key: &str) -> Option<&str> {
-        match self.get(key) {
-            Some(Value::Text(s)) => Some(s),
-            _ => None,
-        }
+        self.get(key)?.as_str()
     }
 
     fn array(&self, key: &str) -> Option<&[Value]> {
-        match self.get(key) {
-            Some(Value::Array(items)) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-fn parse_value(p: &mut Parser<'_>) -> Result<Value, String> {
-    match p.peek() {
-        Some(b'{') => {
-            p.expect(b'{')?;
-            let mut map = BTreeMap::new();
-            if !p.peek_close(b'}') {
-                loop {
-                    let key = p.string()?;
-                    p.expect(b':')?;
-                    map.insert(key, parse_value(p)?);
-                    if !p.comma_or_close(b'}')? {
-                        break;
-                    }
-                }
-            }
-            Ok(Value::Object(map))
-        }
-        Some(b'[') => {
-            p.expect(b'[')?;
-            let mut items = Vec::new();
-            if !p.peek_close(b']') {
-                loop {
-                    items.push(parse_value(p)?);
-                    if !p.comma_or_close(b']')? {
-                        break;
-                    }
-                }
-            }
-            Ok(Value::Array(items))
-        }
-        Some(b'"') => p.string().map(Value::Text),
-        Some(b't') | Some(b'f') => p.boolean().map(Value::Bool),
-        _ => p.number().map(Value::Number),
+        self.get(key)?.as_array()
     }
 }
 
@@ -149,49 +88,12 @@ impl Check {
     }
 }
 
-/// Flattens a document into the `path -> number` map
-/// [`isdc_telemetry::attribute`] diffs. Array elements that are objects
-/// with a `"name"` field use the name (not the index) as their path
-/// segment, so per-design rows stay aligned across reordered documents.
-fn flatten(value: &Value, path: &str, out: &mut BTreeMap<String, f64>) {
-    let join = |segment: &str| {
-        if path.is_empty() {
-            segment.to_string()
-        } else {
-            format!("{path}/{segment}")
-        }
-    };
-    match value {
-        Value::Number(x) => {
-            out.insert(path.to_string(), *x);
-        }
-        Value::Object(map) => {
-            for (key, child) in map {
-                flatten(child, &join(key), out);
-            }
-        }
-        Value::Array(items) => {
-            for (i, item) in items.iter().enumerate() {
-                let segment = match item.text("name") {
-                    Some(name) => name.to_string(),
-                    None => i.to_string(),
-                };
-                flatten(item, &join(&segment), out);
-            }
-        }
-        Value::Bool(_) | Value::Text(_) => {}
-    }
-}
-
 /// The ranked regression attribution printed when a floor goes red:
 /// which metrics moved between the baseline and current document, by
 /// contribution to the wall-clock delta.
 fn attribution_report(baseline: &Value, current: &Value) -> String {
-    let mut old = BTreeMap::new();
-    let mut new = BTreeMap::new();
-    flatten(baseline, "", &mut old);
-    flatten(current, "", &mut new);
-    let (total, rows) = isdc_telemetry::attribute(&old, &new);
+    let (total, rows) =
+        isdc_telemetry::attribute(&json::flatten(baseline), &json::flatten(current));
     isdc_telemetry::render_attribution(total, &rows, 15)
 }
 
@@ -386,7 +288,7 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
 fn load(path: &Path) -> Result<Value, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
-    Value::parse(&text).map_err(|e| format!("parsing {}: {e}", path.display()))
+    json::parse(&text).map_err(|e| format!("parsing {}: {e}", path.display()))
 }
 
 fn main() -> ExitCode {
@@ -503,7 +405,7 @@ mod tests {
 
     /// A minimal-but-valid solver document for `gate_solver`.
     fn doc(warm_ns: f64, speedup: f64) -> Value {
-        Value::parse(&format!(
+        json::parse(&format!(
             r#"{{"mode": "quick",
                  "designs": [
                    {{"name": "crc32", "speedup": {speedup}, "pruning_ratio": 0.9,
@@ -516,17 +418,8 @@ mod tests {
     }
 
     #[test]
-    fn flatten_keys_arrays_by_row_name() {
-        let mut flat = BTreeMap::new();
-        flatten(&doc(500.0, 4.0), "", &mut flat);
-        assert_eq!(flat.get("designs/crc32/warm_ns"), Some(&500.0));
-        assert_eq!(flat.get("designs/sha256/speedup"), Some(&3.0));
-        assert_eq!(flat.get("drain/0/paths"), Some(&9.0), "unnamed rows fall back to indices");
-    }
-
-    #[test]
     fn ceiling_fails_above_its_bound() {
-        let floors = Value::parse(
+        let floors = json::parse(
             r#"{"solver": {"quick": {
                 "warm_speedup_min": 1.0,
                 "warm_speedup_geomean": 1.0,
@@ -546,7 +439,7 @@ mod tests {
 
     #[test]
     fn deliberately_failed_floor_prints_ranked_attribution() {
-        let floors = Value::parse(
+        let floors = json::parse(
             r#"{"solver": {"quick": {
                 "warm_speedup_min": 1000.0,
                 "warm_speedup_geomean": 1000.0,

@@ -68,7 +68,6 @@
 #![warn(missing_docs)]
 
 mod fingerprint;
-pub mod json;
 mod oracle;
 mod persist;
 mod store;

@@ -4,6 +4,7 @@ use crate::fingerprint::{canonicalize, CanonicalSubgraph};
 use crate::store::{CacheStats, CachedDelay, DelayCache};
 use isdc_ir::{Graph, NodeId};
 use isdc_synth::{DelayOracle, DelayReport};
+use isdc_telemetry::Counter;
 use std::sync::Arc;
 
 /// Wraps any [`DelayOracle`], memoizing evaluations by structural
@@ -46,6 +47,9 @@ pub struct CachingOracle<O> {
     inner: O,
     cache: Arc<DelayCache>,
     name: String,
+    hits: Counter,
+    misses: Counter,
+    inserts: Counter,
 }
 
 impl<O: DelayOracle> CachingOracle<O> {
@@ -58,7 +62,9 @@ impl<O: DelayOracle> CachingOracle<O> {
     /// or shared between oracles).
     pub fn with_cache(inner: O, cache: Arc<DelayCache>) -> Self {
         let name = format!("cached-{}", inner.name());
-        Self { inner, cache, name }
+        let (hits, misses, inserts) =
+            (Counter::detached(), Counter::detached(), Counter::detached());
+        Self { inner, cache, name, hits, misses, inserts }
     }
 
     /// The shared cache handle.
@@ -71,9 +77,16 @@ impl<O: DelayOracle> CachingOracle<O> {
         &self.inner
     }
 
-    /// Counter snapshot of the underlying cache.
+    /// This wrapper's own lookups — the hits, misses and inserts of its
+    /// [`DelayOracle::evaluate`] calls, not those of other wrappers sharing
+    /// the cache — plus the cache's evictions.
     pub fn stats(&self) -> CacheStats {
-        self.cache.stats()
+        CacheStats {
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            inserts: self.inserts.get(),
+            evictions: self.cache.stats().evictions,
+        }
     }
 }
 
@@ -112,10 +125,13 @@ impl<O: DelayOracle> DelayOracle for CachingOracle<O> {
         isdc_faults::fire("oracle/eval");
         let canon = canonicalize(graph, members);
         if let Some(entry) = self.cache.get(canon.fingerprint) {
+            self.hits.incr();
             return report_from_entry(&canon, &entry);
         }
+        self.misses.incr();
         let report = self.inner.evaluate(graph, members);
         self.cache.insert(canon.fingerprint, entry_from_report(&canon, &report));
+        self.inserts.incr();
         report
     }
 
@@ -228,6 +244,9 @@ mod tests {
         let rb = b.evaluate(&g, &ops);
         assert_eq!(ra, rb);
         assert_eq!(cache.stats().hits, 1);
+        // Each wrapper counts its own lookups; together they are the cache's.
+        assert_eq!((a.stats().hits, a.stats().misses, a.stats().inserts), (0, 1, 1));
+        assert_eq!((b.stats().hits, b.stats().misses, b.stats().inserts), (1, 0, 0));
     }
 
     #[test]

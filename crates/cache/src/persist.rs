@@ -48,15 +48,16 @@
 //!
 //! Floats are written in Rust's shortest-roundtrip form, so a
 //! save/load cycle reproduces bit-identical `f64`s. The codec is hand-rolled
-//! on [`crate::json`] because the build environment cannot fetch
-//! `serde_json`; it accepts any whitespace and ignores unknown object keys,
-//! so the format can grow.
+//! on [`isdc_telemetry::json`] because the build environment cannot fetch
+//! `serde_json`; it accepts any whitespace and ignores unknown object keys
+//! (whose values must still be well formed), so the format can grow, and a
+//! body with anything after its closing `}` is corrupt.
 
 use crate::fingerprint::Fingerprint;
-use crate::json::Parser;
 use crate::store::{CachedDelay, DelayCache, StoredPotentials};
 use isdc_faults::FaultKind;
 use isdc_telemetry::escape_json;
+use isdc_telemetry::json::Parser;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -261,6 +262,7 @@ impl DelayCache {
                 break;
             }
         }
+        p.finish()?;
         if tagged.is_none() {
             return Err("snapshot has no oracle tag".to_string());
         }
@@ -691,6 +693,19 @@ mod tests {
     #[test]
     fn zero_length_snapshot_quarantines_and_cold_starts() {
         assert_quarantined("empty", |_| Vec::new());
+    }
+
+    #[test]
+    fn trailing_content_after_the_body_quarantines() {
+        // A body that goes on after its closing `}` is corrupt even when
+        // its footer checksums every byte of it.
+        assert_quarantined("trailing", |bytes| {
+            let text = String::from_utf8(bytes).unwrap();
+            let body = format!("{} {{}}", &text[..text.rfind("\n#crc32:").unwrap()]);
+            format!("{body}\n#crc32:{:08x}\n", crc32(body.as_bytes())).into_bytes()
+        });
+        let err = DelayCache::new().merge_json(r#"{"oracle":"synthesis"} x"#, "synthesis");
+        assert_eq!(err.unwrap_err(), "trailing content at byte 23");
     }
 
     #[test]

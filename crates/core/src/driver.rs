@@ -194,7 +194,7 @@ pub struct IsdcResult {
     /// snapshots timed through the oracle and those they answered from
     /// the run's earlier measurements; the LP solve-time histogram
     /// (`solve/ns`); and — when caching was on, and only then — this
-    /// run's share of cache traffic (`cache/hits`, `cache/misses`,
+    /// run's own cache lookups (`cache/hits`, `cache/misses`,
     /// `cache/inserts`).
     pub metrics: MetricsFrame,
     /// Total wall-clock scheduling time.
@@ -290,8 +290,9 @@ pub fn run_isdc<O: DelayOracle + ?Sized>(
         let _ = cache.load(path, oracle.name());
     }
     let caching = CachingOracle::with_cache(oracle, Arc::clone(&cache));
-    let result = run_pipeline(graph, model, &caching, config, Some(&cache), RunSeed::default())
-        .map(|o| o.result);
+    let result =
+        run_pipeline(graph, model, &caching, config, Some(&|| caching.stats()), RunSeed::default())
+            .map(|o| o.result);
     if result.is_ok() {
         if let Some(path) = &config.cache_file {
             let _ = cache.save(path, oracle.name());
@@ -314,21 +315,21 @@ pub(crate) struct PipelineOutcome {
     pub(crate) initial_warm: bool,
 }
 
-/// The full ISDC loop over the staged pipeline. `cache` (when present) is
-/// only read for per-iteration hit/miss accounting — lookups themselves go
-/// through `oracle`, which the caller has already wrapped if it wants
-/// memoization. `seed` warm-starts the initial LP solve.
+/// The full ISDC loop over the staged pipeline. `cache_stats` (when
+/// present) reads the lookup counts of the [`CachingOracle`] the caller
+/// wrapped `oracle` in, for per-iteration and per-run hit/miss
+/// accounting. `seed` warm-starts the initial LP solve.
 pub(crate) fn run_pipeline<O: DelayOracle + ?Sized>(
     graph: &Graph,
     model: &OpDelayModel,
     oracle: &O,
     config: &IsdcConfig,
-    cache: Option<&DelayCache>,
+    cache_stats: Option<&dyn Fn() -> CacheStats>,
     seed: RunSeed<'_>,
 ) -> Result<PipelineOutcome, ScheduleError> {
     let _run_span = isdc_telemetry::span_f64("run", "clock_ps", config.clock_period_ps);
     let start = Instant::now();
-    let stats_now = || cache.map(|c| c.stats()).unwrap_or_default();
+    let stats_now = || cache_stats.map(|stats| stats()).unwrap_or_default();
     let run_stats_start = stats_now();
     let mut stats_before = run_stats_start;
     let mut state = PipelineState::new(graph, model, oracle, config, seed)?;
@@ -406,8 +407,8 @@ pub(crate) fn run_pipeline<O: DelayOracle + ?Sized>(
     }
 
     let mut metrics_frame = state.metrics_frame();
-    if cache.is_some() {
-        // This run's share of the (possibly shared) cache's traffic, as
+    if cache_stats.is_some() {
+        // This run's own lookups in the (possibly shared) cache, as
         // registry-shaped counters alongside the pipeline's own.
         let final_stats = stats_now();
         metrics_frame

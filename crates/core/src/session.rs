@@ -75,9 +75,10 @@ pub struct SessionRun {
     /// potentials learned by an earlier run (always false for the first run
     /// of a fresh, snapshotless session).
     pub warm_start: bool,
-    /// Oracle-cache hits recorded during this run.
+    /// Oracle-cache hits of this run's own lookups (other sessions
+    /// sharing the cache do not count here).
     pub cache_hits: u64,
-    /// Oracle-cache misses recorded during this run.
+    /// Oracle-cache misses of this run's own lookups.
     pub cache_misses: u64,
     /// The run itself — bit-identical to what an independent
     /// [`run_isdc`](crate::run_isdc) at the same config produces.
@@ -219,7 +220,7 @@ impl<'a, O: DelayOracle + ?Sized> IsdcSession<'a, O> {
         // is exactly the session's seed/handoff overhead.
         let _span = isdc_telemetry::span_f64("session:run", "clock_ps", config.clock_period_ps);
         let caching = CachingOracle::with_cache(self.oracle, Arc::clone(&self.cache));
-        let stats_before = self.cache.stats();
+        let stats = || caching.stats();
         // Strongest seed first: the previous run's engine, retargeted to
         // this run's period (cloned, so an infeasible period cannot consume
         // it). Fallback — e.g. a fresh session restored from a snapshot —
@@ -238,7 +239,7 @@ impl<'a, O: DelayOracle + ?Sized> IsdcSession<'a, O> {
             export_engine: true,
         };
         let mut outcome =
-            run_pipeline(self.graph, self.model, &caching, config, Some(&self.cache), seed)?;
+            run_pipeline(self.graph, self.model, &caching, config, Some(&stats), seed)?;
         if let Some(engine) = outcome.initial_engine.take() {
             self.engine = Some(engine);
         }
@@ -246,12 +247,12 @@ impl<'a, O: DelayOracle + ?Sized> IsdcSession<'a, O> {
             self.cache.store_potentials(self.design_key, config.clock_period_ps, pi.clone());
         }
         self.runs += 1;
-        let stats_after = self.cache.stats();
+        let lookups = caching.stats();
         Ok(SessionRun {
             clock_period_ps: config.clock_period_ps,
             warm_start: outcome.initial_warm,
-            cache_hits: stats_after.hits - stats_before.hits,
-            cache_misses: stats_after.misses - stats_before.misses,
+            cache_hits: lookups.hits,
+            cache_misses: lookups.misses,
             result: outcome.result,
         })
     }

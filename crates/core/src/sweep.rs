@@ -414,6 +414,7 @@ pub fn render_sweep_json(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use isdc_telemetry::json::Parser;
 
     #[test]
     fn linear_grid_covers_endpoints() {
@@ -503,6 +504,6 @@ mod tests {
         let path = r#"C:\designs\"odd".ir"#;
         let json = render_sweep_json(path, 1, "full", &[], &[]);
         let at = json.find("\"design\": ").expect("the document names its design") + 10;
-        assert_eq!(isdc_cache::json::Parser::new(&json[at..]).string().unwrap(), path, "{json}");
+        assert_eq!(Parser::new(&json[at..]).string().unwrap(), path, "{json}");
     }
 }

@@ -12,6 +12,7 @@
 //!   `chrome://tracing`. Tracks map to threads (`tid`), so each batch
 //!   worker renders as its own named row.
 
+use crate::json::{self, Value};
 use crate::trace::{ArgValue, Event, EventKind, Trace};
 use std::fmt::Write as _;
 
@@ -165,16 +166,14 @@ pub enum OwnedArg {
 }
 
 impl OwnedArg {
-    /// Classifies a JSON number from its raw text, mirroring how
+    /// Classifies a JSON number from its source text, mirroring how
     /// [`render_jsonl`] prints the typed [`ArgValue`]s.
-    fn classify(raw: &str, value: f64) -> OwnedArg {
-        if let Ok(n) = raw.parse::<u64>() {
-            OwnedArg::U64(n)
-        } else if let Ok(n) = raw.parse::<i64>() {
-            OwnedArg::I64(n)
-        } else {
-            OwnedArg::F64(value)
-        }
+    fn classify(text: &str) -> Option<OwnedArg> {
+        text.parse()
+            .map(OwnedArg::U64)
+            .or_else(|_| text.parse().map(OwnedArg::I64))
+            .or_else(|_| text.parse().map(OwnedArg::F64))
+            .ok()
     }
 }
 
@@ -195,230 +194,11 @@ pub struct OwnedEvent {
     pub args: Vec<(String, OwnedArg)>,
 }
 
-// ---------------------------------------------------------------------
-// Minimal JSON value parser for re-reading our own JSONL output. Not a
-// general-purpose parser: enough of RFC 8259 to round-trip what
-// render_jsonl emits, with clear errors on anything malformed.
-
-enum Json {
-    Obj(Vec<(String, Json)>),
-    // Array payloads are only traversed by tests (the chrome-trace
-    // self-check); JSONL lines are all objects.
-    Arr(#[allow(dead_code)] Vec<Json>),
-    Str(String),
-    // Numbers keep their raw text so argument values can be re-typed
-    // (u64 vs i64 vs f64) without precision loss.
-    Num(f64, String),
-    // Booleans/nulls are parsed for completeness but nothing in the
-    // trace schema reads their payload.
-    Bool(#[allow(dead_code)] bool),
-    Null,
-}
-
-impl Json {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(_, raw) => raw.parse::<u64>().ok(),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Parser { bytes: s.as_bytes(), pos: 0 }
-    }
-
-    fn err(&self, msg: &str) -> String {
-        format!("{msg} at byte {}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(_) => self.number(),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected '{lit}'")))
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| self.err("bad \\u escape"))?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).unwrap();
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(|v| Json::Num(v, text.to_string()))
-            .map_err(|_| self.err("bad number"))
-    }
-
-    fn finish(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(self.err("trailing garbage"))
-        }
-    }
-}
-
 /// Parses a JSONL trace file produced by [`render_jsonl`] back into
-/// events and the track-name table. Returns a line-tagged error for
-/// anything malformed.
+/// events and the track-name table. Track lines must number their tracks
+/// 0, 1, 2, … in order, as [`render_jsonl`] writes them, and every track
+/// id must fit the `u32` of [`Event::track`]. Returns a line-tagged error
+/// for anything malformed.
 pub fn parse_jsonl(text: &str) -> Result<(Vec<OwnedEvent>, Vec<String>), String> {
     let mut events = Vec::new();
     let mut tracks: Vec<String> = Vec::new();
@@ -426,82 +206,66 @@ pub fn parse_jsonl(text: &str) -> Result<(Vec<OwnedEvent>, Vec<String>), String>
         if line.trim().is_empty() {
             continue;
         }
-        let mut parser = Parser::new(line);
-        let value = parser
-            .value()
-            .and_then(|v| parser.finish().map(|()| v))
-            .map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let kind = value
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("line {}: missing \"kind\"", lineno + 1))?;
-        match kind {
+        let n = lineno + 1;
+        let value = json::parse(line).map_err(|e| format!("line {n}: {e}"))?;
+        let field =
+            |key: &str| value.get(key).ok_or_else(|| format!("line {n}: missing \"{key}\""));
+        let text_field = |key: &str| {
+            field(key)?.as_str().ok_or_else(|| format!("line {n}: \"{key}\" is not a string"))
+        };
+        let int_field = |key: &str| {
+            field(key)?.as_u64().ok_or_else(|| format!("line {n}: \"{key}\" is not a u64"))
+        };
+        let track = || {
+            let id = int_field("track")?;
+            u32::try_from(id).map_err(|_| format!("line {n}: track id {id} does not fit a u32"))
+        };
+        match text_field("kind")? {
             "track" => {
-                let id = value
-                    .get("track")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("line {}: track line missing id", lineno + 1))?
-                    as usize;
-                let name = value
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| format!("line {}: track line missing name", lineno + 1))?;
-                if tracks.len() <= id {
-                    tracks.resize(id + 1, String::new());
+                let id = track()?;
+                if id as usize != tracks.len() {
+                    return Err(format!(
+                        "line {n}: track {id} out of order (want track {})",
+                        tracks.len()
+                    ));
                 }
-                tracks[id] = name.to_string();
+                tracks.push(text_field("name")?.to_string());
             }
-            "B" | "E" | "i" => {
-                let event_kind = match kind {
+            kind @ ("B" | "E" | "i") => {
+                let kind = match kind {
                     "B" => EventKind::Begin,
                     "E" => EventKind::End,
                     _ => EventKind::Instant,
                 };
-                let field = |key: &str| {
-                    value
-                        .get(key)
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| format!("line {}: missing \"{key}\"", lineno + 1))
-                };
                 let mut args = Vec::new();
                 match value.get("args") {
                     None => {}
-                    Some(Json::Obj(fields)) => {
+                    Some(Value::Object(fields)) => {
                         for (key, v) in fields {
                             let arg = match v {
-                                Json::Str(s) => OwnedArg::Str(s.clone()),
-                                Json::Num(x, raw) => OwnedArg::classify(raw, *x),
-                                Json::Null => OwnedArg::Null,
-                                _ => {
-                                    return Err(format!(
-                                        "line {}: unsupported arg value for \"{key}\"",
-                                        lineno + 1
-                                    ))
-                                }
+                                Value::String(s) => Some(OwnedArg::Str(s.clone())),
+                                Value::Number(text) => OwnedArg::classify(text),
+                                Value::Null => Some(OwnedArg::Null),
+                                _ => None,
                             };
+                            let arg = arg.ok_or_else(|| {
+                                format!("line {n}: unsupported arg value for \"{key}\"")
+                            })?;
                             args.push((key.clone(), arg));
                         }
                     }
-                    Some(_) => {
-                        return Err(format!("line {}: \"args\" must be an object", lineno + 1))
-                    }
+                    Some(_) => return Err(format!("line {n}: \"args\" must be an object")),
                 }
                 events.push(OwnedEvent {
-                    seq: field("seq")?,
-                    track: field("track")? as u32,
-                    kind: event_kind,
-                    name: value
-                        .get("name")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| format!("line {}: missing \"name\"", lineno + 1))?
-                        .to_string(),
-                    t_ns: field("t_ns")?,
+                    seq: int_field("seq")?,
+                    track: track()?,
+                    kind,
+                    name: text_field("name")?.to_string(),
+                    t_ns: int_field("t_ns")?,
                     args,
                 });
             }
-            other => {
-                return Err(format!("line {}: unknown event kind {other:?}", lineno + 1));
-            }
+            other => return Err(format!("line {n}: unknown event kind {other:?}")),
         }
     }
     events.sort_by_key(|e| e.seq);
@@ -563,20 +327,16 @@ mod tests {
     #[test]
     fn chrome_trace_is_loadable_json() {
         let trace = sample_trace();
-        let text = render_chrome_trace(&trace);
-        // Parse with our own JSON parser: array of objects, metadata
-        // first, microsecond timestamps.
-        let mut parser = Parser::new(&text);
-        let value = parser.value().and_then(|v| parser.finish().map(|()| v)).expect("valid JSON");
-        let Json::Arr(items) = value else { panic!("chrome trace must be a JSON array") };
+        // Parse with the workspace's JSON reader: array of objects,
+        // metadata first, microsecond timestamps.
+        let value = json::parse(&render_chrome_trace(&trace)).expect("valid JSON");
+        let items = value.as_array().expect("chrome trace must be a JSON array");
         assert_eq!(items.len(), 2 + 3, "process meta + thread meta + 3 events");
-        assert_eq!(items[0].get("ph").and_then(Json::as_str), Some("M"));
+        assert_eq!(items[0].get("ph").and_then(Value::as_str), Some("M"));
         let begin = &items[2];
-        assert_eq!(begin.get("ph").and_then(Json::as_str), Some("B"));
-        match begin.get("ts") {
-            Some(Json::Num(ts, _)) => assert!((ts - 1.0).abs() < 1e-9, "1000ns = 1.0us"),
-            _ => panic!("ts missing"),
-        }
+        assert_eq!(begin.get("ph").and_then(Value::as_str), Some("B"));
+        let ts = begin.get("ts").and_then(Value::as_f64).expect("ts");
+        assert!((ts - 1.0).abs() < 1e-9, "1000ns = 1.0us");
         assert!(begin.get("args").is_some());
     }
 
@@ -585,5 +345,7 @@ mod tests {
         assert!(parse_jsonl("{\"kind\":\"B\"}").is_err());
         assert!(parse_jsonl("not json").is_err());
         assert!(parse_jsonl("{\"kind\":\"Z\",\"seq\":0}").is_err());
+        let err = parse_jsonl("{\"kind\":\"track\",\"track\":1,\"name\":\"x\"}").unwrap_err();
+        assert_eq!(err, "line 1: track 1 out of order (want track 0)");
     }
 }

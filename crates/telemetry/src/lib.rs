@@ -10,7 +10,8 @@
 //! totals are bit-deterministic); and **exporters** to JSON-lines and Chrome
 //! `trace_event` format (loadable in [Perfetto](https://ui.perfetto.dev)
 //! or `chrome://tracing`), plus the workspace's one JSON string escaper
-//! ([`escape_json`]).
+//! ([`escape_json`]) and its one JSON reader ([`json`]), which every
+//! snapshot, spec, trace, report and bench document is read back with.
 //!
 //! Every span edge, note and fault mark is one `Copy` [`Event`] in its
 //! track's log. Tracing is globally off by default; then each track
@@ -36,6 +37,7 @@
 
 mod check;
 mod export;
+pub mod json;
 mod registry;
 mod report;
 mod trace;

@@ -12,9 +12,11 @@
 //! [`MetricsFrame::totals`] then *sums* counters grouped by leaf name to
 //! produce fleet totals. Determinism across thread counts holds exactly
 //! for counters whose per-point values are themselves deterministic
-//! (scheduled points, register bits, iterations) — cache hits and drain
-//! work are honest measurements that depend on interleaving and are
-//! reported, not asserted.
+//! (scheduled points, register bits, iterations). Which run of a fleet
+//! hits the shared cache first, and the drain work that follows, depend
+//! on interleaving and are reported, not asserted; but each run counts
+//! only its own cache lookups, so the runs' hits and misses sum to the
+//! fleet's.
 
 use std::collections::BTreeMap;
 use std::fmt;

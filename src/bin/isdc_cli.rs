@@ -715,99 +715,25 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// A JSON value flattened for attribution: objects and arrays become
-/// `path/to/key -> number` entries; non-numeric leaves are dropped. An
-/// object's `"name"` string is surfaced to the enclosing array so rows
-/// like the report's `stages` entries keep a stable path
-/// (`stages/solve/ns`) even when their order changes between runs.
-#[derive(Default)]
-struct FlatValue {
-    number: Option<f64>,
-    name: Option<String>,
-    entries: Vec<(String, f64)>,
-}
-
-fn flatten_value(p: &mut isdc::cache::json::Parser) -> Result<FlatValue, String> {
-    let mut flat = FlatValue::default();
-    match p.peek() {
-        Some(b'{') => {
-            p.expect(b'{')?;
-            if p.peek_close(b'}') {
-                return Ok(flat);
-            }
-            loop {
-                let key = p.string()?;
-                p.expect(b':')?;
-                if key == "name" && p.peek() == Some(b'"') {
-                    flat.name = Some(p.string()?);
-                } else {
-                    let child = flatten_value(p)?;
-                    if let Some(v) = child.number {
-                        flat.entries.push((key.clone(), v));
-                    }
-                    for (sub, v) in child.entries {
-                        flat.entries.push((format!("{key}/{sub}"), v));
-                    }
-                }
-                if !p.comma_or_close(b'}')? {
-                    break;
-                }
-            }
-        }
-        Some(b'[') => {
-            p.expect(b'[')?;
-            if p.peek_close(b']') {
-                return Ok(flat);
-            }
-            let mut index = 0usize;
-            loop {
-                let child = flatten_value(p)?;
-                let segment = child.name.unwrap_or_else(|| index.to_string());
-                if let Some(v) = child.number {
-                    flat.entries.push((segment.clone(), v));
-                }
-                for (sub, v) in child.entries {
-                    flat.entries.push((format!("{segment}/{sub}"), v));
-                }
-                index += 1;
-                if !p.comma_or_close(b']')? {
-                    break;
-                }
-            }
-        }
-        Some(b'"') => {
-            p.string()?;
-        }
-        Some(b't') | Some(b'f') => {
-            p.boolean()?;
-        }
-        Some(b'n') => p.null()?,
-        Some(_) => flat.number = Some(p.number()?),
-        None => return Err("unexpected end of input".to_string()),
-    }
-    Ok(flat)
-}
-
 /// Reads a report / BENCH JSON artifact into the flat `key -> number`
 /// map [`isdc::telemetry::attribute`] diffs.
 fn flatten_json_file(path: &str) -> Result<std::collections::BTreeMap<String, f64>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let mut parser = isdc::cache::json::Parser::new(&text);
-    let flat = flatten_value(&mut parser).map_err(|e| format!("{path}: {e}"))?;
-    if flat.entries.is_empty() {
+    let doc = isdc::telemetry::json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    let flat = isdc::telemetry::json::flatten(&doc);
+    if flat.is_empty() {
         return Err(format!("{path}: no numeric metrics found"));
     }
     // `isdc report` artifacts carry the full metric set under "counters";
     // everything else in them ("stages", "quantiles", "total_ns") is a
     // derived view that would only duplicate attribution rows.
-    if flat.entries.iter().any(|(k, _)| k.starts_with("counters/")) {
+    if flat.keys().any(|k| k.starts_with("counters/")) {
         return Ok(flat
-            .entries
             .into_iter()
             .filter_map(|(k, v)| k.strip_prefix("counters/").map(|k| (k.to_string(), v)))
             .collect());
     }
-    Ok(flat.entries.into_iter().collect())
+    Ok(flat)
 }
 
 /// `report --baseline <old.json> <new.json>` diffs two report/BENCH

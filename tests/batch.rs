@@ -248,3 +248,31 @@ fn sharding_splits_only_sweeps_and_respects_the_cap() {
     }
     assert_eq!(rebuilt, linear_grid(clock, clock * 2.0, 7), "chunks must stitch back in order");
 }
+
+#[test]
+fn per_run_cache_counts_sum_to_the_fleet_under_two_workers() {
+    // One-point shards on two workers, so runs of the same design overlap
+    // in the shared cache. Each run counts only its own lookups, so the
+    // points, the fleet frame and the cache's own counters agree.
+    let designs = small_designs(4);
+    let jobs: Vec<Job> = designs
+        .iter()
+        .map(|d| {
+            let clock = d.base.clock_period_ps;
+            Job::sweep(&d.name, linear_grid(clock, clock * 1.6, 4))
+        })
+        .collect();
+    let lib = TechLibrary::sky130();
+    let model = OpDelayModel::new(lib.clone());
+    let oracle = SynthesisOracle::new(lib);
+    let cache = Arc::new(DelayCache::new());
+    let options = BatchOptions { threads: 2, shard_points: 1, ..Default::default() };
+    let report = run_batch(&designs, &jobs, &options, &model, &oracle, &cache).unwrap();
+    let points = || report.jobs.iter().flat_map(|j| &j.points);
+    assert_eq!(points().count(), 16);
+    assert!(report.cache.hits > 0 && report.cache.misses > 0, "{:?}", report.cache);
+    assert_eq!(points().map(|p| p.cache_hits).sum::<u64>(), report.cache.hits);
+    assert_eq!(points().map(|p| p.cache_misses).sum::<u64>(), report.cache.misses);
+    assert_eq!(report.metrics.total_of("hits"), report.cache.hits);
+    assert_eq!(report.metrics.total_of("misses"), report.cache.misses);
+}

@@ -233,3 +233,117 @@ fn cache_file_rerun_is_served_from_the_snapshot() {
     let schedule = |stdout: &str| -> String { stdout.split_once("scheduler:").unwrap().1.into() };
     assert_eq!(schedule(&first), schedule(&second));
 }
+
+/// Writes `contents` to a per-process temp file named after `tag`.
+fn temp_file(tag: &str, contents: &str) -> std::path::PathBuf {
+    let path = std::env::temp_dir().join(format!("isdc-cli-{tag}-{}", std::process::id()));
+    std::fs::write(&path, contents).unwrap();
+    path
+}
+
+#[test]
+fn batch_spec_with_trailing_content_or_a_malformed_unknown_value_exits_2() {
+    // A spec is one document, and an unknown key it skips must still hold
+    // well-formed JSON.
+    for (tag, spec, message) in [
+        (
+            "spec-trailing.json",
+            r#"{"jobs":[{"design":"rrot","from":2500,"points":1}]} trailing"#,
+            "trailing content at byte 52",
+        ),
+        (
+            "spec-note-array.json",
+            r#"{"jobs":[{"design":"rrot","from":2500,"points":1,"note":[1,}]}]}"#,
+            "bad number at byte 59",
+        ),
+        (
+            "spec-note-object.json",
+            r#"{"jobs":[{"design":"rrot","from":2500,"points":1,"note":{"a":[}}]}"#,
+            "bad number at byte 62",
+        ),
+    ] {
+        let spec = temp_file(tag, spec);
+        let path = spec.to_str().expect("utf-8 temp path");
+        assert_usage_error(
+            &["batch", "--jobs", path, "--threads", "1", "--iterations", "1"],
+            message,
+        );
+        let _ = std::fs::remove_file(&spec);
+    }
+}
+
+/// A hand-written `isdc report` document: `stages` rows in the given
+/// order, and the counters they are a view of.
+fn report_doc(stages: &[(&str, u64)]) -> String {
+    let rows: Vec<String> = stages
+        .iter()
+        .map(|(name, ns)| format!(r#"{{"name": "{name}", "ns": {ns}, "calls": 1}}"#))
+        .collect();
+    let counters: Vec<String> =
+        stages.iter().map(|(name, ns)| format!(r#""stage/{name}/ns": {ns}"#)).collect();
+    let total: u64 = stages.iter().map(|(_, ns)| ns).sum();
+    format!(
+        r#"{{"kind": "isdc_report", "total_ns": {total}, "stages": [{}],
+            "counters": {{"run/total_ns": {total}, {}}}, "quantiles": []}}"#,
+        rows.join(", "),
+        counters.join(", ")
+    )
+}
+
+#[test]
+fn report_baseline_diffs_the_counters_of_two_reports() {
+    let old = temp_file("baseline-old.json", &report_doc(&[("solve", 2000), ("extract", 1000)]));
+    let new = temp_file("baseline-new.json", &report_doc(&[("extract", 1000), ("solve", 5000)]));
+    let out = cli(&["report", "--baseline", old.to_str().unwrap(), new.to_str().unwrap()]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout.contains("attribution: total wall-clock delta +3.0 us"), "{stdout}");
+    assert!(stdout.lines().any(|l| l.trim_start().starts_with("stage/solve/ns")), "{stdout}");
+    assert!(!stdout.contains("stages/") && !stdout.contains("counters/"), "{stdout}");
+    let _ = std::fs::remove_file(&old);
+    let _ = std::fs::remove_file(&new);
+}
+
+#[test]
+fn report_baseline_with_trailing_content_exits_2() {
+    // Two concatenated documents are not one artifact: the second must not
+    // be silently ignored.
+    let old = temp_file("trailing-old.json", r#"{"total_ns": 10}"#);
+    let new = temp_file("trailing-new.json", r#"{"total_ns": 10}{"total_ns": 20}"#);
+    let new_path = new.to_str().unwrap();
+    assert_usage_error(
+        &["report", "--baseline", old.to_str().unwrap(), new_path],
+        &format!("{new_path}: trailing content at byte 16"),
+    );
+    let _ = std::fs::remove_file(&old);
+    let _ = std::fs::remove_file(&new);
+}
+
+#[test]
+fn trace_check_rejects_track_ids_beyond_u32() {
+    // Track ids are the `u32` of a trace event: a larger one is an error
+    // naming its line, not a panic or a silent truncation to track 0.
+    let event = |kind: &str, seq: u64, track: u64| {
+        format!(r#"{{"kind":"{kind}","seq":{seq},"track":{track},"name":"run","t_ns":{seq}}}"#)
+    };
+    for (tag, trace, message) in [
+        (
+            "trace-track-line.jsonl",
+            r#"{"kind":"track","track":18446744073709551615,"name":"x"}"#.to_string(),
+            "line 1: track id 18446744073709551615 does not fit a u32",
+        ),
+        (
+            "trace-event-track.jsonl",
+            format!(
+                "{{\"kind\":\"track\",\"track\":0,\"name\":\"main\"}}\n{}\n{}\n",
+                event("B", 0, 1 << 32),
+                event("E", 1, 0)
+            ),
+            "line 2: track id 4294967296 does not fit a u32",
+        ),
+    ] {
+        let file = temp_file(tag, &trace);
+        assert_usage_error(&["trace", "check", file.to_str().unwrap()], message);
+        let _ = std::fs::remove_file(&file);
+    }
+}
