@@ -212,7 +212,7 @@ fn gate_sweep(doc: &Value, floors: &Value, checks: &mut Vec<Check>) -> Result<()
     Ok(())
 }
 
-/// Structural sanity over the registry-derived drain fields rows now
+/// Structural sanity over the frame-derived drain fields rows now
 /// carry: SSP pushes at least one augmenting path per Dijkstra pass, so
 /// `drain_dijkstras <= drain_paths` whenever any path was pushed. Rows
 /// without the fields (older documents) pass vacuously — the gate

@@ -4,7 +4,7 @@ use crate::fingerprint::{canonicalize, CanonicalSubgraph};
 use crate::store::{CacheStats, CachedDelay, DelayCache};
 use isdc_ir::{Graph, NodeId};
 use isdc_synth::{DelayOracle, DelayReport};
-use isdc_telemetry::Counter;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 /// Wraps any [`DelayOracle`], memoizing evaluations by structural
@@ -47,9 +47,9 @@ pub struct CachingOracle<O> {
     inner: O,
     cache: Arc<DelayCache>,
     name: String,
-    hits: Counter,
-    misses: Counter,
-    inserts: Counter,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    inserts: AtomicU64,
 }
 
 impl<O: DelayOracle> CachingOracle<O> {
@@ -62,8 +62,7 @@ impl<O: DelayOracle> CachingOracle<O> {
     /// or shared between oracles).
     pub fn with_cache(inner: O, cache: Arc<DelayCache>) -> Self {
         let name = format!("cached-{}", inner.name());
-        let (hits, misses, inserts) =
-            (Counter::detached(), Counter::detached(), Counter::detached());
+        let (hits, misses, inserts) = (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
         Self { inner, cache, name, hits, misses, inserts }
     }
 
@@ -82,9 +81,9 @@ impl<O: DelayOracle> CachingOracle<O> {
     /// the cache — plus the cache's evictions.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits.get(),
-            misses: self.misses.get(),
-            inserts: self.inserts.get(),
+            hits: self.hits.load(Relaxed),
+            misses: self.misses.load(Relaxed),
+            inserts: self.inserts.load(Relaxed),
             evictions: self.cache.stats().evictions,
         }
     }
@@ -125,13 +124,13 @@ impl<O: DelayOracle> DelayOracle for CachingOracle<O> {
         isdc_faults::fire("oracle/eval");
         let canon = canonicalize(graph, members);
         if let Some(entry) = self.cache.get(canon.fingerprint) {
-            self.hits.incr();
+            self.hits.fetch_add(1, Relaxed);
             return report_from_entry(&canon, &entry);
         }
-        self.misses.incr();
+        self.misses.fetch_add(1, Relaxed);
         let report = self.inner.evaluate(graph, members);
         self.cache.insert(canon.fingerprint, entry_from_report(&canon, &report));
-        self.inserts.incr();
+        self.inserts.fetch_add(1, Relaxed);
         report
     }
 

@@ -1,8 +1,8 @@
 //! The sharded, thread-safe delay cache.
 
 use crate::fingerprint::Fingerprint;
-use isdc_telemetry::Counter;
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Poison-tolerant read lock. Every mutation under these locks is a
@@ -129,7 +129,7 @@ impl Shard {
     /// first (entries never re-referenced), then protected. Deterministic
     /// for a deterministic operation sequence — the victim is a pure
     /// function of the shard's history.
-    fn evict_to(&mut self, capacity: usize, evictions: &Counter) {
+    fn evict_to(&mut self, capacity: usize, evictions: &AtomicU64) {
         while self.map.len() > capacity {
             let victim = Self::pop_lru(&mut self.probation, &self.map)
                 .or_else(|| Self::pop_lru(&mut self.protected, &self.map));
@@ -138,7 +138,7 @@ impl Shard {
                 if slot.protected {
                     self.protected_len -= 1;
                 }
-                evictions.incr();
+                evictions.fetch_add(1, Relaxed);
             }
         }
     }
@@ -186,10 +186,10 @@ pub struct DelayCache {
     protected_capacity: usize,
     potentials: RwLock<HashMap<u128, Vec<StoredPotentials>>>,
     /// The counters [`DelayCache::stats`] reads.
-    hits: Counter,
-    misses: Counter,
-    inserts: Counter,
-    evictions: Counter,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    inserts: AtomicU64,
+    evictions: AtomicU64,
 }
 
 impl Default for DelayCache {
@@ -239,10 +239,10 @@ impl DelayCache {
             shard_capacity,
             protected_capacity,
             potentials: RwLock::new(HashMap::new()),
-            hits: Counter::detached(),
-            misses: Counter::detached(),
-            inserts: Counter::detached(),
-            evictions: Counter::detached(),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            inserts: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
         }
     }
 
@@ -303,11 +303,11 @@ impl DelayCache {
         };
         match found {
             Some(entry) => {
-                self.hits.incr();
+                self.hits.fetch_add(1, Relaxed);
                 Some(entry)
             }
             None => {
-                self.misses.incr();
+                self.misses.fetch_add(1, Relaxed);
                 None
             }
         }
@@ -336,7 +336,7 @@ impl DelayCache {
         // The fault hook fires *before* the lock is taken: an injected
         // panic here loses only this one insert, never shard consistency.
         isdc_faults::fire("cache/insert");
-        self.inserts.incr();
+        self.inserts.fetch_add(1, Relaxed);
         self.insert_slot(fp, entry);
     }
 
@@ -359,10 +359,10 @@ impl DelayCache {
     /// The lookup, insert and eviction counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits.get(),
-            misses: self.misses.get(),
-            inserts: self.inserts.get(),
-            evictions: self.evictions.get(),
+            hits: self.hits.load(Relaxed),
+            misses: self.misses.load(Relaxed),
+            inserts: self.inserts.load(Relaxed),
+            evictions: self.evictions.load(Relaxed),
         }
     }
 

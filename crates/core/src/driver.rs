@@ -26,7 +26,7 @@ use isdc_telemetry::{MetricValue, MetricsFrame};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Configuration for an ISDC run.
 #[derive(Clone, Debug, PartialEq)]
@@ -78,8 +78,8 @@ pub struct IsdcConfig {
     ///
     /// **Not to be confused with telemetry.** This flag gates the paper's
     /// Fig. 7 estimation-error measurement (extra oracle work per
-    /// iteration); it has nothing to do with the `isdc-telemetry` span /
-    /// metrics-registry layer, which is controlled globally by
+    /// iteration); it has nothing to do with the `isdc-telemetry` span
+    /// layer, which is controlled globally by
     /// [`isdc_telemetry::set_enabled`] (CLI: `--trace`) and records
     /// every iteration — including ones whose quality metrics this flag
     /// skips. With metrics off the `oracle_metrics` span simply never
@@ -123,7 +123,9 @@ impl IsdcConfig {
     }
 }
 
-/// Per-iteration quality snapshot.
+/// Per-iteration quality snapshot. Its counters and `solver_time` are what
+/// the run's [`IsdcResult::metrics`] frame gained since the record before
+/// it, so the records sum to the frame.
 #[derive(Clone, Debug, PartialEq)]
 pub struct IterationRecord {
     /// Iteration index; 0 is the initial (pure SDC) schedule.
@@ -150,9 +152,9 @@ pub struct IterationRecord {
     pub cache_misses: u64,
     /// Wall-clock time spent maintaining the delay matrix (Alg. 2) and
     /// re-solving this iteration's LP through the persistent
-    /// [`IncrementalScheduler`] (a subset of [`IterationRecord::elapsed`]);
-    /// for the initial schedule, the LP build (or a seeded engine's
-    /// retarget) and its first solve.
+    /// [`IncrementalScheduler`] (`stage/reformulate/ns` plus
+    /// `stage/solve/ns`); for the initial schedule, the LP build (or a
+    /// seeded engine's retarget) and its first solve.
     pub solver_time: Duration,
     /// Whether this iteration's LP re-solve was warm-started (false for an
     /// unseeded initial schedule and after any cold fallback).
@@ -163,8 +165,6 @@ pub struct IterationRecord {
     /// most paths by its zero-cost max flow, so `dijkstras <= paths`. All
     /// zero for cached zero-delta re-solves.
     pub drain: DrainStats,
-    /// Wall-clock time spent in this iteration.
-    pub elapsed: Duration,
 }
 
 impl IterationRecord {
@@ -197,7 +197,8 @@ pub struct IsdcResult {
     /// run's own cache lookups (`cache/hits`, `cache/misses`,
     /// `cache/inserts`).
     pub metrics: MetricsFrame,
-    /// Total wall-clock scheduling time.
+    /// Total wall-clock scheduling time: the length of the run's `run`
+    /// span, also reported as `run/total_ns`.
     pub total_time: Duration,
 }
 
@@ -310,15 +311,12 @@ pub(crate) struct PipelineOutcome {
     /// The engine cloned after the initial solve, when the seed asked for
     /// it — next run's retarget material.
     pub(crate) initial_engine: Option<IncrementalScheduler>,
-    /// Whether the initial solve itself was warm-started (only possible
-    /// with a seeded engine or imported potentials).
-    pub(crate) initial_warm: bool,
 }
 
 /// The full ISDC loop over the staged pipeline. `cache_stats` (when
-/// present) reads the lookup counts of the [`CachingOracle`] the caller
-/// wrapped `oracle` in, for per-iteration and per-run hit/miss
-/// accounting. `seed` warm-starts the initial LP solve.
+/// present) reads the lookup counts of the run's own [`CachingOracle`],
+/// which the caller wrapped `oracle` in; each snapshot copies them into
+/// the frame as `cache/*`. `seed` warm-starts the initial LP solve.
 pub(crate) fn run_pipeline<O: DelayOracle + ?Sized>(
     graph: &Graph,
     model: &OpDelayModel,
@@ -327,33 +325,16 @@ pub(crate) fn run_pipeline<O: DelayOracle + ?Sized>(
     cache_stats: Option<&dyn Fn() -> CacheStats>,
     seed: RunSeed<'_>,
 ) -> Result<PipelineOutcome, ScheduleError> {
-    let _run_span = isdc_telemetry::span_f64("run", "clock_ps", config.clock_period_ps);
-    let start = Instant::now();
-    let stats_now = || cache_stats.map(|stats| stats()).unwrap_or_default();
-    let run_stats_start = stats_now();
-    let mut stats_before = run_stats_start;
+    let run_span = isdc_telemetry::span_f64("run", "clock_ps", config.clock_period_ps);
     let mut state = PipelineState::new(graph, model, oracle, config, seed)?;
     let mut probe = config.iteration_metrics.then(|| QualityProbe::new(state.delays()));
     let initial_potentials = state.initial_potentials().map(<[i64]>::to_vec);
     let initial_engine = state.take_initial_engine();
-    let initial_warm = state.solver_warm();
-    let mut history = vec![snapshot(
-        &state,
-        probe.as_mut(),
-        SolveInfo {
-            iteration: 0,
-            subgraphs_evaluated: 0,
-            solver_time: state.initial_solve_time(),
-            solver_warm: initial_warm,
-            drain: state.solver_drain(),
-        },
-        &mut stats_before,
-        &stats_now,
-        start.elapsed(),
-    )?];
+    let mut history = Vec::new();
+    history.push(snapshot(&mut state, probe.as_mut(), cache_stats, &history)?);
 
     let mut stable_for = 0usize;
-    let mut prev_bits = state.schedule().register_bits(graph);
+    let mut prev_bits = history[0].register_bits;
     for iteration in 1..=config.max_iterations {
         // Per-iteration cancellation poll (one relaxed load disarmed) and
         // the matching chaos hook. Completed iterations stay in `history`;
@@ -365,36 +346,19 @@ pub(crate) fn run_pipeline<O: DelayOracle + ?Sized>(
         // skipped (`iteration_metrics: false`) still get full span
         // coverage — only the oracle_metrics child span is absent.
         let _iter_span = isdc_telemetry::span_u64("iteration", "i", iteration as u64);
-        let iter_start = Instant::now();
         let (subgraphs, _) = run_stage(&mut Extract, &mut state, ())?;
         if subgraphs.is_empty() {
             break; // nothing left to refine (e.g. single-stage pipeline)
         }
         let (subgraphs, _) = run_stage(&mut Dedupe, &mut state, subgraphs)?;
         let (evaluated, _) = run_stage(&mut Evaluate, &mut state, subgraphs)?;
-        let subgraphs_evaluated = evaluated.0.len();
         let (dirty, _) = run_stage(&mut Feedback, &mut state, evaluated)?;
-        let (dirty, reformulate_time) = run_stage(&mut Reformulate, &mut state, dirty)?;
-        let (solver_warm, solve_time) = run_stage(&mut Solve, &mut state, dirty)?;
+        let (dirty, _) = run_stage(&mut Reformulate, &mut state, dirty)?;
+        run_stage(&mut Solve, &mut state, dirty)?;
+        state.frame.add("run/iterations", 1);
+        history.push(snapshot(&mut state, probe.as_mut(), cache_stats, &history)?);
 
-        let next_bits = state.schedule().register_bits(graph);
-        state.metrics().iterations.incr();
-        history.push(snapshot(
-            &state,
-            probe.as_mut(),
-            SolveInfo {
-                iteration,
-                subgraphs_evaluated,
-                // Matrix maintenance + LP re-solve, mirroring what the
-                // pre-pipeline driver timed under this name.
-                solver_time: reformulate_time + solve_time,
-                solver_warm,
-                drain: state.solver_drain(),
-            },
-            &mut stats_before,
-            &stats_now,
-            iter_start.elapsed(),
-        )?);
+        let next_bits = history[iteration].register_bits;
         if next_bits == prev_bits {
             stable_for += 1;
             if stable_for >= config.convergence_patience {
@@ -406,43 +370,17 @@ pub(crate) fn run_pipeline<O: DelayOracle + ?Sized>(
         prev_bits = next_bits;
     }
 
-    let mut metrics_frame = state.metrics_frame();
-    if cache_stats.is_some() {
-        // This run's own lookups in the (possibly shared) cache, as
-        // registry-shaped counters alongside the pipeline's own.
-        let final_stats = stats_now();
-        metrics_frame
-            .insert("cache/hits", MetricValue::Counter(final_stats.hits - run_stats_start.hits));
-        metrics_frame.insert(
-            "cache/misses",
-            MetricValue::Counter(final_stats.misses - run_stats_start.misses),
-        );
-        metrics_frame.insert(
-            "cache/inserts",
-            MetricValue::Counter(final_stats.inserts - run_stats_start.inserts),
-        );
-    }
-    let total_time = start.elapsed();
+    let total_time = run_span.finish();
+    let (schedule, delays, mut metrics) = state.into_parts();
     // Run reports use this as the wall-clock denominator (the stage times,
     // `stage/oracle_metrics/ns` among them, exclude matrix set-up and
     // convergence bookkeeping).
-    metrics_frame.insert("run/total_ns", MetricValue::Counter(total_time.as_nanos() as u64));
-    let (schedule, delays) = state.into_schedule_and_delays();
+    metrics.insert("run/total_ns", MetricValue::Counter(total_time.as_nanos() as u64));
     Ok(PipelineOutcome {
-        result: IsdcResult { schedule, delays, history, metrics: metrics_frame, total_time },
+        result: IsdcResult { schedule, delays, history, metrics, total_time },
         initial_potentials,
         initial_engine,
-        initial_warm,
     })
-}
-
-/// Per-iteration solver facts threaded into [`snapshot`].
-struct SolveInfo {
-    iteration: usize,
-    subgraphs_evaluated: usize,
-    solver_time: Duration,
-    solver_warm: bool,
-    drain: DrainStats,
 }
 
 /// What one run's oracle quality snapshots keep between iterations
@@ -470,10 +408,9 @@ impl QualityProbe {
     /// with a cancellation poll before each.
     fn errors<O: DelayOracle + ?Sized>(
         &mut self,
-        state: &PipelineState<'_, O>,
+        state: &mut PipelineState<'_, O>,
     ) -> Result<(f64, f64), ScheduleError> {
-        let _span = isdc_telemetry::span("oracle_metrics");
-        let start = Instant::now();
+        let span = isdc_telemetry::span("oracle_metrics");
         let (graph, schedule) = (state.graph, state.schedule());
         let stages = schedule.stages();
         let fresh: Vec<Vec<NodeId>> = stages
@@ -490,7 +427,11 @@ impl QualityProbe {
         let est = metrics::estimated_stage_delays(graph, schedule, state.delays());
         let naive_est = metrics::naive_stage_delays(graph, schedule, &self.naive_node_delays);
         let timed = stages.iter().filter(|m| !m.is_empty()).count();
-        state.metrics().record_snapshot(start.elapsed(), evaluated, timed - evaluated);
+        let frame = &mut state.frame;
+        frame.add("stage/oracle_metrics/ns", span.finish().as_nanos() as u64);
+        frame.add("stage/oracle_metrics/calls", 1);
+        frame.add("run/stages_evaluated", evaluated as u64);
+        frame.add("run/stages_reused", (timed - evaluated) as u64);
         Ok((
             metrics::estimation_error_pct(&est, &sta),
             metrics::estimation_error_pct(&naive_est, &sta),
@@ -500,42 +441,59 @@ impl QualityProbe {
 
 /// The record of the state's current schedule. With a `probe` it carries
 /// the oracle quality metrics; without one (e.g. a sweep's inner points)
-/// the oracle is not consulted and the error columns read 0.
+/// the oracle is not consulted and the error columns read 0. Its counters
+/// are what the frame gained since the records in `history`.
 ///
 /// # Errors
 ///
 /// [`ScheduleError::DeadlineExceeded`] when cancellation cuts the probe's
 /// oracle calls short.
 fn snapshot<O: DelayOracle + ?Sized>(
-    state: &PipelineState<'_, O>,
+    state: &mut PipelineState<'_, O>,
     probe: Option<&mut QualityProbe>,
-    solve: SolveInfo,
-    stats_before: &mut CacheStats,
-    stats_now: &dyn Fn() -> CacheStats,
-    elapsed: Duration,
+    cache_stats: Option<&dyn Fn() -> CacheStats>,
+    history: &[IterationRecord],
 ) -> Result<IterationRecord, ScheduleError> {
     let (error_pct, naive_error_pct) = match probe {
         Some(probe) => probe.errors(state)?,
         None => (0.0, 0.0),
     };
-    let (graph, schedule) = (state.graph, state.schedule());
-    let stats_after = stats_now();
-    let record = IterationRecord {
-        iteration: solve.iteration,
+    if let Some(stats) = cache_stats.map(|stats| stats()) {
+        for (key, n) in [
+            ("cache/hits", stats.hits),
+            ("cache/misses", stats.misses),
+            ("cache/inserts", stats.inserts),
+        ] {
+            state.frame.insert(key, MetricValue::Counter(n));
+        }
+    }
+    let (graph, schedule, frame) = (state.graph, state.schedule(), &state.frame);
+    let gained = |keys: &[&str], prior: fn(&IterationRecord) -> u64| -> u64 {
+        let now: u64 = keys.iter().map(|key| frame.counter_or_zero(key)).sum();
+        now - history.iter().map(prior).sum::<u64>()
+    };
+    Ok(IterationRecord {
+        iteration: history.len(),
         register_bits: schedule.register_bits(graph),
         num_stages: schedule.num_stages(),
         estimation_error_pct: error_pct,
         naive_estimation_error_pct: naive_error_pct,
-        subgraphs_evaluated: solve.subgraphs_evaluated,
-        cache_hits: stats_after.hits - stats_before.hits,
-        cache_misses: stats_after.misses - stats_before.misses,
-        solver_time: solve.solver_time,
-        solver_warm: solve.solver_warm,
-        drain: solve.drain,
-        elapsed,
-    };
-    *stats_before = stats_after;
-    Ok(record)
+        subgraphs_evaluated: gained(&["run/subgraphs_evaluated"], |r| r.subgraphs_evaluated as u64)
+            as usize,
+        cache_hits: gained(&["cache/hits"], |r| r.cache_hits),
+        cache_misses: gained(&["cache/misses"], |r| r.cache_misses),
+        solver_time: Duration::from_nanos(gained(
+            &["stage/reformulate/ns", "stage/solve/ns"],
+            |r| r.solver_time.as_nanos() as u64,
+        )),
+        solver_warm: state.solver_warm(),
+        drain: DrainStats {
+            dijkstras: gained(&["drain/dijkstras"], |r| r.drain.dijkstras),
+            nodes_settled: gained(&["drain/nodes_settled"], |r| r.drain.nodes_settled),
+            paths: gained(&["drain/paths"], |r| r.drain.paths),
+            flow_pushed: gained(&["drain/flow_pushed"], |r| r.drain.flow_pushed),
+        },
+    })
 }
 
 #[cfg(test)]
@@ -668,6 +626,23 @@ mod tests {
         assert_eq!(total_hits, hits, "per-iteration hits must sum to the total");
         assert_eq!(total_misses, cached.metrics.counter_or_zero("cache/misses"));
         assert!(cached.history.last().unwrap().cache_hit_rate() > 0.0);
+        // The records' drain and solver time are the frame's, split by
+        // iteration, for both runs.
+        for run in [&plain, &cached] {
+            let counter = |key: &str| run.metrics.counter_or_zero(key);
+            let mut drain = DrainStats::default();
+            for record in &run.history {
+                drain += record.drain;
+            }
+            assert!(drain.paths > 0, "the initial solve drains");
+            assert_eq!(drain.dijkstras, counter("drain/dijkstras"));
+            assert_eq!(drain.nodes_settled, counter("drain/nodes_settled"));
+            assert_eq!(drain.paths, counter("drain/paths"));
+            assert_eq!(drain.flow_pushed, counter("drain/flow_pushed"));
+            let solver_ns: u128 = run.history.iter().map(|r| r.solver_time.as_nanos()).sum();
+            let frame_ns = counter("stage/reformulate/ns") + counter("stage/solve/ns");
+            assert_eq!(solver_ns, u128::from(frame_ns));
+        }
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //!  +------------------------------- until registers stabilize --------------------------------+
 //! ```
 //!
-//! Each stage is a unit struct implementing [`Stage`]; [`run_stage`] times
-//! an invocation into the run's metrics (`stage/{name}/ns` and
+//! Each stage is a unit struct implementing [`Stage`]; [`run_stage`] runs
+//! an invocation inside its `stage:{name}` span and adds the span's length
+//! and one call to the run's frame (`stage/{name}/ns` and
 //! `stage/{name}/calls` in [`IsdcResult::metrics`](crate::IsdcResult)).
 //! The driver composes the stages in the fixed order above; tests and
 //! tools can run any stage in isolation against a `PipelineState`.
@@ -31,11 +32,10 @@ use crate::schedule::Schedule;
 use crate::scheduler::{IncrementalScheduler, ScheduleError, SparsifyStats};
 use crate::subgraph::{extract_subgraphs, Subgraph};
 use isdc_ir::{Graph, NodeId};
-use isdc_sdc::DrainStats;
 use isdc_synth::{evaluate_parallel_cancellable, DelayOracle, DelayReport, OpDelayModel};
-use isdc_telemetry::{Counter, Histogram, MetricsFrame, Registry};
+use isdc_telemetry::MetricsFrame;
 use std::collections::HashSet;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::driver::IsdcConfig;
 
@@ -79,14 +79,15 @@ impl StageKind {
         }
     }
 
-    fn index(self) -> usize {
+    /// The stage's frame keys: `stage/{name}/ns` and `stage/{name}/calls`.
+    fn keys(self) -> [&'static str; 2] {
         match self {
-            StageKind::Extract => 0,
-            StageKind::Dedupe => 1,
-            StageKind::Evaluate => 2,
-            StageKind::Feedback => 3,
-            StageKind::Reformulate => 4,
-            StageKind::Solve => 5,
+            StageKind::Extract => ["stage/extract/ns", "stage/extract/calls"],
+            StageKind::Dedupe => ["stage/dedupe/ns", "stage/dedupe/calls"],
+            StageKind::Evaluate => ["stage/evaluate/ns", "stage/evaluate/calls"],
+            StageKind::Feedback => ["stage/feedback/ns", "stage/feedback/calls"],
+            StageKind::Reformulate => ["stage/reformulate/ns", "stage/reformulate/calls"],
+            StageKind::Solve => ["stage/solve/ns", "stage/solve/calls"],
         }
     }
 
@@ -103,110 +104,17 @@ impl StageKind {
     }
 }
 
-/// The registry-backed metric handles of one run. Every counter that
-/// used to be a bespoke field (per-stage wall-clock, drain totals,
-/// subgraph counts) records through here, so
-/// [`IsdcResult::metrics`](crate::IsdcResult) is one coherent frame.
-pub(crate) struct RunMetrics {
-    registry: Registry,
-    stage_ns: [Counter; 6],
-    stage_calls: [Counter; 6],
-    drain_dijkstras: Counter,
-    drain_nodes_settled: Counter,
-    drain_paths: Counter,
-    drain_flow_pushed: Counter,
-    lp_pairs_scanned: Counter,
-    lp_constraints_emitted: Counter,
-    lp_pruned: Counter,
-    /// Pipeline iterations completed (excluding the initial solve).
-    pub(crate) iterations: Counter,
-    /// Subgraphs sent to the oracle (post-dedupe), summed over iterations.
-    pub(crate) subgraphs_evaluated: Counter,
-    /// Wall-clock of the oracle quality snapshots (`stage/oracle_metrics/ns`),
-    /// which run outside the six stages.
-    oracle_metrics_ns: Counter,
-    oracle_metrics_calls: Counter,
-    /// Stages the snapshots sent to the oracle (`run/stages_evaluated`).
-    stages_evaluated: Counter,
-    /// Stages the snapshots answered from the run's earlier measurements
-    /// (`run/stages_reused`).
-    stages_reused: Counter,
-    /// Distribution of individual LP solve times (log2 ns buckets).
-    solve_ns: Histogram,
-}
-
-impl RunMetrics {
-    fn new() -> Self {
-        let registry = Registry::new();
-        let stage_ns =
-            StageKind::ALL.map(|kind| registry.counter(&format!("stage/{}/ns", kind.name())));
-        let stage_calls =
-            StageKind::ALL.map(|kind| registry.counter(&format!("stage/{}/calls", kind.name())));
-        let drain_dijkstras = registry.counter("drain/dijkstras");
-        let drain_nodes_settled = registry.counter("drain/nodes_settled");
-        let drain_paths = registry.counter("drain/paths");
-        let drain_flow_pushed = registry.counter("drain/flow_pushed");
-        let lp_pairs_scanned = registry.counter("lp/pairs_scanned");
-        let lp_constraints_emitted = registry.counter("lp/constraints_emitted");
-        let lp_pruned = registry.counter("lp/pruned");
-        let iterations = registry.counter("run/iterations");
-        let subgraphs_evaluated = registry.counter("run/subgraphs_evaluated");
-        let oracle_metrics_ns = registry.counter("stage/oracle_metrics/ns");
-        let oracle_metrics_calls = registry.counter("stage/oracle_metrics/calls");
-        let stages_evaluated = registry.counter("run/stages_evaluated");
-        let stages_reused = registry.counter("run/stages_reused");
-        let solve_ns = registry.histogram("solve/ns");
-        Self {
-            registry,
-            stage_ns,
-            stage_calls,
-            drain_dijkstras,
-            drain_nodes_settled,
-            drain_paths,
-            drain_flow_pushed,
-            lp_pairs_scanned,
-            lp_constraints_emitted,
-            lp_pruned,
-            iterations,
-            subgraphs_evaluated,
-            oracle_metrics_ns,
-            oracle_metrics_calls,
-            stages_evaluated,
-            stages_reused,
-            solve_ns,
-        }
-    }
-
-    /// Records one quality snapshot: its wall-clock, and how many stages
-    /// it timed through the oracle versus reused.
-    pub(crate) fn record_snapshot(&self, elapsed: Duration, evaluated: usize, reused: usize) {
-        self.oracle_metrics_ns.add(elapsed.as_nanos() as u64);
-        self.oracle_metrics_calls.incr();
-        self.stages_evaluated.add(evaluated as u64);
-        self.stages_reused.add(reused as u64);
-    }
-
-    fn record_stage(&self, kind: StageKind, elapsed: Duration) {
-        self.stage_ns[kind.index()].add(elapsed.as_nanos() as u64);
-        self.stage_calls[kind.index()].incr();
-        if kind == StageKind::Solve {
-            self.solve_ns.record(elapsed.as_nanos() as u64);
-        }
-    }
-
-    fn record_drain(&self, drain: DrainStats) {
-        self.drain_dijkstras.add(drain.dijkstras);
-        self.drain_nodes_settled.add(drain.nodes_settled);
-        self.drain_paths.add(drain.paths);
-        self.drain_flow_pushed.add(drain.flow_pushed);
-    }
-
-    fn record_lp(&self, delta: SparsifyStats) {
-        self.lp_pairs_scanned.add(delta.pairs_scanned);
-        self.lp_constraints_emitted.add(delta.constraints_emitted);
-        self.lp_pruned.add(delta.pruned);
-    }
-}
+/// Counters every run's frame carries from its start, next to the
+/// stages' own and the ones the initial solve adds, so a run that never
+/// iterates or skips the quality snapshots still reports them as 0.
+const RUN_COUNTERS: [&str; 6] = [
+    "run/iterations",
+    "run/subgraphs_evaluated",
+    "run/stages_evaluated",
+    "run/stages_reused",
+    "stage/oracle_metrics/ns",
+    "stage/oracle_metrics/calls",
+];
 
 /// One ISDC iteration pipeline step: consumes `In`, produces `Out`, reading
 /// and mutating the shared [`PipelineState`]. Implementations are plain
@@ -232,8 +140,8 @@ pub trait Stage<O: DelayOracle + ?Sized> {
     ) -> Result<Self::Out, ScheduleError>;
 }
 
-/// Runs one stage, recording its wall-clock cost in the state's profile.
-/// Returns the stage output and the elapsed time of this invocation.
+/// Runs one stage inside its span, adding the span's length to the run's
+/// frame. Returns the stage output and that length.
 ///
 /// # Errors
 ///
@@ -248,11 +156,10 @@ pub fn run_stage<O: DelayOracle + ?Sized, S: Stage<O>>(
     // untouched since the last completed stage, so the caller's normal
     // error path (discard the run, keep the session) stays clean-cut.
     isdc_cancel::checkpoint().map_err(|_| ScheduleError::DeadlineExceeded)?;
-    let _span = isdc_telemetry::span(S::KIND.span_name());
-    let start = Instant::now();
+    let span = isdc_telemetry::span(S::KIND.span_name());
     let out = stage.run(state, input)?;
-    let elapsed = start.elapsed();
-    state.record(S::KIND, elapsed);
+    let elapsed = span.finish();
+    state.record_stage(S::KIND, elapsed);
     Ok((out, elapsed))
 }
 
@@ -291,16 +198,14 @@ pub struct PipelineState<'a, O: ?Sized> {
     engine: IncrementalScheduler,
     carry: DirtySet,
     schedule: Schedule,
-    solver_warm: bool,
-    solver_drain: DrainStats,
-    initial_solve_time: Duration,
     initial_potentials: Option<Vec<i64>>,
     initial_engine: Option<IncrementalScheduler>,
     /// The engine's cumulative [`SparsifyStats`] as of the last recording —
     /// a session-carried engine arrives with prior runs' events already
     /// counted, so the `lp/*` metrics record deltas against this snapshot.
     lp_seen: SparsifyStats,
-    metrics: RunMetrics,
+    /// Every number the run reports, added to as it goes.
+    pub(crate) frame: MetricsFrame,
 }
 
 impl<'a, O: DelayOracle + ?Sized> PipelineState<'a, O> {
@@ -325,9 +230,8 @@ impl<'a, O: DelayOracle + ?Sized> PipelineState<'a, O> {
         // A seeded engine's sparsify counters include previous runs; only
         // what this run's retarget + build adds should hit this run's
         // metrics.
-        let lp_base =
+        let lp_seen =
             seed.engine.as_ref().map(IncrementalScheduler::sparsify_stats).unwrap_or_default();
-        let solve_start = Instant::now();
         let mut engine = match seed.engine {
             Some(mut engine) => {
                 // The seed engine encodes the naive matrix at its old
@@ -344,10 +248,7 @@ impl<'a, O: DelayOracle + ?Sized> PipelineState<'a, O> {
             }
         };
         let schedule = engine.reschedule(graph, &delays, &DirtySet::new(graph.len()))?;
-        let solver_warm = engine.last_solve_was_warm();
-        let solver_drain = engine.last_drain_stats();
-        let initial_solve_time = solve_start.elapsed();
-        drop(init_span);
+        let initial_solve_time = init_span.finish();
         // Exported right after the naive-matrix solve: these are the
         // potentials (and, on request, the whole engine) a *future* run's
         // iteration 0 — same naive matrix — can seed from. The final
@@ -355,12 +256,7 @@ impl<'a, O: DelayOracle + ?Sized> PipelineState<'a, O> {
         // the next run does not start from.
         let initial_potentials = engine.potentials();
         let initial_engine = seed.export_engine.then(|| engine.clone());
-        let metrics = RunMetrics::new();
-        metrics.record_stage(StageKind::Solve, initial_solve_time);
-        metrics.record_drain(solver_drain);
-        let lp_seen = engine.sparsify_stats();
-        metrics.record_lp(lp_seen.delta_since(&lp_base));
-        Ok(Self {
+        let mut state = Self {
             graph,
             config,
             oracle,
@@ -368,14 +264,18 @@ impl<'a, O: DelayOracle + ?Sized> PipelineState<'a, O> {
             engine,
             carry: DirtySet::new(graph.len()),
             schedule,
-            solver_warm,
-            solver_drain,
-            initial_solve_time,
             initial_potentials,
             initial_engine,
             lp_seen,
-            metrics,
-        })
+            frame: MetricsFrame::new(),
+        };
+        let stage_keys = StageKind::ALL.into_iter().flat_map(StageKind::keys);
+        for key in RUN_COUNTERS.into_iter().chain(stage_keys) {
+            state.frame.add(key, 0);
+        }
+        state.record_stage(StageKind::Solve, initial_solve_time);
+        state.record_solve();
+        Ok(state)
     }
 
     /// The current schedule (initial solve, then updated by each `Solve`).
@@ -390,18 +290,7 @@ impl<'a, O: DelayOracle + ?Sized> PipelineState<'a, O> {
 
     /// Whether the most recent solve was warm-started.
     pub fn solver_warm(&self) -> bool {
-        self.solver_warm
-    }
-
-    /// SSP drain counters of the most recent solve (zeros for a cached
-    /// zero-delta re-solve).
-    pub fn solver_drain(&self) -> DrainStats {
-        self.solver_drain
-    }
-
-    /// Wall-clock time of the initial (iteration 0) LP build + solve.
-    pub fn initial_solve_time(&self) -> Duration {
-        self.initial_solve_time
+        self.engine.last_solve_was_warm()
     }
 
     /// The LP potentials exported right after the initial solve — what a
@@ -417,24 +306,47 @@ impl<'a, O: DelayOracle + ?Sized> PipelineState<'a, O> {
         self.initial_engine.take()
     }
 
-    /// The run's metric handles (driver-internal).
-    pub(crate) fn metrics(&self) -> &RunMetrics {
-        &self.metrics
-    }
-
-    /// A snapshot of every metric the run has recorded.
+    /// A copy of every metric the run has recorded so far.
     pub fn metrics_frame(&self) -> MetricsFrame {
-        self.metrics.registry.snapshot()
+        self.frame.clone()
     }
 
-    /// Ends the run, handing over its final schedule and delay matrix
-    /// without copying them.
-    pub(crate) fn into_schedule_and_delays(self) -> (Schedule, DelayMatrix) {
-        (self.schedule, self.delays)
+    /// Ends the run, handing over its final schedule, delay matrix and
+    /// frame without copying them.
+    pub(crate) fn into_parts(self) -> (Schedule, DelayMatrix, MetricsFrame) {
+        (self.schedule, self.delays, self.frame)
     }
 
-    fn record(&mut self, kind: StageKind, elapsed: Duration) {
-        self.metrics.record_stage(kind, elapsed);
+    /// Adds one invocation of `kind` lasting `elapsed`; each LP solve also
+    /// lands in the `solve/ns` histogram.
+    fn record_stage(&mut self, kind: StageKind, elapsed: Duration) {
+        let [ns, calls] = kind.keys();
+        let elapsed_ns = elapsed.as_nanos() as u64;
+        self.frame.add(ns, elapsed_ns);
+        self.frame.add(calls, 1);
+        if kind == StageKind::Solve {
+            self.frame.record("solve/ns", elapsed_ns);
+        }
+    }
+
+    /// Adds the engine's latest solve: its drain counters and the `lp/*`
+    /// events since the last recording.
+    fn record_solve(&mut self) {
+        let drain = self.engine.last_drain_stats();
+        let lp_now = self.engine.sparsify_stats();
+        let lp = lp_now.delta_since(&self.lp_seen);
+        self.lp_seen = lp_now;
+        for (key, n) in [
+            ("drain/dijkstras", drain.dijkstras),
+            ("drain/nodes_settled", drain.nodes_settled),
+            ("drain/paths", drain.paths),
+            ("drain/flow_pushed", drain.flow_pushed),
+            ("lp/pairs_scanned", lp.pairs_scanned),
+            ("lp/constraints_emitted", lp.constraints_emitted),
+            ("lp/pruned", lp.pruned),
+        ] {
+            self.frame.add(key, n);
+        }
     }
 }
 
@@ -503,7 +415,7 @@ impl<O: DelayOracle + ?Sized> Stage<O> for Evaluate {
         input: Self::In,
     ) -> Result<Self::Out, ScheduleError> {
         let node_sets: Vec<Vec<NodeId>> = input.iter().map(|s| s.nodes.clone()).collect();
-        state.metrics.subgraphs_evaluated.add(node_sets.len() as u64);
+        state.frame.add("run/subgraphs_evaluated", node_sets.len() as u64);
         let reports = evaluate_parallel_cancellable(
             state.oracle,
             state.graph,
@@ -582,15 +494,9 @@ impl<O: DelayOracle + ?Sized> Stage<O> for Solve {
     ) -> Result<Self::Out, ScheduleError> {
         isdc_faults::trip("solver/drain")
             .map_err(|fault| ScheduleError::Injected { site: fault.site })?;
-        let engine = &mut state.engine;
-        state.schedule = engine.reschedule(state.graph, &state.delays, &dirty)?;
-        state.solver_warm = engine.last_solve_was_warm();
-        state.solver_drain = engine.last_drain_stats();
-        let lp_now = engine.sparsify_stats();
-        state.metrics.record_lp(lp_now.delta_since(&state.lp_seen));
-        state.lp_seen = lp_now;
-        state.metrics.record_drain(state.solver_drain);
-        Ok(state.solver_warm)
+        state.schedule = state.engine.reschedule(state.graph, &state.delays, &dirty)?;
+        state.record_solve();
+        Ok(state.solver_warm())
     }
 }
 

@@ -247,13 +247,13 @@ impl<'a, O: DelayOracle + ?Sized> IsdcSession<'a, O> {
             self.cache.store_potentials(self.design_key, config.clock_period_ps, pi.clone());
         }
         self.runs += 1;
-        let lookups = caching.stats();
+        let result = outcome.result;
         Ok(SessionRun {
             clock_period_ps: config.clock_period_ps,
-            warm_start: outcome.initial_warm,
-            cache_hits: lookups.hits,
-            cache_misses: lookups.misses,
-            result: outcome.result,
+            warm_start: result.history[0].solver_warm,
+            cache_hits: result.metrics.counter_or_zero("cache/hits"),
+            cache_misses: result.metrics.counter_or_zero("cache/misses"),
+            result,
         })
     }
 }

@@ -113,10 +113,10 @@ impl SweepPoint {
         }
     }
 
-    fn from_session_run(run: &SessionRun) -> Self {
+    fn from_session_run(run: SessionRun) -> Self {
         Self::from_result(
             run.clock_period_ps,
-            &run.result,
+            run.result,
             run.warm_start,
             run.cache_hits,
             run.cache_misses,
@@ -125,10 +125,10 @@ impl SweepPoint {
 
     /// The one place a feasible point is derived from a run, shared by the
     /// session and the independent-baseline sweeps so their records cannot
-    /// drift apart.
+    /// drift apart. The run's schedule and frame move into the point.
     fn from_result(
         clock_period_ps: Picos,
-        result: &crate::driver::IsdcResult,
+        result: crate::driver::IsdcResult,
         warm_start: bool,
         cache_hits: u64,
         cache_misses: u64,
@@ -145,8 +145,8 @@ impl SweepPoint {
             cache_hits,
             cache_misses,
             elapsed: result.total_time,
-            schedule: Some(result.schedule.clone()),
-            metrics: result.metrics.clone(),
+            schedule: Some(result.schedule),
+            metrics: result.metrics,
         }
     }
 }
@@ -214,7 +214,7 @@ pub fn sweep_clock_period<O: DelayOracle + ?Sized>(
             ..base.clone()
         };
         match session.run(&config) {
-            Ok(run) => points.push(SweepPoint::from_session_run(&run)),
+            Ok(run) => points.push(SweepPoint::from_session_run(run)),
             Err(e) if is_infeasibility(&e) => points.push(SweepPoint::infeasible(clock)),
             Err(ScheduleError::DeadlineExceeded) => return Ok(points),
             Err(e) => return Err(e),
@@ -244,7 +244,7 @@ pub fn sweep_clock_period_independent<O: DelayOracle + ?Sized>(
         let config =
             IsdcConfig { clock_period_ps: clock, cache: false, cache_file: None, ..base.clone() };
         match crate::driver::run_isdc(graph, model, oracle, &config) {
-            Ok(result) => points.push(SweepPoint::from_result(clock, &result, false, 0, 0)),
+            Ok(result) => points.push(SweepPoint::from_result(clock, result, false, 0, 0)),
             Err(e) if is_infeasibility(&e) => points.push(SweepPoint::infeasible(clock)),
             Err(e) => return Err(e),
         }
@@ -322,11 +322,7 @@ pub fn min_feasible_period<O: DelayOracle + ?Sized>(
     }
     let config = IsdcConfig { clock_period_ps: hi, iteration_metrics: false, ..base.clone() };
     let run = session.run(&config)?;
-    Ok(MinPeriodSearch {
-        min_period_ps: Some(hi),
-        floor,
-        point: SweepPoint::from_session_run(&run),
-    })
+    Ok(MinPeriodSearch { min_period_ps: Some(hi), floor, point: SweepPoint::from_session_run(run) })
 }
 
 /// Serializes sweep records as the `BENCH_sweep.json` document: design
@@ -383,7 +379,7 @@ pub fn render_sweep_json(
             p.cache_hit_rate(),
             p.elapsed.as_nanos(),
         );
-        // Registry-derived enrichment: solver drain totals and per-stage
+        // Frame-derived enrichment: solver drain totals and per-stage
         // wall-clock, straight from the run's telemetry frame.
         let _ = write!(
             out,

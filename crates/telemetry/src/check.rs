@@ -6,7 +6,9 @@
 //! implies parent-before-child), timestamps never decrease, and no span
 //! is left open at the end. [`validate_events`] is generic over the
 //! event source so it runs both on live [`crate::Trace`]s and on
-//! re-parsed JSONL files (`isdc-cli trace check`).
+//! re-parsed JSONL files (`isdc-cli trace check`). [`validate_tail`]
+//! checks a flight tail, the newest events of one track's ring, by the
+//! same rules, except that the tail may begin and end inside open spans.
 
 use crate::trace::EventKind;
 use std::collections::BTreeMap;
@@ -95,6 +97,24 @@ pub fn validate_events<'a, I>(events: I) -> Result<TraceSummary, TraceError>
 where
     I: IntoIterator<Item = (u32, EventKind, &'a str, u64)>,
 {
+    check(events, false)
+}
+
+/// Validates a flight tail like [`validate_events`], except that an `End`
+/// with no span open on its track closes a span whose `Begin` the ring
+/// had already dropped, and spans still open at the end are allowed: a
+/// tail is snapshotted inside the spans that were running.
+pub fn validate_tail<'a, I>(events: I) -> Result<TraceSummary, TraceError>
+where
+    I: IntoIterator<Item = (u32, EventKind, &'a str, u64)>,
+{
+    check(events, true)
+}
+
+fn check<'a, I>(events: I, tail: bool) -> Result<TraceSummary, TraceError>
+where
+    I: IntoIterator<Item = (u32, EventKind, &'a str, u64)>,
+{
     struct TrackState {
         stack: Vec<String>,
         last_ns: u64,
@@ -125,6 +145,7 @@ where
                 summary.max_depth = summary.max_depth.max(state.stack.len());
             }
             EventKind::End => match state.stack.pop() {
+                None if tail => {}
                 None => {
                     return Err(TraceError::UnmatchedEnd { track, name: name.to_string() });
                 }
@@ -138,7 +159,7 @@ where
     }
 
     for (track, state) in &tracks {
-        if !state.stack.is_empty() {
+        if !tail && !state.stack.is_empty() {
             return Err(TraceError::UnclosedSpans { track: *track, open: state.stack.clone() });
         }
     }
@@ -187,6 +208,24 @@ mod tests {
     fn rejects_stray_end() {
         let events = vec![(0, End, "a", 0)];
         assert!(matches!(validate_events(events), Err(TraceError::UnmatchedEnd { .. })));
+    }
+
+    #[test]
+    fn tails_may_begin_and_end_inside_open_spans() {
+        let events = vec![
+            (0, End, "stage:solve", 0),
+            (0, End, "iteration", 1),
+            (0, Begin, "iteration", 2),
+            (0, Begin, "stage:extract", 3),
+        ];
+        assert!(matches!(validate_events(events.clone()), Err(TraceError::UnmatchedEnd { .. })));
+        let summary = validate_tail(events).unwrap();
+        assert_eq!((summary.spans, summary.max_depth), (0, 2));
+        // Inside the tail the rules hold as before.
+        let mismatch = vec![(0, End, "run", 0), (0, Begin, "a", 1), (0, End, "b", 2)];
+        assert!(matches!(validate_tail(mismatch), Err(TraceError::NameMismatch { .. })));
+        let backwards = vec![(0, End, "run", 5), (0, Begin, "a", 4)];
+        assert!(matches!(validate_tail(backwards), Err(TraceError::NonMonotonicTime { .. })));
     }
 
     #[test]

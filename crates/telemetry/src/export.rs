@@ -6,7 +6,8 @@
 //!   one `track` metadata line per registered track. Round-trippable via
 //!   [`parse_jsonl`], which is what `isdc-cli trace check` uses. The
 //!   CLI's `<out>.flight.jsonl` dumps use the same event lines
-//!   ([`Event::render_jsonl_line`]).
+//!   ([`Event::render_jsonl_line`]), each job's behind one `job` header
+//!   line; [`parse_flight_dump`] reads them back.
 //! - **Chrome `trace_event`** ([`render_chrome_trace`]): the JSON-array
 //!   form understood by [Perfetto](https://ui.perfetto.dev) and
 //!   `chrome://tracing`. Tracks map to threads (`tid`), so each batch
@@ -194,82 +195,131 @@ pub struct OwnedEvent {
     pub args: Vec<(String, OwnedArg)>,
 }
 
+/// One line of a JSONL file.
+enum Line {
+    /// A `track` line: id and name.
+    Track(u32, String),
+    /// A span edge or instant.
+    Event(OwnedEvent),
+    /// A flight dump's `{"kind":"job",...}` header.
+    Job(Value),
+}
+
+/// Parses line `n` (1-based) of a JSONL file.
+fn parse_line(n: usize, line: &str) -> Result<Line, String> {
+    let value = json::parse(line).map_err(|e| format!("line {n}: {e}"))?;
+    let field = |key: &str| value.get(key).ok_or_else(|| format!("line {n}: missing \"{key}\""));
+    let text_field = |key: &str| {
+        field(key)?.as_str().ok_or_else(|| format!("line {n}: \"{key}\" is not a string"))
+    };
+    let int_field =
+        |key: &str| field(key)?.as_u64().ok_or_else(|| format!("line {n}: \"{key}\" is not a u64"));
+    let track = || {
+        let id = int_field("track")?;
+        u32::try_from(id).map_err(|_| format!("line {n}: track id {id} does not fit a u32"))
+    };
+    let kind = match text_field("kind")? {
+        "track" => return Ok(Line::Track(track()?, text_field("name")?.to_string())),
+        "job" => return Ok(Line::Job(value)),
+        "B" => EventKind::Begin,
+        "E" => EventKind::End,
+        "i" => EventKind::Instant,
+        other => return Err(format!("line {n}: unknown event kind {other:?}")),
+    };
+    let mut args = Vec::new();
+    match value.get("args") {
+        None => {}
+        Some(Value::Object(fields)) => {
+            for (key, v) in fields {
+                let arg = match v {
+                    Value::String(s) => Some(OwnedArg::Str(s.clone())),
+                    Value::Number(text) => OwnedArg::classify(text),
+                    Value::Null => Some(OwnedArg::Null),
+                    _ => None,
+                };
+                let arg =
+                    arg.ok_or_else(|| format!("line {n}: unsupported arg value for \"{key}\""))?;
+                args.push((key.clone(), arg));
+            }
+        }
+        Some(_) => return Err(format!("line {n}: \"args\" must be an object")),
+    }
+    Ok(Line::Event(OwnedEvent {
+        seq: int_field("seq")?,
+        track: track()?,
+        kind,
+        name: text_field("name")?.to_string(),
+        t_ns: int_field("t_ns")?,
+        args,
+    }))
+}
+
+/// The non-blank lines of `text`, numbered from 1, parsed.
+fn parse_lines(text: &str) -> impl Iterator<Item = (usize, Result<Line, String>)> + '_ {
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(i, line)| (i + 1, parse_line(i + 1, line)))
+}
+
 /// Parses a JSONL trace file produced by [`render_jsonl`] back into
 /// events and the track-name table. Track lines must number their tracks
 /// 0, 1, 2, … in order, as [`render_jsonl`] writes them, and every track
 /// id must fit the `u32` of [`Event::track`]. Returns a line-tagged error
-/// for anything malformed.
+/// for anything malformed, and for a flight dump's `job` line (read those
+/// with [`parse_flight_dump`]).
 pub fn parse_jsonl(text: &str) -> Result<(Vec<OwnedEvent>, Vec<String>), String> {
     let mut events = Vec::new();
     let mut tracks: Vec<String> = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let n = lineno + 1;
-        let value = json::parse(line).map_err(|e| format!("line {n}: {e}"))?;
-        let field =
-            |key: &str| value.get(key).ok_or_else(|| format!("line {n}: missing \"{key}\""));
-        let text_field = |key: &str| {
-            field(key)?.as_str().ok_or_else(|| format!("line {n}: \"{key}\" is not a string"))
-        };
-        let int_field = |key: &str| {
-            field(key)?.as_u64().ok_or_else(|| format!("line {n}: \"{key}\" is not a u64"))
-        };
-        let track = || {
-            let id = int_field("track")?;
-            u32::try_from(id).map_err(|_| format!("line {n}: track id {id} does not fit a u32"))
-        };
-        match text_field("kind")? {
-            "track" => {
-                let id = track()?;
+    for (n, line) in parse_lines(text) {
+        match line? {
+            Line::Track(id, name) => {
                 if id as usize != tracks.len() {
                     return Err(format!(
                         "line {n}: track {id} out of order (want track {})",
                         tracks.len()
                     ));
                 }
-                tracks.push(text_field("name")?.to_string());
+                tracks.push(name);
             }
-            kind @ ("B" | "E" | "i") => {
-                let kind = match kind {
-                    "B" => EventKind::Begin,
-                    "E" => EventKind::End,
-                    _ => EventKind::Instant,
-                };
-                let mut args = Vec::new();
-                match value.get("args") {
-                    None => {}
-                    Some(Value::Object(fields)) => {
-                        for (key, v) in fields {
-                            let arg = match v {
-                                Value::String(s) => Some(OwnedArg::Str(s.clone())),
-                                Value::Number(text) => OwnedArg::classify(text),
-                                Value::Null => Some(OwnedArg::Null),
-                                _ => None,
-                            };
-                            let arg = arg.ok_or_else(|| {
-                                format!("line {n}: unsupported arg value for \"{key}\"")
-                            })?;
-                            args.push((key.clone(), arg));
-                        }
-                    }
-                    Some(_) => return Err(format!("line {n}: \"args\" must be an object")),
-                }
-                events.push(OwnedEvent {
-                    seq: int_field("seq")?,
-                    track: track()?,
-                    kind,
-                    name: text_field("name")?.to_string(),
-                    t_ns: int_field("t_ns")?,
-                    args,
-                });
-            }
-            other => return Err(format!("line {n}: unknown event kind {other:?}")),
+            Line::Event(event) => events.push(event),
+            Line::Job(_) => return Err(format!("line {n}: a job line outside a flight dump")),
         }
     }
     events.sort_by_key(|e| e.seq);
     Ok((events, tracks))
+}
+
+/// One failed or timed-out job's tail in a CLI flight dump
+/// (`<out>.flight.jsonl`).
+#[derive(Debug, Clone, PartialEq)]
+pub struct FlightTail {
+    /// The job's `{"kind":"job",...}` header line.
+    pub job: Value,
+    /// The worker's last events, oldest first, as its ring held them when
+    /// the job failed. They may begin and end inside open spans; check
+    /// them with [`crate::validate_tail`].
+    pub events: Vec<OwnedEvent>,
+}
+
+/// Parses a flight dump: each `{"kind":"job",...}` line starts one job's
+/// tail, and the event lines after it, up to the next job line, are that
+/// tail. Returns a line-tagged error for anything malformed, for a track
+/// line, and for an event before the first job line.
+pub fn parse_flight_dump(text: &str) -> Result<Vec<FlightTail>, String> {
+    let mut tails: Vec<FlightTail> = Vec::new();
+    for (n, line) in parse_lines(text) {
+        match line? {
+            Line::Job(job) => tails.push(FlightTail { job, events: Vec::new() }),
+            Line::Event(event) => tails
+                .last_mut()
+                .ok_or_else(|| format!("line {n}: event before the first job line"))?
+                .events
+                .push(event),
+            Line::Track(..) => return Err(format!("line {n}: a track line in a flight dump")),
+        }
+    }
+    Ok(tails)
 }
 
 #[cfg(test)]
@@ -338,6 +388,47 @@ mod tests {
         let ts = begin.get("ts").and_then(Value::as_f64).expect("ts");
         assert!((ts - 1.0).abs() < 1e-9, "1000ns = 1.0us");
         assert!(begin.get("args").is_some());
+    }
+
+    #[test]
+    fn flight_dumps_split_into_job_tails() {
+        // A ring that began inside `shard` and `iteration` and was
+        // snapshotted inside `shard`, twice, behind job header lines.
+        let tail = [
+            Event::new(10, 1, EventKind::End, "stage:solve", 100, &[]),
+            Event::new(11, 1, EventKind::End, "iteration", 110, &[]),
+            Event::new(12, 1, EventKind::Begin, "iteration", 120, &[("i", ArgValue::U64(2))]),
+            Event::new(13, 1, EventKind::Instant, "fault", 130, &[("site", ArgValue::Str("x"))]),
+            Event::new(14, 1, EventKind::End, "iteration", 140, &[]),
+        ];
+        let mut dump = String::new();
+        for job in 0..2 {
+            dump.push_str(&format!("{{\"kind\":\"job\",\"job\":{job},\"design\":\"rrot\"}}\n"));
+            for event in &tail {
+                event.render_jsonl_line(&mut dump);
+                dump.push('\n');
+            }
+        }
+        let tails = parse_flight_dump(&dump).expect("a flight dump");
+        assert_eq!(tails.len(), 2);
+        for (job, tail) in tails.iter().enumerate() {
+            assert_eq!(tail.job.get("job").and_then(Value::as_u64), Some(job as u64));
+            assert_eq!(tail.events.len(), 5);
+            let events = tail.events.iter().map(|e| (e.track, e.kind, e.name.as_str(), e.t_ns));
+            let summary = crate::validate_tail(events.clone()).expect("a well-formed tail");
+            assert_eq!((summary.spans, summary.instants), (1, 1));
+            assert!(crate::validate_events(events).is_err(), "not a whole trace");
+        }
+        assert_eq!(
+            parse_jsonl(&dump).unwrap_err(),
+            "line 1: a job line outside a flight dump",
+            "a trace has no job lines"
+        );
+        let (_, lines) = dump.split_once('\n').unwrap();
+        assert_eq!(
+            parse_flight_dump(lines).unwrap_err(),
+            "line 1: event before the first job line"
+        );
     }
 
     #[test]

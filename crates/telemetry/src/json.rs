@@ -9,8 +9,8 @@
 //! documents are read whole with [`parse`] into a [`Value`], and
 //! [`flatten`] turns one into the `path -> number` map [`crate::attribute`]
 //! diffs. It covers the subset those formats need — objects, arrays,
-//! strings with every escape [`crate::escape_json`] writes, numbers,
-//! `true`/`false`/`null` — accepts any whitespace, and lets cursor readers
+//! strings with every RFC 8259 escape, numbers, `true`/`false`/`null` —
+//! accepts any whitespace, and lets cursor readers
 //! skip unknown keys (whose values must still be well formed) so the
 //! formats can grow. Every error names its byte offset.
 //!
@@ -222,13 +222,14 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Parses a quoted string, reading every escape
-    /// [`crate::escape_json`] writes: `\"`, `\\`, `\/`, `\n`, `\r`, `\t`
-    /// and `\uXXXX`.
+    /// Parses a quoted string, reading every RFC 8259 escape: `\"`, `\\`,
+    /// `\/`, `\b`, `\f`, `\n`, `\r`, `\t` and `\uXXXX`, where a high
+    /// surrogate followed by a low one (`\ud83d\ude00`) is one char.
     ///
     /// # Errors
     ///
-    /// Unterminated strings and unsupported escapes are rejected.
+    /// Unterminated strings, unknown escapes and lone surrogates are
+    /// rejected.
     pub fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let start = self.at - 1;
@@ -244,18 +245,13 @@ impl<'a> Parser<'a> {
                     self.at += 1;
                     match esc {
                         b'"' | b'\\' | b'/' => out.push(esc),
+                        b'b' => out.push(0x08),
+                        b'f' => out.push(0x0c),
                         b'n' => out.push(b'\n'),
                         b'r' => out.push(b'\r'),
                         b't' => out.push(b'\t'),
                         b'u' => {
-                            let c = self
-                                .bytes
-                                .get(self.at..self.at + 4)
-                                .and_then(|hex| std::str::from_utf8(hex).ok())
-                                .and_then(|hex| u32::from_str_radix(hex, 16).ok())
-                                .and_then(char::from_u32)
-                                .ok_or_else(|| format!("bad `\\u` escape at byte {}", self.at))?;
-                            self.at += 4;
+                            let c = self.unicode_escape()?;
                             out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
                         }
                         other => {
@@ -270,6 +266,36 @@ impl<'a> Parser<'a> {
             }
         }
         Err(format!("unterminated string at byte {start}"))
+    }
+
+    /// Reads the rest of a `\u` escape whose `\u` is behind the cursor,
+    /// joining a surrogate pair into one char.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let at = self.at - 2;
+        let unit = self.hex4()?;
+        let c = if (0xd800..0xdc00).contains(&unit) && self.bytes[self.at..].starts_with(b"\\u") {
+            self.at += 2;
+            let low = self.hex4()?;
+            (0xdc00..0xe000)
+                .contains(&low)
+                .then(|| 0x10000 + ((unit - 0xd800) << 10) + (low - 0xdc00))
+                .and_then(char::from_u32)
+        } else {
+            char::from_u32(unit)
+        };
+        c.ok_or_else(|| format!("lone surrogate `\\u{unit:04x}` at byte {at}"))
+    }
+
+    /// Reads the four hex digits of a `\u` escape.
+    fn hex4(&mut self) -> Result<u32, String> {
+        let unit = self
+            .bytes
+            .get(self.at..self.at + 4)
+            .filter(|hex| hex.iter().all(u8::is_ascii_hexdigit))
+            .and_then(|hex| u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok())
+            .ok_or_else(|| format!("bad `\\u` escape at byte {}", self.at))?;
+        self.at += 4;
+        Ok(unit)
     }
 
     /// Scans a number, returning its source text and value.
@@ -424,6 +450,32 @@ mod tests {
         let deep = "[".repeat(MAX_DEPTH + 1);
         let err = Parser::new(&deep).skip_value().unwrap_err();
         assert!(err.starts_with("nesting deeper than"), "{err}");
+    }
+
+    #[test]
+    fn strings_decode_every_rfc8259_escape() {
+        let text = r#""\"\\\/\b\f\n\r\t\u0041\u00e9\ud83d\ude00\uFFFF""#;
+        assert_eq!(Parser::new(text).string().unwrap(), "\"\\/\u{8}\u{c}\n\r\tAé😀\u{ffff}");
+        for s in ["a\u{8}b\u{c}", "😀 \u{1f}", "\u{10ffff}"] {
+            let quoted = format!("\"{}\"", crate::escape_json(s));
+            assert_eq!(parse(&quoted).unwrap(), Value::String(s.to_string()), "{quoted}");
+        }
+    }
+
+    #[test]
+    fn lone_surrogates_and_bad_escapes_name_their_offset() {
+        for (text, err) in [
+            (r#""ab\ud83d""#, "lone surrogate `\\ud83d` at byte 3"),
+            (r#""\ude00""#, "lone surrogate `\\ude00` at byte 1"),
+            (r#""\ud83d\u0041""#, "lone surrogate `\\ud83d` at byte 1"),
+            (r#""\ud83d\n""#, "lone surrogate `\\ud83d` at byte 1"),
+            (r#""\ud83d\ud83d""#, "lone surrogate `\\ud83d` at byte 1"),
+            (r#""\ud83d\u12""#, "bad `\\u` escape at byte 9"),
+            (r#""\u+041""#, "bad `\\u` escape at byte 3"),
+            (r#""\x""#, "unsupported escape `\\x` at byte 3"),
+        ] {
+            assert_eq!(Parser::new(text).string().unwrap_err(), err, "{text}");
+        }
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! One coherent layer replacing the scattered counters that used to live
 //! in four crates: hierarchical **spans** (`session → run → iteration →
 //! stage → solver drain phase`) recorded into one per-track **event
-//! log**; a **metrics registry** of counters and histograms whose
-//! snapshots ([`MetricsFrame`]) aggregate by disjoint keys and sums (a
-//! batch files each point's frame under its own `job{j}/pt{p}/` prefix,
-//! and [`MetricsFrame::totals`] and [`RunReport`] add them up, so fleet
+//! log**, which double as the one timer ([`SpanGuard::finish`] returns a
+//! span's End − Begin); **metrics frames** ([`MetricsFrame`]) of counters
+//! and histograms, the one store a run adds its numbers to and the unit
+//! that aggregates by disjoint keys and sums (a batch files each point's
+//! frame under its own `job{j}/pt{p}/` prefix, and
+//! [`MetricsFrame::totals`] and [`RunReport`] add them up, so fleet
 //! totals are bit-deterministic); and **exporters** to JSON-lines and Chrome
 //! `trace_event` format (loadable in [Perfetto](https://ui.perfetto.dev)
 //! or `chrome://tracing`), plus the workspace's one JSON string escaper
@@ -16,12 +18,13 @@
 //! Every span edge, note and fault mark is one `Copy` [`Event`] in its
 //! track's log. Tracing is globally off by default; then each track
 //! keeps only its last [`FLIGHT_CAPACITY`] events — the post-mortem tail
-//! ([`flight_tail`]) attached to batch `JobError`s — with no allocation
-//! and no unbounded growth, so instrumented code pays almost nothing in
-//! production runs (the overhead-guard test in `tests/overhead.rs`
-//! enforces the budget). With [`set_enabled`] on, the log keeps every
-//! event until [`take_trace`]; spans are scoped guards, so they cannot be
-//! left unbalanced even on early return:
+//! ([`flight_tail`]) attached to batch `JobError`s, which
+//! [`parse_flight_dump`] and [`validate_tail`] read back from the CLI's
+//! dumps — with no allocation and no unbounded growth, so instrumented
+//! code pays almost nothing in production runs (the overhead-guard test
+//! in `tests/overhead.rs` enforces the budget). With [`set_enabled`] on,
+//! the log keeps every event until [`take_trace`]; spans are scoped
+//! guards, so they cannot be left unbalanced even on early return:
 //!
 //! ```
 //! isdc_telemetry::set_enabled(true);
@@ -42,13 +45,12 @@ mod registry;
 mod report;
 mod trace;
 
-pub use check::{validate_events, TraceError, TraceSummary};
+pub use check::{validate_events, validate_tail, TraceError, TraceSummary};
 pub use export::{
-    escape_json, parse_jsonl, render_chrome_trace, render_jsonl, OwnedArg, OwnedEvent,
+    escape_json, parse_flight_dump, parse_jsonl, render_chrome_trace, render_jsonl, FlightTail,
+    OwnedArg, OwnedEvent,
 };
-pub use registry::{
-    histogram_quantile, Counter, Histogram, MetricValue, MetricsFrame, Registry, HISTOGRAM_BUCKETS,
-};
+pub use registry::{histogram_quantile, MetricValue, MetricsFrame, HISTOGRAM_BUCKETS};
 pub use report::{attribute, render_attribution, AttributionRow, QuantileRow, RunReport, StageRow};
 pub use trace::{
     enabled, flight_fault, flight_tail, flight_tail_current, intern, now_ns, reset, set_enabled,

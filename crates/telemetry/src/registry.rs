@@ -1,10 +1,10 @@
-//! The metrics registry: counters and histograms, and the frames that
-//! carry their values out of a run.
+//! Metrics frames: the one counter store a run records into, and the
+//! unit batches aggregate.
 //!
-//! A [`Registry`] hands out cheap clonable handles ([`Counter`],
-//! [`Histogram`]) backed by atomics; recording is lock-free.
-//! [`Registry::snapshot`] freezes the current values into a
-//! [`MetricsFrame`] — an ordered name → value map.
+//! A [`MetricsFrame`] is an ordered name → value map. A run owns one and
+//! adds to it directly ([`MetricsFrame::add`], [`MetricsFrame::record`]):
+//! every record site runs on the thread that owns the run, so no cell is
+//! shared and no lock or atomic is needed.
 //!
 //! Frames aggregate one way: **by disjoint keys, then sums.** A batch
 //! files each point's frame under a key prefix unique to that point
@@ -19,96 +19,18 @@
 //! fleet's.
 
 use std::collections::BTreeMap;
-use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
-/// Number of power-of-two buckets in a [`Histogram`]: bucket 0 counts
+/// Number of power-of-two buckets in a histogram value: bucket 0 counts
 /// zeros, bucket `k ≥ 1` counts values with bit length `k` (i.e. in
 /// `[2^(k-1), 2^k)`), up to the full `u64` range.
 pub const HISTOGRAM_BUCKETS: usize = 65;
 
-enum Cell {
-    Counter(Arc<AtomicU64>),
-    Histogram(Arc<Buckets>),
+/// The histogram bucket of a sample: 0 for 0, else its bit length.
+fn histogram_bucket(v: u64) -> usize {
+    (64 - v.leading_zeros()) as usize
 }
 
-impl Cell {
-    fn value(&self) -> MetricValue {
-        match self {
-            Cell::Counter(c) => MetricValue::Counter(c.load(Ordering::Relaxed)),
-            Cell::Histogram(h) => {
-                MetricValue::Histogram(h.0.iter().map(|b| b.load(Ordering::Relaxed)).collect())
-            }
-        }
-    }
-}
-
-struct Buckets([AtomicU64; HISTOGRAM_BUCKETS]);
-
-/// A monotonically increasing counter handle. Clones share the cell.
-#[derive(Clone)]
-pub struct Counter(Arc<AtomicU64>);
-
-impl Counter {
-    /// A counter not attached to any registry (useful as a default).
-    pub fn detached() -> Self {
-        Counter(Arc::new(AtomicU64::new(0)))
-    }
-
-    /// Adds `n` to the counter.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Increments the counter by one.
-    #[inline]
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-impl fmt::Debug for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Counter({})", self.get())
-    }
-}
-
-/// A power-of-two bucketed histogram handle. Clones share the cell.
-#[derive(Clone)]
-pub struct Histogram(Arc<Buckets>);
-
-impl Histogram {
-    /// Records one sample.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        self.0 .0[Self::bucket(v)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Bucket index for a value: 0 for 0, else the bit length.
-    pub fn bucket(v: u64) -> usize {
-        (64 - v.leading_zeros()) as usize
-    }
-
-    /// Total number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.0 .0.iter().map(|b| b.load(Ordering::Relaxed)).sum()
-    }
-}
-
-impl fmt::Debug for Histogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Histogram(n={})", self.count())
-    }
-}
-
-/// A frozen metric value inside a [`MetricsFrame`].
+/// A metric value inside a [`MetricsFrame`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MetricValue {
     /// Counter reading.
@@ -127,10 +49,10 @@ impl MetricValue {
     }
 }
 
-/// An ordered snapshot of metric names to frozen values. Frames are the
-/// unit of aggregation: each run snapshots its own registry, and a batch
-/// files every point's values under disjoint keys for
-/// [`totals`](Self::totals) to sum.
+/// An ordered map of metric names to values. Frames are the unit of
+/// aggregation: each run records into its own, and a batch files every
+/// point's values under disjoint keys for [`totals`](Self::totals) to
+/// sum.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MetricsFrame {
     /// Name → value, in deterministic (lexicographic) order.
@@ -146,6 +68,40 @@ impl MetricsFrame {
     /// Sets `name` to `value`, replacing any earlier value.
     pub fn insert(&mut self, name: impl Into<String>, value: MetricValue) {
         self.metrics.insert(name.into(), value);
+    }
+
+    /// Adds `n` to the counter `name`, which starts at zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` holds a histogram (a code bug: metric names are
+    /// static within one build).
+    pub fn add(&mut self, name: &str, n: u64) {
+        match self.metrics.get_mut(name) {
+            Some(MetricValue::Counter(v)) => *v += n,
+            Some(MetricValue::Histogram(_)) => panic!("metric {name:?} is a histogram"),
+            None => {
+                self.metrics.insert(name.to_string(), MetricValue::Counter(n));
+            }
+        }
+    }
+
+    /// Records one sample into the histogram `name`, which starts empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` holds a counter.
+    pub fn record(&mut self, name: &str, sample: u64) {
+        let bucket = histogram_bucket(sample);
+        match self.metrics.get_mut(name) {
+            Some(MetricValue::Histogram(buckets)) => buckets[bucket] += 1,
+            Some(MetricValue::Counter(_)) => panic!("metric {name:?} is a counter"),
+            None => {
+                let mut buckets = vec![0; HISTOGRAM_BUCKETS];
+                buckets[bucket] = 1;
+                self.metrics.insert(name.to_string(), MetricValue::Histogram(buckets));
+            }
+        }
     }
 
     /// Counter reading under exactly `name`, if present.
@@ -211,107 +167,57 @@ pub fn histogram_quantile(buckets: &[u64], q: f64) -> Option<u64> {
     None
 }
 
-/// A collection of named metric cells. Handle registration takes a
-/// short-lived lock; recording through handles is lock-free.
-#[derive(Default)]
-pub struct Registry {
-    cells: Mutex<BTreeMap<String, Cell>>,
-}
-
-impl Registry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Gets or registers the counter `name`. Panics if `name` is
-    /// already registered as a histogram (a code bug: metric names are
-    /// static within one build).
-    pub fn counter(&self, name: &str) -> Counter {
-        let mut cells = self.cells.lock().unwrap();
-        match cells
-            .entry(name.to_string())
-            .or_insert_with(|| Cell::Counter(Arc::new(AtomicU64::new(0))))
-        {
-            Cell::Counter(c) => Counter(Arc::clone(c)),
-            Cell::Histogram(_) => panic!("metric {name:?} already registered as a histogram"),
-        }
-    }
-
-    /// Gets or registers the histogram `name`. Panics if `name` is
-    /// already registered as a counter.
-    pub fn histogram(&self, name: &str) -> Histogram {
-        let mut cells = self.cells.lock().unwrap();
-        match cells.entry(name.to_string()).or_insert_with(|| {
-            Cell::Histogram(Arc::new(Buckets(std::array::from_fn(|_| AtomicU64::new(0)))))
-        }) {
-            Cell::Histogram(h) => Histogram(Arc::clone(h)),
-            Cell::Counter(_) => panic!("metric {name:?} already registered as a counter"),
-        }
-    }
-
-    /// Freezes all cells into a frame.
-    pub fn snapshot(&self) -> MetricsFrame {
-        let cells = self.cells.lock().unwrap();
-        let metrics = cells.iter().map(|(name, cell)| (name.clone(), cell.value())).collect();
-        MetricsFrame { metrics }
-    }
-}
-
-impl fmt::Debug for Registry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let cells = self.cells.lock().unwrap();
-        write!(f, "Registry({} cells)", cells.len())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn handles_share_cells() {
-        let reg = Registry::new();
-        let a = reg.counter("hits");
-        let b = reg.counter("hits");
-        a.add(2);
-        b.incr();
-        assert_eq!(reg.snapshot().counter("hits"), Some(3));
-    }
-
-    #[test]
-    #[should_panic(expected = "already registered")]
-    fn kind_mismatch_panics() {
-        let reg = Registry::new();
-        let _c = reg.counter("x");
-        let _h = reg.histogram("x");
-    }
-
-    #[test]
     fn histogram_buckets_are_powers_of_two() {
-        assert_eq!(Histogram::bucket(0), 0);
-        assert_eq!(Histogram::bucket(1), 1);
-        assert_eq!(Histogram::bucket(2), 2);
-        assert_eq!(Histogram::bucket(3), 2);
-        assert_eq!(Histogram::bucket(4), 3);
-        assert_eq!(Histogram::bucket(u64::MAX), 64);
-        let h = Registry::new().histogram("h");
-        h.record(0);
-        h.record(7);
-        h.record(8);
-        assert_eq!(h.count(), 3);
+        assert_eq!(histogram_bucket(0), 0);
+        assert_eq!(histogram_bucket(1), 1);
+        assert_eq!(histogram_bucket(2), 2);
+        assert_eq!(histogram_bucket(3), 2);
+        assert_eq!(histogram_bucket(4), 3);
+        assert_eq!(histogram_bucket(u64::MAX), 64);
+        let mut frame = MetricsFrame::new();
+        frame.record("h", 0);
+        frame.record("h", 7);
+        frame.record("h", 8);
+        let Some(MetricValue::Histogram(buckets)) = frame.metrics.get("h") else {
+            panic!("a histogram: {frame:?}")
+        };
+        assert_eq!(buckets.iter().sum::<u64>(), 3);
+        assert_eq!((buckets[0], buckets[3], buckets[4]), (1, 1, 1));
+    }
+
+    #[test]
+    fn counters_start_at_zero_and_add() {
+        let mut frame = MetricsFrame::new();
+        frame.add("hits", 2);
+        frame.add("hits", 1);
+        frame.add("misses", 0);
+        assert_eq!(frame.counter("hits"), Some(3));
+        assert_eq!(frame.counter("misses"), Some(0), "adding zero creates the key");
+    }
+
+    #[test]
+    #[should_panic(expected = "is a histogram")]
+    fn adding_to_a_histogram_panics() {
+        let mut frame = MetricsFrame::new();
+        frame.record("x", 1);
+        frame.add("x", 1);
     }
 
     #[test]
     fn scoped_totals_sum_by_leaf() {
-        // Built the way a batch files its points: each run's snapshot
-        // under its own `job{j}/pt{p}/` prefix.
+        // Built the way a batch files its points: each run's frame under
+        // its own `job{j}/pt{p}/` prefix.
         let mut fleet = MetricsFrame::new();
         for point in 0..3u64 {
-            let reg = Registry::new();
-            reg.counter("points").add(point + 1);
-            reg.counter("feasible").add(1);
-            for (name, value) in reg.snapshot().metrics {
+            let mut run = MetricsFrame::new();
+            run.add("points", point + 1);
+            run.add("feasible", 1);
+            for (name, value) in run.metrics {
                 fleet.insert(format!("job0/pt{point}/{name}"), value);
             }
         }
@@ -337,7 +243,7 @@ mod tests {
         samples.extend([1u64, 8, 8, 1 << 19]);
         let mut buckets = vec![0u64; HISTOGRAM_BUCKETS];
         for &s in &samples {
-            buckets[Histogram::bucket(s)] += 1;
+            buckets[histogram_bucket(s)] += 1;
         }
         for q in [0.5, 0.95, 0.99] {
             assert_eq!(
@@ -353,7 +259,7 @@ mod tests {
         let mut samples: Vec<u64> = vec![0, 3, 5, 6, 7, 100, 1000, 1001, 4095, 4096, 70000];
         let mut buckets = vec![0u64; HISTOGRAM_BUCKETS];
         for &s in &samples {
-            buckets[Histogram::bucket(s)] += 1;
+            buckets[histogram_bucket(s)] += 1;
         }
         for q in [0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0] {
             let est = histogram_quantile(&buckets, q).unwrap();

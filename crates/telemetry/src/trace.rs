@@ -31,7 +31,7 @@ use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Events each track keeps with tracing off. A shard run records dozens
 /// of events per iteration, so 64 covers the last iteration or two — the
@@ -314,31 +314,38 @@ fn current_track() -> u32 {
     })
 }
 
-/// Appends one event to `track`'s log. Events on a track the table no
-/// longer holds (a guard that outlived a [`take_trace`]) are dropped.
+/// Appends one event to `track`'s log and returns its timestamp. Events
+/// on a track the table no longer holds (a guard that outlived a
+/// [`take_trace`]) are dropped.
 fn record(
     track: u32,
     kind: EventKind,
     name: &'static str,
     args: &[(&'static str, ArgValue)],
     traced: bool,
-) {
+) -> u64 {
     let mut log = lock();
-    let event = Event::new(log.seq, track, kind, name, now_ns(), args);
+    let t_ns = now_ns();
+    let event = Event::new(log.seq, track, kind, name, t_ns, args);
     log.seq += 1;
     if let Some(track) = log.tracks.get_mut(track as usize) {
         track.push(event, traced);
     }
+    t_ns
 }
 
 /// A scoped span: records `Begin` on creation and the matching `End` on
-/// drop.
+/// drop, or at [`finish`](SpanGuard::finish), which also returns the
+/// span's duration. Spans are the workspace's one timer: a stage's
+/// `stage/{name}/ns` is the sum of its spans' End − Begin.
 #[must_use = "a span guard records its End when dropped; binding it to _ closes it immediately"]
 pub struct SpanGuard {
     name: &'static str,
     track: u32,
     /// Whether the `Begin` was traced; the `End` and notes follow it.
     traced: bool,
+    /// The `Begin` event's timestamp.
+    begin_ns: u64,
 }
 
 impl Drop for SpanGuard {
@@ -354,13 +361,24 @@ impl SpanGuard {
     pub fn note(&self, name: &'static str, args: &[(&'static str, ArgValue)]) {
         record(self.track, EventKind::Instant, name, args, self.traced);
     }
+
+    /// Closes the span now and returns End − Begin, the difference of the
+    /// two timestamps the log records for it.
+    pub fn finish(self) -> Duration {
+        let end_ns = record(self.track, EventKind::End, self.name, &[], self.traced);
+        let elapsed = Duration::from_nanos(end_ns - self.begin_ns);
+        // The End is recorded; the guard's fields are plain data, so
+        // skipping its `Drop` leaks nothing.
+        std::mem::forget(self);
+        elapsed
+    }
 }
 
 fn span_with(name: &'static str, args: &[(&'static str, ArgValue)]) -> SpanGuard {
     let track = current_track();
     let traced = enabled();
-    record(track, EventKind::Begin, name, args, traced);
-    SpanGuard { name, track, traced }
+    let begin_ns = record(track, EventKind::Begin, name, args, traced);
+    SpanGuard { name, track, traced, begin_ns }
 }
 
 /// Opens a span named `name` on the calling thread's track.
@@ -507,6 +525,21 @@ mod tests {
         let trace = take_trace();
         assert_eq!(trace.events.len(), 2);
         trace.validate().expect("End recorded despite disable");
+    }
+
+    #[test]
+    fn finish_returns_the_recorded_span_length() {
+        let _guard = serial();
+        set_enabled(false);
+        reset();
+        set_enabled(true);
+        let elapsed = span("timed").finish();
+        set_enabled(false);
+        let trace = take_trace();
+        assert_eq!(trace.events.len(), 2, "finish records the End exactly once");
+        let (begin, end) = (trace.events[0].t_ns, trace.events[1].t_ns);
+        assert_eq!(elapsed, Duration::from_nanos(end - begin));
+        trace.validate().expect("a finished span is closed");
     }
 
     #[test]

@@ -386,35 +386,59 @@ fn print_profile(frames: &[&isdc::telemetry::MetricsFrame]) {
     print!("{}", report.render_text());
 }
 
-/// `trace check <file.jsonl>` — parse an exported JSONL trace and run the
-/// well-formedness validator over it.
+/// `trace check <file.jsonl>` — parse an exported JSONL trace, or a batch
+/// flight dump (`<out>.flight.jsonl`, whose first line is a `job` line),
+/// and run the well-formedness validator over it: over each job's tail
+/// separately for a flight dump.
 fn cmd_trace(args: &[String]) -> Result<(), String> {
-    let args = Args::parse("trace", args, &[], 2)?;
-    match args.positional.first().map(String::as_str) {
-        Some("check") => {
-            let path = args.positional.get(1).ok_or("trace check requires a .jsonl trace file")?;
-            let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-            let (events, tracks) = isdc::telemetry::parse_jsonl(&text)?;
-            let summary = isdc::telemetry::validate_events(
-                events.iter().map(|e| (e.track, e.kind, e.name.as_str(), e.t_ns)),
-            )
-            .map_err(|e| format!("{path}: malformed trace: {e}"))?;
-            println!(
-                "{path}: ok — {} events, {} spans, {} instants, {} tracks (max depth {}), {:.1}ms",
-                summary.events,
-                summary.spans,
-                summary.instants,
-                summary.tracks,
-                summary.max_depth,
-                summary.duration_ns as f64 / 1e6
-            );
-            for (i, name) in tracks.iter().enumerate() {
-                println!("  track {i}: {name}");
-            }
-            Ok(())
-        }
-        _ => Err("usage: isdc-cli trace check <trace.jsonl>".to_string()),
+    use isdc::telemetry::{
+        json, validate_events, validate_tail, EventKind, OwnedEvent, TraceSummary,
+    };
+    fn edges(events: &[OwnedEvent]) -> impl Iterator<Item = (u32, EventKind, &str, u64)> {
+        events.iter().map(|e| (e.track, e.kind, e.name.as_str(), e.t_ns))
     }
+    fn describe(summary: &TraceSummary) -> String {
+        format!(
+            "ok — {} events, {} spans, {} instants, {} tracks (max depth {}), {:.1}ms",
+            summary.events,
+            summary.spans,
+            summary.instants,
+            summary.tracks,
+            summary.max_depth,
+            summary.duration_ns as f64 / 1e6
+        )
+    }
+    let args = Args::parse("trace", args, &[], 2)?;
+    let Some("check") = args.positional.first().map(String::as_str) else {
+        return Err("usage: isdc-cli trace check <trace.jsonl>".to_string());
+    };
+    let path = args.positional.get(1).ok_or("trace check requires a .jsonl trace file")?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let first = json::parse(text.lines().find(|l| !l.trim().is_empty()).unwrap_or("{}"));
+    if first.is_ok_and(|line| line.get("kind").and_then(json::Value::as_str) == Some("job")) {
+        for tail in isdc::telemetry::parse_flight_dump(&text)? {
+            let job = format!(
+                "job {} ({})",
+                tail.job
+                    .get("job")
+                    .and_then(json::Value::as_u64)
+                    .map_or("?".into(), |j| j.to_string()),
+                tail.job.get("design").and_then(json::Value::as_str).unwrap_or("?"),
+            );
+            let summary = validate_tail(edges(&tail.events))
+                .map_err(|e| format!("{path}: {job}: malformed tail: {e}"))?;
+            println!("{path}: {job}: {}", describe(&summary));
+        }
+        return Ok(());
+    }
+    let (events, tracks) = isdc::telemetry::parse_jsonl(&text)?;
+    let summary =
+        validate_events(edges(&events)).map_err(|e| format!("{path}: malformed trace: {e}"))?;
+    println!("{path}: {}", describe(&summary));
+    for (i, name) in tracks.iter().enumerate() {
+        println!("  track {i}: {name}");
+    }
+    Ok(())
 }
 
 fn cmd_show(args: &[String]) -> Result<(), String> {
@@ -843,7 +867,7 @@ fn cmd_batch(args: &[String]) -> Result<(), CliError> {
     let jobs: Vec<Job> = match args.value("--jobs") {
         Some(path) => {
             let spec = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-            parse_jobs(&spec)?
+            parse_jobs(&spec).map_err(|e| format!("{path}: {e}"))?
         }
         None if args.has("--all-designs") => {
             let points = args.points()?;

@@ -18,7 +18,7 @@
 //! - [`core`] — ISDC itself (delay matrix, extraction, iteration driver);
 //! - [`batch`] — the parallel multi-session batch engine (shared cache,
 //!   period shards, worker pool);
-//! - [`telemetry`] — hierarchical spans, the fleet metrics registry, and
+//! - [`telemetry`] — hierarchical spans, metrics frames, and
 //!   JSONL/Chrome trace export (see README § Observability);
 //! - [`faults`] — deterministic fault injection for chaos testing (see
 //!   README § Robustness);

@@ -264,11 +264,56 @@ fn batch_spec_with_trailing_content_or_a_malformed_unknown_value_exits_2() {
     ] {
         let spec = temp_file(tag, spec);
         let path = spec.to_str().expect("utf-8 temp path");
+        // The error names the spec file, as `report --baseline` does.
         assert_usage_error(
             &["batch", "--jobs", path, "--threads", "1", "--iterations", "1"],
-            message,
+            &format!("{path}: {message}"),
         );
         let _ = std::fs::remove_file(&spec);
+    }
+}
+
+#[test]
+fn batch_spec_strings_take_every_json_escape() {
+    // Python's `json.dumps` writes non-BMP characters as surrogate pairs.
+    let spec = temp_file(
+        "spec-escapes.json",
+        r#"{"jobs":[{"design":"rrot","from":2500,"points":1,"note":"\ud83d\ude00\f\b"}]}"#,
+    );
+    let out =
+        cli(&["batch", "--jobs", spec.to_str().unwrap(), "--threads", "1", "--iterations", "1"]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let _ = std::fs::remove_file(&spec);
+}
+
+#[test]
+fn trace_check_reads_the_flight_dump_of_a_chaos_batch() {
+    // The fault fires at the top of crc32's fourth iteration, after the
+    // 64-event ring has dropped the Begins of the spans it sits in.
+    let spec =
+        temp_file("chaos-spec.json", r#"{"jobs":[{"design":"crc32","from":2500,"points":1}]}"#);
+    let report = std::env::temp_dir().join(format!("isdc-cli-chaos-{}.json", std::process::id()));
+    let out = Command::new(env!("CARGO_BIN_EXE_isdc-cli"))
+        .args(["batch", "--jobs", spec.to_str().unwrap(), "--threads", "1"])
+        .args(["--iterations", "6", "--keep-going", "--out", report.to_str().unwrap()])
+        .env("ISDC_FAULT_PLAN", "pipeline/iteration:3:panic")
+        .output()
+        .expect("isdc-cli runs");
+    assert_eq!(out.status.code(), Some(3), "{}", String::from_utf8_lossy(&out.stderr));
+    let dump = format!("{}.flight.jsonl", report.display());
+    let text = std::fs::read_to_string(&dump).expect("a flight dump");
+    let tails = isdc::telemetry::parse_flight_dump(&text).expect("the dump parses");
+    assert_eq!(tails.len(), 1);
+    let edges = tails[0].events.iter().map(|e| (e.track, e.kind, e.name.as_str(), e.t_ns));
+    assert!(isdc::telemetry::validate_events(edges).is_err(), "the tail starts inside spans");
+
+    let out = cli(&["trace", "check", &dump]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(stdout.lines().count(), 1, "one line per job: {stdout}");
+    assert!(stdout.starts_with(&format!("{dump}: job 0 (crc32): ok — 64 events")), "{stdout}");
+    for file in [spec, report, dump.into()] {
+        let _ = std::fs::remove_file(file);
     }
 }
 

@@ -5,10 +5,11 @@
 
 use isdc::batch::{run_batch, serial_reference, BatchDesign, BatchOptions, Job};
 use isdc::cache::DelayCache;
-use isdc::core::{sweep_clock_period, IsdcConfig, IsdcSession};
+use isdc::core::{run_isdc, sweep_clock_period, IsdcConfig, IsdcSession};
 use isdc::synth::{OpDelayModel, SynthesisOracle};
 use isdc::techlib::TechLibrary;
 use isdc::telemetry::{self, EventKind, MetricsFrame};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 /// The span collector is process-global; tests that enable it must not
@@ -91,6 +92,48 @@ fn sweep_trace_is_well_formed_even_with_quality_metrics_skipped() {
     for stage in ["stage:extract", "stage:solve"] {
         assert!(begins(stage) > 0, "missing {stage} spans");
     }
+}
+
+/// Spans are the one timer: on a traced crc32 run, the span lengths on
+/// the run's own track add up to its frame to the nanosecond.
+#[test]
+fn span_durations_sum_exactly_to_the_run_frame() {
+    let _guard = TELEMETRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let crc32 = isdc::benchsuite::suite().into_iter().find(|b| b.name == "crc32").unwrap();
+    let lib = TechLibrary::sky130();
+    let model = OpDelayModel::new(lib.clone());
+    let oracle = SynthesisOracle::new(lib);
+    let mut config = IsdcConfig::paper_defaults(crc32.clock_period_ps);
+    config.threads = 1;
+    telemetry::reset();
+    telemetry::set_enabled(true);
+    let result = run_isdc(&crc32.graph, &model, &oracle, &config).expect("crc32 run");
+    telemetry::set_enabled(false);
+    let trace = telemetry::take_trace();
+    trace.validate().expect("well-formed trace");
+
+    let run = trace.events.iter().find(|e| e.kind == EventKind::Begin && e.name == "run");
+    let track = run.expect("a run span").track;
+    let mut open = Vec::new();
+    let mut span_ns: BTreeMap<&str, u64> = BTreeMap::new();
+    for event in trace.events.iter().filter(|e| e.track == track) {
+        match event.kind {
+            EventKind::Begin => open.push(event.t_ns),
+            EventKind::End => {
+                *span_ns.entry(event.name).or_default() += event.t_ns - open.pop().unwrap()
+            }
+            EventKind::Instant => {}
+        }
+    }
+    let frame = |key: &str| result.metrics.counter(key).unwrap_or_else(|| panic!("no {key}"));
+    assert!(result.iterations() > 0, "crc32 iterates");
+    for stage in ["extract", "dedupe", "evaluate", "feedback", "reformulate"] {
+        assert_eq!(span_ns[&*format!("stage:{stage}")], frame(&format!("stage/{stage}/ns")));
+    }
+    assert_eq!(span_ns["stage:solve"] + span_ns["initial_solve"], frame("stage/solve/ns"));
+    assert_eq!(span_ns["oracle_metrics"], frame("stage/oracle_metrics/ns"));
+    assert_eq!(span_ns["run"], frame("run/total_ns"));
+    assert_eq!(u128::from(span_ns["run"]), result.total_time.as_nanos());
 }
 
 #[test]
