@@ -1,9 +1,10 @@
 //! `bench_gate` — the benchmark regression gate.
 //!
 //! Reads the freshly emitted `BENCH_solver.json`, `BENCH_cache.json`,
-//! `BENCH_sweep.json` and `BENCH_batch.json` from the workspace root,
-//! compares their speedups against the checked-in floors, and search counts
-//! against its ceilings
+//! `BENCH_sweep.json`, `BENCH_batch.json` and `BENCH_synth.json` from the
+//! workspace root, compares their speedups against the checked-in floors,
+//! and search counts and the synthesis passes' cost per AND node against
+//! its ceilings
 //! (`crates/bench/floors.json`, keyed by the document's own `mode` field so
 //! CI's quick smokes and full release runs each gate against appropriate
 //! expectations), and exits nonzero on any regression. The batch document
@@ -14,7 +15,7 @@
 //!
 //! ```text
 //! bench_gate [--dir <workspace root>] [--floors <floors.json>]
-//!            [--require solver,cache,sweep,batch]
+//!            [--require solver,cache,sweep,batch,synth]
 //! ```
 //!
 //! Without `--require`, every `BENCH_*.json` that exists is gated and
@@ -281,6 +282,20 @@ fn gate_batch(doc: &Value, floors: &Value, checks: &mut Vec<Check>) -> Result<()
     Ok(())
 }
 
+fn gate_synth(doc: &Value, floors: &Value, checks: &mut Vec<Check>) -> Result<(), String> {
+    let mode = doc.text("mode").unwrap_or("full");
+    let entry = floors_for(floors, "synth", mode)?;
+    // The oracle's passes per AND node they emit: the unit of work the
+    // passes cannot avoid, so re-hashing or copying shows up as a rise.
+    checks.push(Check {
+        bench: "synth",
+        label: format!("synth[{mode}] passes ns per output AND"),
+        limit: Limit::Ceiling(floor_number(entry, "passes_ns_per_and_max")?),
+        actual: doc.number("passes_ns_per_and").ok_or("synth doc lacks `passes_ns_per_and`")?,
+    });
+    Ok(())
+}
+
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
 }
@@ -301,7 +316,7 @@ fn main() -> ExitCode {
         .unwrap_or_else(|| Path::new(env!("CARGO_MANIFEST_DIR")).join("floors.json"));
     let required: Vec<&str> =
         flag_value(&args, "--require").map(|v| v.split(',').collect()).unwrap_or_default();
-    const KNOWN: [&str; 4] = ["solver", "cache", "sweep", "batch"];
+    const KNOWN: [&str; 5] = ["solver", "cache", "sweep", "batch", "synth"];
     // A typo in --require must fail loudly, not silently un-require a bench.
     for name in &required {
         if !KNOWN.contains(name) {
@@ -319,11 +334,12 @@ fn main() -> ExitCode {
     };
 
     type GateFn = fn(&Value, &Value, &mut Vec<Check>) -> Result<(), String>;
-    let benches: [(&str, GateFn); 4] = [
+    let benches: [(&str, GateFn); 5] = [
         ("solver", gate_solver),
         ("cache", gate_cache),
         ("sweep", gate_sweep),
         ("batch", gate_batch),
+        ("synth", gate_synth),
     ];
     let mut checks: Vec<Check> = Vec::new();
     let mut failures = 0usize;
@@ -435,6 +451,27 @@ mod tests {
             red,
             ["solver[quick] crc32 cold nodes settled = 20000.00 above ceiling 10000.00"]
         );
+    }
+
+    #[test]
+    fn synth_ceiling_holds_the_passes_cost_per_and() {
+        let floors =
+            json::parse(r#"{"synth": {"quick": {"passes_ns_per_and_max": 200}}}"#).unwrap();
+        let verdicts: Vec<bool> = [150.0, 250.0]
+            .iter()
+            .map(|ns| {
+                let doc =
+                    json::parse(&format!(r#"{{"mode": "quick", "passes_ns_per_and": {ns}}}"#))
+                        .unwrap();
+                let mut checks = Vec::new();
+                gate_synth(&doc, &floors, &mut checks).expect("structurally valid doc");
+                checks.iter().all(Check::ok)
+            })
+            .collect();
+        assert_eq!(verdicts, [true, false]);
+        let mut checks = Vec::new();
+        let err = gate_synth(&json::parse(r#"{"mode": "quick"}"#).unwrap(), &floors, &mut checks);
+        assert_eq!(err, Err("synth doc lacks `passes_ns_per_and`".to_string()));
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A literal: a reference to an AIG node with an optional complement.
 ///
@@ -87,7 +88,10 @@ pub enum AigNode {
 /// simplification rules (`x&0`, `x&1`, `x&x`, `x&!x`) and deduplicates
 /// against previously built nodes, so equivalent two-level structures are
 /// shared automatically — the baseline optimization any logic synthesizer
-/// performs.
+/// performs. Deduplication costs one probe of a table keyed on a cheap
+/// multiplicative hash of the canonical operand pair, as in ABC's AIG
+/// package. Copies made by [`Aig::sweep`] carry no table; the first
+/// [`Aig::and`] on one builds it from the nodes.
 ///
 /// # Examples
 ///
@@ -102,23 +106,53 @@ pub enum AigNode {
 /// assert_eq!(aig.eval(&[true, false])[0], true);
 /// assert_eq!(aig.eval(&[true, true])[0], false);
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct Aig {
     nodes: Vec<AigNode>,
     inputs: Vec<u32>,
     outputs: Vec<AigLit>,
-    strash: HashMap<(AigLit, AigLit), u32>,
+    /// Canonical operand pair -> AND node index; `None` until the first
+    /// [`Aig::and`] needs it.
+    strash: Option<Strash>,
+}
+
+/// The structural-hash table. Nothing iterates it, so its hasher cannot
+/// change a result, and its keys are literals this AIG numbered itself in
+/// sequence, so a cheap hasher spreads them well.
+type Strash = HashMap<(AigLit, AigLit), u32, BuildHasherDefault<PairHasher>>;
+
+/// A multiplicative word hasher (the Fx scheme): each written word is
+/// rotated in, xored and multiplied by an odd constant. A strash key is
+/// two `u32` literals, so hashing one costs two multiplies.
+#[derive(Default)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u32(u32::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.0 = (self.0.rotate_left(5) ^ u64::from(word)).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Aig {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Aig {
     /// Creates an empty AIG (containing only the constant node).
     pub fn new() -> Self {
-        Self {
-            nodes: vec![AigNode::Const],
-            inputs: Vec::new(),
-            outputs: Vec::new(),
-            strash: HashMap::new(),
-        }
+        Self { nodes: vec![AigNode::Const], inputs: Vec::new(), outputs: Vec::new(), strash: None }
     }
 
     /// Adds a primary input and returns its (positive) literal.
@@ -165,7 +199,8 @@ impl Aig {
     }
 
     /// Builds `a & b` with constant folding, canonicalization and structural
-    /// hashing.
+    /// hashing: one table probe, which either finds the existing node or
+    /// claims the next index for a new one.
     pub fn and(&mut self, a: AigLit, b: AigLit) -> AigLit {
         // Constant / trivial folding.
         if a == AigLit::FALSE || b == AigLit::FALSE || a == b.not() {
@@ -178,12 +213,12 @@ impl Aig {
             return a;
         }
         let (a, b) = if a <= b { (a, b) } else { (b, a) };
-        if let Some(&idx) = self.strash.get(&(a, b)) {
-            return AigLit::new(idx, false);
+        let next = self.nodes.len() as u32;
+        let strash = self.strash.get_or_insert_with(|| strash_of(&self.nodes));
+        let idx = *strash.entry((a, b)).or_insert(next);
+        if idx == next {
+            self.nodes.push(AigNode::And(a, b));
         }
-        let idx = self.nodes.len() as u32;
-        self.nodes.push(AigNode::And(a, b));
-        self.strash.insert((a, b), idx);
         AigLit::new(idx, false)
     }
 
@@ -321,6 +356,13 @@ impl Aig {
     /// Rebuilds the AIG keeping only nodes reachable from the outputs,
     /// returning the cleaned copy. Input ordinals are preserved (dangling
     /// inputs are kept so input ordering stays stable).
+    ///
+    /// Every AND of `self` was built by [`Aig::and`] or copied by a sweep,
+    /// so no two share an operand pair and none folds; renumbering keeps
+    /// that true. Each
+    /// reachable AND is therefore pushed straight onto the copy, with its
+    /// pair re-sorted into canonical order, without a table probe. The copy
+    /// carries no table until its first [`Aig::and`].
     pub fn sweep(&self) -> Aig {
         let mut out = Aig::new();
         // Recreate all inputs in order.
@@ -348,7 +390,10 @@ impl Aig {
             if let AigNode::And(a, b) = node {
                 let la = map[a.node() as usize].expect("topological order") ^ a.is_complemented();
                 let lb = map[b.node() as usize].expect("topological order") ^ b.is_complemented();
-                map[i] = Some(out.and(la, lb));
+                debug_assert!(!la.is_const() && !lb.is_const() && la.node() != lb.node());
+                let idx = out.nodes.len() as u32;
+                out.nodes.push(AigNode::And(la.min(lb), la.max(lb)));
+                map[i] = Some(AigLit::new(idx, false));
             }
         }
         for lit in &self.outputs {
@@ -357,6 +402,17 @@ impl Aig {
         }
         out
     }
+}
+
+/// The strash table of a node list whose ANDs are distinct canonical pairs.
+fn strash_of(nodes: &[AigNode]) -> Strash {
+    let mut strash = Strash::default();
+    for (i, node) in nodes.iter().enumerate() {
+        if let AigNode::And(a, b) = *node {
+            strash.insert((a, b), i as u32);
+        }
+    }
+    strash
 }
 
 impl std::ops::BitXor<bool> for AigLit {
@@ -516,6 +572,50 @@ mod tests {
         let swept = aig.sweep();
         assert_eq!(swept.eval(&[true, true]), vec![false]);
         assert_eq!(swept.eval(&[false, true]), vec![true]);
+    }
+
+    #[test]
+    fn default_is_the_empty_aig() {
+        let mut aig = Aig::default();
+        assert_eq!(aig.nodes(), [AigNode::Const]);
+        let a = aig.input();
+        let b = aig.input();
+        assert!(!a.is_const() && !b.is_const());
+        let x = aig.and(a, b);
+        assert_eq!(aig.num_ands(), 1);
+        aig.push_output(x);
+        assert_eq!(aig.eval(&[true, false]), vec![false]);
+        assert_eq!(aig.eval(&[true, true]), vec![true]);
+    }
+
+    #[test]
+    fn and_on_a_swept_copy_finds_existing_nodes() {
+        // `c` is created after `x`, so the sweep numbers it first and flips
+        // the literal order of `y`'s operand pair.
+        let mut aig = Aig::new();
+        let a = aig.input();
+        let b = aig.input();
+        let x = aig.and(a, b);
+        let c = aig.input();
+        let y = aig.and(x, c.not());
+        aig.push_output(y);
+        let mut swept = aig.sweep();
+        for node in swept.nodes() {
+            if let AigNode::And(l, r) = *node {
+                assert!(l <= r, "pair ({l:?}, {r:?}) is not canonical");
+            }
+        }
+        let [sa, sb, sc] = [1, 2, 3].map(AigLit::positive);
+        let sy = swept.outputs()[0];
+        let sx = swept.and(sa, sb);
+        assert_eq!(swept.and(sb, sa), sx);
+        assert_eq!(swept.and(sx, sc.not()), sy);
+        assert_eq!(swept.and(sc.not(), sx), sy);
+        assert_eq!(swept.num_ands(), 2);
+        // A new pair still gets a new node, once.
+        let z = swept.and(sa, sc);
+        assert_eq!(swept.and(sc, sa), z);
+        assert_eq!(swept.num_ands(), 3);
     }
 
     #[test]

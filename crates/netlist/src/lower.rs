@@ -22,6 +22,9 @@ pub struct LoweredSubgraph {
     /// For each AIG input ordinal, the IR `(node, bit)` it carries.
     pub input_map: Vec<(NodeId, u32)>,
     /// For each AIG output position, the IR `(node, bit)` it produces.
+    ///
+    /// Grouped by node in ascending id order, each node's bits consecutive
+    /// and in bit order, so per-node results fold in one pass.
     pub output_map: Vec<(NodeId, u32)>,
 }
 

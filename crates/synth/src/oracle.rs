@@ -212,13 +212,24 @@ impl DelayOracle for NaiveSumOracle {
     }
 }
 
-/// Collapses per-bit output arrivals into per-IR-node worst arrivals.
+/// Collapses per-bit output arrivals into per-IR-node worst arrivals, in
+/// one pass: [`LoweredSubgraph::output_map`] lists each node's bits
+/// consecutively, so a bit either belongs to the last node seen or starts
+/// the next one.
+///
+/// [`LoweredSubgraph::output_map`]: isdc_netlist::LoweredSubgraph::output_map
 fn fold_output_arrivals(output_map: &[(NodeId, u32)], arrivals: &[Picos]) -> Vec<(NodeId, Picos)> {
     let mut per_node: Vec<(NodeId, Picos)> = Vec::new();
     for (&(id, _bit), &a) in output_map.iter().zip(arrivals) {
-        match per_node.iter_mut().find(|(n, _)| *n == id) {
-            Some((_, worst)) => *worst = worst.max(a),
-            None => per_node.push((id, a)),
+        match per_node.last_mut() {
+            Some((last, worst)) if *last == id => *worst = worst.max(a),
+            last => {
+                debug_assert!(
+                    last.as_ref().is_none_or(|(n, _)| *n < id),
+                    "output_map is not grouped by ascending node: {id:?} after {last:?}"
+                );
+                per_node.push((id, a));
+            }
         }
     }
     per_node

@@ -76,15 +76,23 @@ impl SynthScript {
     }
 
     /// Runs every pass in order and returns the optimized AIG.
+    ///
+    /// The first pass reads `aig` where it lies; only the empty script
+    /// copies it.
     pub fn run(&self, aig: &Aig) -> Aig {
-        let mut cur = aig.clone();
-        for pass in &self.passes {
-            cur = match pass {
-                Pass::Sweep => cur.sweep(),
-                Pass::Balance => balance(&cur),
-            };
+        let Some((first, rest)) = self.passes.split_first() else {
+            return aig.clone();
+        };
+        rest.iter().fold(first.apply(aig), |cur, pass| pass.apply(&cur))
+    }
+}
+
+impl Pass {
+    fn apply(self, aig: &Aig) -> Aig {
+        match self {
+            Pass::Sweep => aig.sweep(),
+            Pass::Balance => balance(aig),
         }
-        cur
     }
 }
 
@@ -101,6 +109,9 @@ impl Default for SynthScript {
 /// (a Huffman tree over arrival depth). Because OR is represented as a
 /// complemented AND of complemented literals, OR chains are balanced by the
 /// same mechanism one level in.
+///
+/// Each recombining AND is one strash probe into the output AIG; the
+/// per-node leaf, stack and depth lists are reused across nodes.
 pub fn balance(aig: &Aig) -> Aig {
     let mut out = Aig::new();
     let nodes = aig.nodes();
@@ -109,6 +120,9 @@ pub fn balance(aig: &Aig) -> Aig {
     map[0] = Some(AigLit::FALSE);
     // Incrementally tracked AND-depths of `out` nodes (const node = 0).
     let mut out_depths: Vec<u32> = vec![0];
+    let mut leaves: Vec<AigLit> = Vec::new();
+    let mut stack: Vec<u32> = Vec::new();
+    let mut translated: Vec<(u32, AigLit)> = Vec::new();
     for (i, node) in nodes.iter().enumerate() {
         match node {
             AigNode::Const => {}
@@ -117,16 +131,14 @@ pub fn balance(aig: &Aig) -> Aig {
                 out_depths.push(0);
             }
             AigNode::And(..) => {
-                let leaves = flatten_conjunction(nodes, i as u32);
+                flatten_conjunction(nodes, i as u32, &mut leaves, &mut stack);
                 // Translate leaves into the new AIG with their depths.
-                let mut translated: Vec<(u32, AigLit)> = leaves
-                    .iter()
-                    .map(|l| {
-                        let lit = map[l.node() as usize].expect("topological order")
-                            ^ l.is_complemented();
-                        (out_depths[lit.node() as usize], lit)
-                    })
-                    .collect();
+                translated.clear();
+                translated.extend(leaves.iter().map(|l| {
+                    let lit =
+                        map[l.node() as usize].expect("topological order") ^ l.is_complemented();
+                    (out_depths[lit.node() as usize], lit)
+                }));
                 // Huffman-style: repeatedly combine the two shallowest.
                 translated.sort_by_key(|&(d, _)| std::cmp::Reverse(d));
                 while translated.len() > 1 {
@@ -154,11 +166,18 @@ pub fn balance(aig: &Aig) -> Aig {
     out
 }
 
-/// Collects the flattened conjunction of node `root`, expanding through
-/// non-complemented AND operands (iteratively, to handle long chains).
-fn flatten_conjunction(nodes: &[AigNode], root: u32) -> Vec<AigLit> {
-    let mut leaves = Vec::new();
-    let mut stack = vec![root];
+/// Collects the flattened conjunction of node `root` into `leaves`,
+/// expanding through non-complemented AND operands (iteratively over
+/// `stack`, to handle long chains).
+fn flatten_conjunction(
+    nodes: &[AigNode],
+    root: u32,
+    leaves: &mut Vec<AigLit>,
+    stack: &mut Vec<u32>,
+) {
+    leaves.clear();
+    stack.clear();
+    stack.push(root);
     while let Some(n) = stack.pop() {
         let AigNode::And(a, b) = nodes[n as usize] else {
             leaves.push(AigLit::positive(n));
@@ -174,7 +193,6 @@ fn flatten_conjunction(nodes: &[AigNode], root: u32) -> Vec<AigLit> {
             }
         }
     }
-    leaves
 }
 
 #[cfg(test)]
@@ -274,6 +292,23 @@ mod tests {
         let out = SynthScript::none().run(&aig);
         assert_equivalent(&aig, &out);
         assert_eq!(out.num_ands(), aig.num_ands());
+    }
+
+    #[test]
+    fn script_none_returns_an_equal_copy() {
+        let mut aig = Aig::new();
+        let a = aig.input();
+        let b = aig.input();
+        let x = aig.xor(a, b);
+        aig.push_output(x);
+        let mut out = SynthScript::none().run(&aig);
+        assert_eq!(out.nodes(), aig.nodes());
+        assert_eq!(out.outputs(), aig.outputs());
+        assert_eq!(out.num_inputs(), aig.num_inputs());
+        // The copy still deduplicates against the nodes it was given.
+        let ands = out.num_ands();
+        out.xor(b, a);
+        assert_eq!(out.num_ands(), ands);
     }
 
     #[test]
