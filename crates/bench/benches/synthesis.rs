@@ -85,7 +85,8 @@ fn bench_parallel_oracle(c: &mut Criterion) {
         .collect();
     let mut group = c.benchmark_group("oracle_16_subgraphs");
     group.sample_size(10);
-    for threads in [1usize, 4] {
+    // 2 threads is what the `table1` and `scale` workloads evaluate with.
+    for threads in [1usize, 2, 4] {
         group.bench_with_input(
             BenchmarkId::from_parameter(threads),
             &threads,

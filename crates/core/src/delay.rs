@@ -11,15 +11,26 @@
 //!   that is an improvement. Updates are monotonically decreasing, which
 //!   guarantees that timing constraints only ever relax.
 //! - **Reformulation** (Alg. 2): re-derives all-pairs delays from the updated
-//!   matrix with one forward and one backward topological sweep — an `O(n^2)`
-//!   approximation of the exhaustive `O(n^3)` fixpoint, which is also
-//!   provided ([`DelayMatrix::reformulate_exact`]) for the §IV-B accuracy
-//!   study.
+//!   matrix with one forward and one backward topological sweep, each
+//!   costing `O(connected pairs × fan-in)` — an approximation of the
+//!   exhaustive fixpoint, which is also provided
+//!   ([`DelayMatrix::reformulate_exact`]) for the §IV-B accuracy study.
+//!
+//! Values are stored densely, but which pairs are connected is fixed when
+//! the matrix is initialized: feedback only lowers connected entries, to
+//! values checked to be non-negative, and Alg. 2 only lowers entries along
+//! existing paths, so neither creates a connection nor writes the sentinel.
+//! The matrix therefore indexes its connectivity once, as the graph's
+//! [`ReachabilityMatrix`] and its transpose (per node, bitsets of its
+//! descendants and of its ancestors), and every sweep walks only connected
+//! pairs.
 
-use isdc_ir::analysis::{reverse_topo_order, topo_order};
+use isdc_ir::analysis::{reverse_topo_order, topo_order, ReachabilityMatrix};
 use isdc_ir::{Graph, NodeId};
 use isdc_techlib::Picos;
 use std::collections::HashMap;
+use std::iter::once;
+use std::sync::Arc;
 
 /// Sentinel for "not connected".
 const NOT_CONNECTED: f64 = -1.0;
@@ -133,15 +144,31 @@ impl DirtySet {
 /// fixpoint iteration against floating-point churn).
 const EPS: f64 = 1e-9;
 
-/// Dense matrix of estimated critical-path delays between node pairs.
+/// Matrix of estimated critical-path delays between node pairs.
 ///
 /// `get(u, v)` is the estimated worst delay of any combinational path that
 /// starts at `u`'s inputs and ends at `v`'s output (both ops' own delays
 /// included), or `None` if `v` is not reachable from `u`.
+///
+/// The values are a dense `n × n` array; the set of connected pairs is
+/// fixed at [`DelayMatrix::initialize`] and indexed there (see the module
+/// docs), at `n² / 4` bytes, 3% of the values' size. Clones share the
+/// index.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DelayMatrix {
     n: usize,
     data: Vec<f64>,
+    conn: Arc<Connectivity>,
+}
+
+/// The fixed connectivity of a [`DelayMatrix`]: the graph's reachability
+/// and its transpose. Each row holds its own node too, as its first node in
+/// `desc` (row `u`: `u` and its descendants) and its last in `anc` (row
+/// `v`: `v`'s ancestors and `v`).
+#[derive(Debug, PartialEq, Eq)]
+struct Connectivity {
+    desc: ReachabilityMatrix,
+    anc: ReachabilityMatrix,
 }
 
 impl DelayMatrix {
@@ -150,28 +177,33 @@ impl DelayMatrix {
     ///
     /// # Panics
     ///
-    /// Panics if `node_delays.len() != graph.len()`.
+    /// Panics if `node_delays.len() != graph.len()`, or if a delay is
+    /// negative or NaN.
     pub fn initialize(graph: &Graph, node_delays: &[Picos]) -> Self {
         let n = graph.len();
         assert_eq!(node_delays.len(), n, "one delay per node required");
-        let mut m = Self { n, data: vec![NOT_CONNECTED; n * n] };
-        // Longest path DP from every source u: one forward sweep per u.
-        // best[v] = max over operands p of best[p] + d(v), seeded at u.
-        for u in 0..n {
-            m.data[u * n + u] = node_delays[u];
-            for (v, &d_v) in node_delays.iter().enumerate().skip(u + 1) {
-                let node = graph.node(NodeId(v as u32));
+        assert!(node_delays.iter().all(|&d| d >= 0.0), "node delays must be non-negative");
+        let desc = ReachabilityMatrix::compute(graph);
+        let conn = Arc::new(Connectivity { anc: desc.transpose(), desc });
+        let mut data = vec![NOT_CONNECTED; n * n];
+        // Longest path DP from every source u over its descendants, in
+        // topological order: best[v] = max over operands p of best[p] +
+        // d(v), seeded at u.
+        for u in graph.node_ids() {
+            let row = &mut data[u.index() * n..(u.index() + 1) * n];
+            row[u.index()] = node_delays[u.index()];
+            for v in conn.desc.row(u).skip(1) {
                 let mut best = NOT_CONNECTED;
-                for &p in &node.operands {
-                    let via = m.data[u * n + p.index()];
+                for &p in &graph.node(v).operands {
+                    let via = row[p.index()];
                     if via != NOT_CONNECTED {
-                        best = best.max(via + d_v);
+                        best = best.max(via + node_delays[v.index()]);
                     }
                 }
-                m.data[u * n + v] = best;
+                row[v.index()] = best;
             }
         }
-        m
+        Self { n, data, conn }
     }
 
     /// Number of nodes covered.
@@ -195,6 +227,13 @@ impl DelayMatrix {
         self.data[v.index() * self.n + v.index()]
     }
 
+    /// Every strict descendant `w` of `u` with `D[u][w]`, in ascending id
+    /// order: exactly the `w > u` for which [`DelayMatrix::get`] is `Some`.
+    pub(crate) fn descendants(&self, u: NodeId) -> impl Iterator<Item = (NodeId, Picos)> + '_ {
+        let row = &self.data[u.index() * self.n..(u.index() + 1) * self.n];
+        self.conn.desc.row(u).skip(1).map(move |w| (w, row[w.index()]))
+    }
+
     /// Raw indexed access used by hot loops.
     #[inline]
     fn at(&self, u: usize, v: usize) -> f64 {
@@ -209,7 +248,13 @@ impl DelayMatrix {
     /// Alg. 1 lines 10-14: lowers every pair covered by an evaluated subgraph
     /// to the reported delay, when that is an improvement. Returns the dirty
     /// rows/columns (with [`DirtySet::updated`] counting changed entries).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `delay_ps` is negative or NaN: such a value would collide
+    /// with the "not connected" sentinel, and the connectivity is fixed.
     pub fn apply_subgraph_feedback(&mut self, members: &[NodeId], delay_ps: Picos) -> DirtySet {
+        assert!(delay_ps >= 0.0, "feedback delay {delay_ps}ps must be non-negative");
         let mut dirty = DirtySet::new(self.n);
         for &u in members {
             for &v in members {
@@ -231,12 +276,19 @@ impl DelayMatrix {
     ///
     /// Returns the dirty rows/columns (with [`DirtySet::updated`] counting
     /// changed entries).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fallback_ps` or an arrival is negative or NaN (see
+    /// [`DelayMatrix::apply_subgraph_feedback`]).
     pub fn apply_subgraph_feedback_per_output(
         &mut self,
         members: &[NodeId],
         output_arrivals: &[(NodeId, Picos)],
         fallback_ps: Picos,
     ) -> DirtySet {
+        let mut all = once(fallback_ps).chain(output_arrivals.iter().map(|&(_, d)| d));
+        assert!(all.all(|d| d >= 0.0), "feedback delays must be non-negative");
         let mut dirty = DirtySet::new(self.n);
         // One arrival lookup per call instead of a linear scan per pair.
         let arrivals: HashMap<NodeId, Picos> = output_arrivals.iter().copied().collect();
@@ -253,11 +305,10 @@ impl DelayMatrix {
         dirty
     }
 
-    /// Alg. 2: the `O(n^2)`-per-sweep reformulation. One forward topological
-    /// sweep recomputes each `D[u][v]` from `v`'s operands; one backward sweep
-    /// catches the complementary paths. Entries only ever decrease (or fill in
-    /// missing connectivity from the sweeps' perspective). Returns true if
-    /// any entry changed.
+    /// Alg. 2: one forward topological sweep recomputes each `D[u][v]` from
+    /// `v`'s operands; one backward sweep catches the complementary paths.
+    /// Each sweep costs `O(connected pairs × fan-in)`. Entries only ever
+    /// decrease. Returns true if any entry changed.
     pub fn reformulate(&mut self, graph: &Graph) -> bool {
         !self.reformulate_tracked(graph).is_empty()
     }
@@ -282,9 +333,10 @@ impl DelayMatrix {
         dirty
     }
 
-    /// One forward-sweep step: recomputes column `v` from its operands'
-    /// columns and `D[v][v]`. `on_write(u, v)` fires for every entry
-    /// lowered (or filled in). Returns true if anything changed.
+    /// One forward-sweep step: recomputes column `v` over `v`'s ancestors
+    /// from its operands' columns and `D[v][v]`, in ascending row order.
+    /// `on_write(u, v)` fires for every entry lowered. Returns true if
+    /// anything changed.
     fn forward_node(
         &mut self,
         graph: &Graph,
@@ -292,35 +344,38 @@ impl DelayMatrix {
         dv: &mut [f64],
         mut on_write: impl FnMut(usize, usize),
     ) -> bool {
-        let vi = v.index();
-        let d_vv = self.at(vi, vi);
-        dv.fill(NOT_CONNECTED);
+        let (n, vi) = (self.n, v.index());
+        let Self { data, conn, .. } = self;
+        let d_vv = data[vi * n + vi];
+        for u in conn.anc.row(v) {
+            dv[u.index()] = NOT_CONNECTED;
+        }
         for &p in &graph.node(v).operands {
             let pi = p.index();
-            for (u, best) in dv.iter_mut().enumerate() {
-                let via = self.at(u, pi);
-                if via != NOT_CONNECTED && *best < via + d_vv {
-                    *best = via + d_vv;
+            for u in conn.anc.row(p).map(NodeId::index) {
+                let via = data[u * n + pi] + d_vv;
+                if dv[u] < via {
+                    dv[u] = via;
                 }
             }
         }
         let mut changed = false;
-        for (u, &cand) in dv.iter().enumerate() {
-            if cand != NOT_CONNECTED {
-                let cur = self.at(u, vi);
-                if cur > cand + EPS || cur == NOT_CONNECTED {
-                    self.set(u, vi, cand);
-                    on_write(u, vi);
-                    changed = true;
-                }
+        // The row ends at `v` itself, whose diagonal is not recomputed.
+        for u in conn.anc.row(v).map(NodeId::index).take_while(|&u| u != vi) {
+            let cur = &mut data[u * n + vi];
+            if *cur > dv[u] + EPS {
+                *cur = dv[u];
+                on_write(u, vi);
+                changed = true;
             }
         }
         changed
     }
 
-    /// One backward-sweep step: recomputes row `u` from its users' rows and
-    /// `D[u][u]`. `on_write(u, w)` fires for every entry lowered (or filled
-    /// in). Returns true if anything changed.
+    /// One backward-sweep step: recomputes row `u` over `u`'s descendants
+    /// from its users' rows and `D[u][u]`, in ascending column order.
+    /// `on_write(u, w)` fires for every entry lowered. Returns true if
+    /// anything changed.
     fn backward_node(
         &mut self,
         graph: &Graph,
@@ -328,27 +383,29 @@ impl DelayMatrix {
         du: &mut [f64],
         mut on_write: impl FnMut(usize, usize),
     ) -> bool {
-        let ui = u.index();
-        let d_uu = self.at(ui, ui);
-        du.fill(NOT_CONNECTED);
+        let (n, ui) = (self.n, u.index());
+        let Self { data, conn, .. } = self;
+        let d_uu = data[ui * n + ui];
+        for w in conn.desc.row(u) {
+            du[w.index()] = NOT_CONNECTED;
+        }
         for &c in graph.users(u) {
             let ci = c.index();
-            for (w, best) in du.iter_mut().enumerate() {
-                let via = self.at(ci, w);
-                if via != NOT_CONNECTED && *best < via + d_uu {
-                    *best = via + d_uu;
+            for w in conn.desc.row(c).map(NodeId::index) {
+                let via = data[ci * n + w] + d_uu;
+                if du[w] < via {
+                    du[w] = via;
                 }
             }
         }
         let mut changed = false;
-        for (w, &cand) in du.iter().enumerate() {
-            if cand != NOT_CONNECTED {
-                let cur = self.at(ui, w);
-                if cur > cand + EPS || cur == NOT_CONNECTED {
-                    self.set(ui, w, cand);
-                    on_write(ui, w);
-                    changed = true;
-                }
+        // The row starts at `u` itself, whose diagonal is not recomputed.
+        for w in conn.desc.row(u).skip(1).map(NodeId::index) {
+            let cur = &mut data[ui * n + w];
+            if *cur > du[w] + EPS {
+                *cur = du[w];
+                on_write(ui, w);
+                changed = true;
             }
         }
         changed
@@ -460,7 +517,7 @@ impl DelayMatrix {
     /// ([`DelayMatrix::reformulate_incremental`]) seeded with the previous
     /// round's writes, which is bit-identical to another full pass but only
     /// touches nodes downstream of actual changes — late rounds converge on
-    /// small dirty regions, so they get cheap instead of staying `O(n^2)`.
+    /// small dirty regions, so they get cheap instead of costing a full pass.
     ///
     /// Returns the number of rounds that changed at least one entry (at
     /// least 1, matching the historical count of full passes).
@@ -824,6 +881,75 @@ mod tests {
             assert_eq!(exact, reference, "fixpoint diverged for feedback {fb}");
             assert_eq!(rounds, ref_rounds, "round count diverged for feedback {fb}");
         }
+    }
+
+    /// The index against the entries themselves: row `u` of `desc` is
+    /// exactly the `v > u` with an entry from `u`, and row `v` of `anc` is
+    /// column `v` of `desc` (its transpose).
+    fn assert_index_matches_entries(m: &DelayMatrix, what: &str) {
+        let ids = || (0..m.n).map(|i| NodeId(i as u32));
+        for u in ids() {
+            let desc: Vec<NodeId> = m.conn.desc.row(u).skip(1).collect();
+            let entries = ids().filter(|&v| v != u && m.get(u, v).is_some());
+            assert_eq!(desc, entries.collect::<Vec<_>>(), "{what}: descendants of {u}");
+            let anc: Vec<NodeId> = m.conn.anc.row(u).take_while(|&p| p != u).collect();
+            let transpose = ids().filter(|&p| p != u && m.conn.desc.row(p).any(|v| v == u));
+            assert_eq!(anc, transpose.collect::<Vec<_>>(), "{what}: ancestors of {u}");
+            assert_eq!(m.conn.anc.row(u).last(), Some(u), "{what}: {u} ends its own row");
+        }
+    }
+
+    /// The naive matrix, then one feedback round (the SDC schedule's
+    /// subgraphs through the synthesis oracle) plus the exact fixpoint.
+    /// Returns whether the round lowered any entry.
+    fn check_index_through_a_feedback_round(graph: &Graph, clock_period_ps: Picos) -> bool {
+        let lib = isdc_techlib::TechLibrary::sky130();
+        let model = isdc_synth::OpDelayModel::new(lib.clone());
+        let oracle = isdc_synth::SynthesisOracle::new(lib);
+        let mut m = DelayMatrix::initialize(graph, &model.all_node_delays(graph));
+        assert_index_matches_entries(&m, &format!("{} naive", graph.name()));
+        let naive = m.clone();
+        let schedule = crate::schedule_with_matrix(graph, &m, clock_period_ps).unwrap();
+        let config = crate::IsdcConfig::paper_defaults(clock_period_ps).extraction();
+        for sub in crate::subgraph::extract_subgraphs(graph, &schedule, &m, &config) {
+            let report = isdc_synth::DelayOracle::evaluate(&oracle, graph, &sub.nodes);
+            m.apply_subgraph_feedback_per_output(
+                &sub.nodes,
+                &report.output_arrivals,
+                report.delay_ps,
+            );
+        }
+        m.reformulate_exact(graph);
+        assert_index_matches_entries(&m, &format!("{} after feedback", graph.name()));
+        m != naive
+    }
+
+    #[test]
+    fn connectivity_index_matches_entries_on_table1() {
+        let suite = isdc_benchsuite::suite();
+        let lowered = suite
+            .iter()
+            .filter(|b| check_index_through_a_feedback_round(&b.graph, b.clock_period_ps));
+        // 14 of the 17 designs lower at least one entry.
+        assert!(lowered.count() > suite.len() / 2, "feedback must lower most designs");
+    }
+
+    #[test]
+    fn connectivity_index_matches_entries_on_random_dags() {
+        let config = isdc_benchsuite::RandomDagConfig {
+            num_ops: 120,
+            num_params: 5,
+            widths: vec![8, 16],
+            with_muls: true,
+        };
+        let model = isdc_synth::OpDelayModel::new(isdc_techlib::TechLibrary::sky130());
+        let mut lowered = 0;
+        for seed in 0..8 {
+            let graph = isdc_benchsuite::random_dag(&config, seed);
+            let slowest = model.all_node_delays(&graph).into_iter().fold(0.0, f64::max);
+            lowered += usize::from(check_index_through_a_feedback_round(&graph, slowest * 1.5));
+        }
+        assert!(lowered > 4, "feedback must lower most DAGs: {lowered} of 8");
     }
 
     #[test]

@@ -18,9 +18,11 @@
 //! On top of the paper, the crate exploits Alg. 1's monotonicity for speed:
 //! feedback and reformulation report their writes as a [`DirtySet`] (dirty
 //! rows and columns), Alg. 2 runs as a worklist sweep over just the dirty
-//! region ([`DelayMatrix::reformulate_incremental`]), and the SDC LP
-//! persists across iterations in an [`IncrementalScheduler`] that re-sweeps
-//! only dirty rows' timing bounds and re-solves warm
+//! region ([`DelayMatrix::reformulate_incremental`]) and, like Eq. 2
+//! emission, walks only the connected pairs the matrix indexed at
+//! initialization, and the SDC LP persists across iterations in an
+//! [`IncrementalScheduler`] that re-sweeps only dirty rows' timing bounds
+//! and re-solves warm
 //! ([`isdc_sdc::IncrementalSolver`]). Every solve goes through that engine,
 //! and each iteration's schedule is bit-identical to a from-scratch
 //! [`DelayMatrix::reformulate`] plus [`schedule_with_matrix`] on the same

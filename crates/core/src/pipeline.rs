@@ -35,6 +35,7 @@ use isdc_ir::{Graph, NodeId};
 use isdc_synth::{evaluate_parallel_cancellable, DelayOracle, DelayReport, OpDelayModel};
 use isdc_telemetry::MetricsFrame;
 use std::collections::HashSet;
+use std::iter::once;
 use std::time::Duration;
 
 use crate::driver::IsdcConfig;
@@ -429,6 +430,10 @@ impl<O: DelayOracle + ?Sized> Stage<O> for Evaluate {
 
 /// Stage 4: fold the reports into the delay matrix (Alg. 1, per-output
 /// refinement), returning the exact dirty pairs.
+///
+/// Every report is checked before any is applied: a negative or NaN
+/// `delay_ps` or output arrival fails the stage with
+/// [`ScheduleError::MalformedOracleReport`] and leaves the matrix as it was.
 pub struct Feedback;
 
 impl<O: DelayOracle + ?Sized> Stage<O> for Feedback {
@@ -441,6 +446,13 @@ impl<O: DelayOracle + ?Sized> Stage<O> for Feedback {
         state: &mut PipelineState<'_, O>,
         (subgraphs, reports): Self::In,
     ) -> Result<Self::Out, ScheduleError> {
+        for (sub, report) in subgraphs.iter().zip(&reports) {
+            let arrivals = report.output_arrivals.iter().map(|&(_, d)| d);
+            let bad = once(report.delay_ps).chain(arrivals).find(|d| d.is_nan() || *d < 0.0);
+            if let (Some(&node), Some(delay_ps)) = (sub.nodes.first(), bad) {
+                return Err(ScheduleError::MalformedOracleReport { node, delay_ps });
+            }
+        }
         let mut dirty = DirtySet::new(state.graph.len());
         for (sub, report) in subgraphs.iter().zip(&reports) {
             dirty.union(&state.delays.apply_subgraph_feedback_per_output(
@@ -550,6 +562,76 @@ mod tests {
             let calls = frame.counter(&format!("stage/{}/calls", kind.name()));
             assert_eq!(calls, Some(expected), "{}", kind.name());
         }
+    }
+
+    /// Replaces one field of every report with `value`.
+    struct Malformed {
+        inner: SynthesisOracle,
+        value: f64,
+        in_arrivals: bool,
+    }
+
+    impl DelayOracle for Malformed {
+        fn evaluate(&self, graph: &Graph, members: &[NodeId]) -> DelayReport {
+            let mut report = self.inner.evaluate(graph, members);
+            if self.in_arrivals {
+                let (_, last) = report.output_arrivals.last_mut().expect("an output");
+                *last = self.value;
+            } else {
+                report.delay_ps = self.value;
+            }
+            report
+        }
+
+        fn name(&self) -> &str {
+            "malformed"
+        }
+    }
+
+    #[test]
+    fn negative_or_nan_oracle_reports_fail_the_run() {
+        let lib = TechLibrary::sky130();
+        let model = OpDelayModel::new(lib.clone());
+        let graph = isdc_benchsuite::designs::crc32();
+        let config = IsdcConfig {
+            max_iterations: 2,
+            threads: 1,
+            iteration_metrics: false,
+            ..IsdcConfig::paper_defaults(2500.0)
+        };
+        for value in [-1.0, -5.0, f64::NAN] {
+            for in_arrivals in [false, true] {
+                let oracle =
+                    Malformed { inner: SynthesisOracle::new(lib.clone()), value, in_arrivals };
+                let err = crate::run_isdc(&graph, &model, &oracle, &config).unwrap_err();
+                let ScheduleError::MalformedOracleReport { node, delay_ps } = err else {
+                    panic!("{value} (arrivals: {in_arrivals}) gave {err:?}");
+                };
+                assert_eq!(delay_ps.to_bits(), value.to_bits());
+                assert!(err.to_string().contains(&format!("{node}")), "{err}");
+            }
+        }
+    }
+
+    #[test]
+    fn feedback_rejects_a_malformed_report_before_writing_any() {
+        let lib = TechLibrary::sky130();
+        let model = OpDelayModel::new(lib.clone());
+        let oracle = SynthesisOracle::new(lib);
+        let g = datapath();
+        let mut config = IsdcConfig::paper_defaults(2500.0);
+        config.threads = 1;
+        let mut state =
+            PipelineState::new(&g, &model, &oracle, &config, RunSeed::default()).unwrap();
+        let before = state.delays().clone();
+        let (subs, _) = run_stage(&mut Extract, &mut state, ()).unwrap();
+        let ((subs, mut reports), _) = run_stage(&mut Evaluate, &mut state, subs).unwrap();
+        let last = reports.len() - 1;
+        reports[last].delay_ps = -1.0;
+        let first = subs[last].nodes[0];
+        let err = run_stage(&mut Feedback, &mut state, (subs, reports)).unwrap_err();
+        assert_eq!(err, ScheduleError::MalformedOracleReport { node: first, delay_ps: -1.0 });
+        assert_eq!(*state.delays(), before, "no report may be applied");
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //! the dependency `x_p <= x_w` carries it to `w`, so the pair is **pruned**.
 //! By induction in topological order every pair's bound is emitted or
 //! implied, whatever the matrix: the rule does not assume that delays grow
-//! along paths.
+//! along paths. A source's sweep walks only its descendants, read from the
+//! delay matrix's connectivity index, instead of all `n` sinks.
 //!
 //! A pruned pair stays pruned only while its operand's bound holds, so the
 //! incremental engine re-decides every pair of the dirty rows (or of every
@@ -71,6 +72,17 @@ pub enum ScheduleError {
         /// The injection site that fired (e.g. `solver/drain`).
         site: &'static str,
     },
+    /// The downstream oracle reported a negative or NaN delay or output
+    /// arrival for a subgraph. Written into the delay matrix, a negative
+    /// value can read as "not connected" and a NaN poisons every path
+    /// through it, so the run fails before the report is applied.
+    /// *Terminal* — the batch engine never retries it.
+    MalformedOracleReport {
+        /// The subgraph's first node.
+        node: NodeId,
+        /// The offending value.
+        delay_ps: Picos,
+    },
     /// An installed `isdc_cancel` deadline or token tripped mid-run. The
     /// run unwound through its normal error paths: warm solver state is
     /// discarded (never poisoned), session/cache stay consistent, and any
@@ -87,6 +99,11 @@ impl fmt::Display for ScheduleError {
             ScheduleError::OperationExceedsClock { node, delay_ps, clock_period_ps } => write!(
                 f,
                 "operation {node} delay {delay_ps}ps exceeds clock period {clock_period_ps}ps"
+            ),
+            ScheduleError::MalformedOracleReport { node, delay_ps } => write!(
+                f,
+                "oracle reported {delay_ps}ps for the subgraph at {node}; \
+                 delays must be non-negative"
             ),
             ScheduleError::Injected { site } => {
                 write!(f, "injected fault at {site}")
@@ -257,14 +274,15 @@ fn timing_bound(d: Picos, clock_period_ps: Picos) -> i64 {
 
 /// The sparsified Eq. 2 emission for one source `u` (see the module docs).
 ///
-/// For every sink `w` with a delay entry from `u`, `on_pair(w, bound,
-/// emitted)` reports the pair's Eq. 2 bound `-(k-1)` and whether it needs
-/// its own constraint: `emitted` is true exactly when the bound is negative
-/// and every operand `p ≠ u` of `w` with an entry has `D[u][p] <=
-/// (k-1)·Tclk`, i.e. a looser bound of its own. The product is rounded as
-/// [`timing_bound`] rounds it, so the test agrees with the operands' own
-/// stage counts. The diagonal is skipped: a node's fit in the period is the
-/// caller's feasibility check, not a difference constraint.
+/// For every sink `w` with a delay entry from `u` (its descendants, in
+/// ascending order), `on_pair(w, bound, emitted)` reports the pair's Eq. 2
+/// bound `-(k-1)` and whether it needs its own constraint: `emitted` is
+/// true exactly when the bound is negative and every operand `p ≠ u` of
+/// `w` with an entry has `D[u][p] <= (k-1)·Tclk`, i.e. a looser bound of
+/// its own. The product is rounded as [`timing_bound`] rounds it, so the
+/// test agrees with the operands' own stage counts. The diagonal is
+/// skipped: a node's fit in the period is the caller's feasibility check,
+/// not a difference constraint.
 fn sweep_source(
     graph: &Graph,
     delays: &DelayMatrix,
@@ -273,8 +291,7 @@ fn sweep_source(
     stats: &mut SparsifyStats,
     mut on_pair: impl FnMut(NodeId, i64, bool),
 ) {
-    for w in graph.node_ids().skip(u.index() + 1) {
-        let Some(d) = delays.get(u, w) else { continue };
+    for (w, d) in delays.descendants(u) {
         stats.pairs_scanned += 1;
         let bound = timing_bound(d, clock_period_ps);
         let mut emitted = false;
@@ -402,6 +419,10 @@ fn build_lp(
 ///   `add_constraint` (warm-safe under monotone feedback: the pruned pair's
 ///   old bound was implied, so the old optimum satisfied it, and the
 ///   promoted bound is no tighter).
+///
+/// The sweep visits every descendant and `map` holds only descendants,
+/// both ascending, so the held constraints are found by walking `map` in
+/// step with the sweep; promotions join `map` after it.
 fn reconcile_source(
     graph: &Graph,
     delays: &DelayMatrix,
@@ -411,15 +432,19 @@ fn reconcile_source(
     map: &mut BTreeMap<u32, usize>,
     stats: &mut SparsifyStats,
 ) {
+    let mut held = map.iter().map(|(&w, &id)| (w, id)).peekable();
+    let mut promoted = Vec::new();
     sweep_source(graph, delays, clock_period_ps, u, stats, |w, bound, emitted| {
-        match map.get(&w.0) {
-            Some(&id) => solver.update_bound(id, bound),
+        match held.next_if(|&(k, _)| k == w.0) {
+            Some((_, id)) => solver.update_bound(id, bound),
             None if emitted => {
-                map.insert(w.0, solver.add_constraint(VarId(u.0), VarId(w.0), bound));
+                promoted.push((w.0, solver.add_constraint(VarId(u.0), VarId(w.0), bound)));
             }
             None => {}
         }
     });
+    debug_assert!(held.next().is_none(), "a held constraint's sink is not a descendant");
+    map.extend(promoted);
 }
 
 /// Rejects a delay matrix in which a single operation's own delay exceeds
@@ -524,10 +549,12 @@ impl IncrementalScheduler {
         // a row every pair is re-derived from the matrix, making repeated
         // marks and row/col shapes equally cheap to honor.
         let Self { clock_period_ps, solver, timing, stats } = self;
+        let emit = isdc_telemetry::span("solve:emit");
         for u in dirty.rows() {
             let map = &mut timing[u.index()];
             reconcile_source(graph, delays, *clock_period_ps, u, solver, map, stats);
         }
+        drop(emit);
         let solution = solver.solve()?;
         Ok(solution_to_schedule(graph, &solution.assignment))
     }
@@ -589,6 +616,7 @@ impl IncrementalScheduler {
     pub fn retarget(&mut self, graph: &Graph, delays: &DelayMatrix, clock_period_ps: Picos) {
         self.clock_period_ps = clock_period_ps;
         let Self { solver, timing, stats, .. } = self;
+        let _emit = isdc_telemetry::span("solve:emit");
         for u in graph.node_ids() {
             let map = &mut timing[u.index()];
             reconcile_source(graph, delays, clock_period_ps, u, solver, map, stats);

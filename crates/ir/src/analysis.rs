@@ -44,7 +44,7 @@ pub fn reverse_topo_order(graph: &Graph) -> Vec<NodeId> {
 /// assert!(r.reaches(a, t));
 /// assert!(!r.reaches(a, b));
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ReachabilityMatrix {
     n: usize,
     words_per_row: usize,
@@ -59,22 +59,32 @@ impl ReachabilityMatrix {
         let n = graph.len();
         let words_per_row = n.div_ceil(64);
         let mut bits = vec![0u64; n * words_per_row];
-        // Process users-first so each node can union its users' rows.
+        // Process users-first so each node can union its users' rows, which
+        // lie after its own (users have larger ids).
         for u in (0..n).rev() {
-            let base = u * words_per_row;
-            bits[base + u / 64] |= 1u64 << (u % 64);
-            // Union rows of direct users.
-            let users: Vec<usize> =
-                graph.users(NodeId(u as u32)).iter().map(|id| id.index()).collect();
-            for user in users {
-                let ubase = user * words_per_row;
-                for w in 0..words_per_row {
-                    let val = bits[ubase + w];
-                    bits[base + w] |= val;
+            let (head, tail) = bits.split_at_mut((u + 1) * words_per_row);
+            let row = &mut head[u * words_per_row..];
+            row[u / 64] |= 1u64 << (u % 64);
+            for user in graph.users(NodeId(u as u32)) {
+                let start = (user.index() - u - 1) * words_per_row;
+                for (w, &val) in row.iter_mut().zip(&tail[start..start + words_per_row]) {
+                    *w |= val;
                 }
             }
         }
         Self { n, words_per_row, bits }
+    }
+
+    /// The converse relation: `t.reaches(v, u)` iff `self.reaches(u, v)`,
+    /// so row `v` of the transpose holds every node that reaches `v`.
+    pub fn transpose(&self) -> Self {
+        let mut bits = vec![0u64; self.bits.len()];
+        for u in 0..self.n {
+            for v in self.row(NodeId(u as u32)) {
+                bits[v.index() * self.words_per_row + u / 64] |= 1u64 << (u % 64);
+            }
+        }
+        Self { n: self.n, words_per_row: self.words_per_row, bits }
     }
 
     /// True iff a directed path (possibly empty) exists from `u` to `v`.
@@ -88,6 +98,17 @@ impl ReachabilityMatrix {
         self.bits[base + v.index() / 64] >> (v.index() % 64) & 1 == 1
     }
 
+    /// Every `v` with `reaches(u, v)`, `u` itself included, ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is out of range.
+    #[inline]
+    pub fn row(&self, u: NodeId) -> Row<'_> {
+        let start = u.index() * self.words_per_row;
+        Row { words: self.bits[start..start + self.words_per_row].iter(), base: 0, cur: 0 }
+    }
+
     /// Number of nodes covered.
     pub fn len(&self) -> usize {
         self.n
@@ -96,6 +117,31 @@ impl ReachabilityMatrix {
     /// True if the matrix covers no nodes.
     pub fn is_empty(&self) -> bool {
         self.n == 0
+    }
+}
+
+/// The nodes of one [`ReachabilityMatrix`] row, ascending.
+#[derive(Clone, Debug)]
+pub struct Row<'a> {
+    words: std::slice::Iter<'a, u64>,
+    /// Node index of the word after `cur`'s.
+    base: usize,
+    /// The bits of the current word not yet returned.
+    cur: u64,
+}
+
+impl Iterator for Row<'_> {
+    type Item = NodeId;
+
+    #[inline]
+    fn next(&mut self) -> Option<NodeId> {
+        while self.cur == 0 {
+            self.cur = *self.words.next()?;
+            self.base += 64;
+        }
+        let bit = self.cur.trailing_zeros() as usize;
+        self.cur &= self.cur - 1;
+        Some(NodeId((self.base - 64 + bit) as u32))
     }
 }
 
@@ -175,6 +221,18 @@ mod tests {
     }
 
     #[test]
+    fn rows_list_reachable_nodes_and_transpose_lists_ancestors() {
+        let (g, [a, b, l, r, j]) = diamond();
+        let m = ReachabilityMatrix::compute(&g);
+        assert_eq!(m.row(a).collect::<Vec<_>>(), vec![a, l, r, j]);
+        assert_eq!(m.row(j).collect::<Vec<_>>(), vec![j]);
+        let t = m.transpose();
+        assert_eq!(t.row(j).collect::<Vec<_>>(), vec![a, b, l, r, j]);
+        assert_eq!(t.row(l).collect::<Vec<_>>(), vec![a, b, l]);
+        assert_eq!(t.transpose(), m);
+    }
+
+    #[test]
     fn reachability_wide_graph_crosses_word_boundary() {
         // Chain of >64 nodes so bitset rows span multiple words.
         let mut g = Graph::new("chain");
@@ -187,6 +245,9 @@ mod tests {
         let m = ReachabilityMatrix::compute(&g);
         assert!(m.reaches(first, prev));
         assert!(!m.reaches(prev, first));
+        assert_eq!(m.row(first).count(), g.len());
+        assert_eq!(m.row(first).last(), Some(prev));
+        assert_eq!(m.transpose().row(prev).count(), g.len());
     }
 
     #[test]

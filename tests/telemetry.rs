@@ -136,6 +136,54 @@ fn span_durations_sum_exactly_to_the_run_frame() {
     assert_eq!(u128::from(span_ns["run"]), result.total_time.as_nanos());
 }
 
+/// Eq. 2 re-emission has its own row inside Solve: on a traced crc32 run,
+/// the initial solve and every `stage:solve` hold exactly one
+/// `solve:emit`, and no `solve:emit` lies outside them.
+#[test]
+fn every_solve_span_holds_one_emit_span() {
+    let _guard = TELEMETRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let crc32 = isdc::benchsuite::suite().into_iter().find(|b| b.name == "crc32").unwrap();
+    let lib = TechLibrary::sky130();
+    let model = OpDelayModel::new(lib.clone());
+    let oracle = SynthesisOracle::new(lib);
+    let mut config = IsdcConfig::paper_defaults(crc32.clock_period_ps);
+    config.threads = 1;
+    telemetry::reset();
+    telemetry::set_enabled(true);
+    let result = run_isdc(&crc32.graph, &model, &oracle, &config).expect("crc32 run");
+    telemetry::set_enabled(false);
+    let trace = telemetry::take_trace();
+    trace.validate().expect("well-formed trace");
+
+    let run = trace.events.iter().find(|e| e.kind == EventKind::Begin && e.name == "run");
+    let track = run.expect("a run span").track;
+    let is_solve = |name: &str| matches!(name, "stage:solve" | "initial_solve");
+    let mut open: Vec<(&str, usize)> = Vec::new();
+    let mut solves = Vec::new();
+    for event in trace.events.iter().filter(|e| e.track == track) {
+        match event.kind {
+            EventKind::Begin => {
+                if event.name == "solve:emit" {
+                    let holder = open.iter_mut().rev().find(|(name, _)| is_solve(name));
+                    holder.expect("solve:emit outside a solve span").1 += 1;
+                }
+                open.push((event.name, 0));
+            }
+            EventKind::End => {
+                let (name, emits) = open.pop().expect("balanced trace");
+                if is_solve(name) {
+                    solves.push((name, emits));
+                }
+            }
+            EventKind::Instant => {}
+        }
+    }
+    let count = |want: &str| solves.iter().filter(|(name, _)| *name == want).count();
+    assert_eq!(count("initial_solve"), 1);
+    assert_eq!(count("stage:solve"), result.iterations());
+    assert!(solves.iter().all(|&(_, emits)| emits == 1), "{solves:?}");
+}
+
 #[test]
 fn batch_workers_trace_onto_distinct_tracks() {
     let _guard = TELEMETRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
