@@ -339,10 +339,10 @@ fn drain_workload(n: usize) -> (DifferenceSystem, Vec<i64>, Vec<usize>) {
 
 /// A **bulk retarget** (every timing bound relaxed one notch at once,
 /// exactly what a clock-period step does to the warm engine) re-drained by
-/// the retained serial reference SSP versus the solver's own drain. Both
-/// paths produce bit-identical solutions; rows (`serial_ns`, `drain_ns`,
-/// Dijkstra/path counts) go into `BENCH_solver.json`'s `drain` section for
-/// the regression gate.
+/// the solver. Each re-drain must certify; rows (`drain_ns`, Dijkstra,
+/// path and settled-node counts) go into `BENCH_solver.json`'s `drain`
+/// section for the regression gate, which holds the search size to a
+/// ceiling host speed cannot move.
 fn bench_drain(c: &mut Criterion) {
     let quick = std::env::var_os("ISDC_BENCH_QUICK").is_some();
     let sizes: &[usize] = if quick { &[200, 600] } else { &[200, 600, 1600] };
@@ -360,31 +360,20 @@ fn bench_drain(c: &mut Criterion) {
                 solver.update_bound(ci, (b + 1).min(0));
             }
         };
-        // Sanity + counters: both drains agree bit-for-bit on the retarget.
-        let (drain_stats, serial_stats) = {
+        // Sanity + counters: the retarget re-drains warm to a certified
+        // optimum.
+        let drain_stats = {
             let mut d = primed.clone();
             relax(&mut d);
-            let drained = d.solve().unwrap();
-            let mut s = primed.clone();
-            s.use_reference_drain(true);
-            relax(&mut s);
-            let serial = s.solve().unwrap();
-            assert_eq!(drained, serial, "n={n}: drains must be bit-identical");
-            assert!(d.last_solve_was_warm() && s.last_solve_was_warm());
-            (d.last_drain_stats(), s.last_drain_stats())
+            d.solve().unwrap();
+            assert!(d.last_solve_was_warm(), "n={n}: the retarget must re-drain warm");
+            assert_eq!(d.certify(), Ok(()), "n={n}: the re-drain must certify");
+            d.last_drain_stats()
         };
         assert_eq!(
             drain_stats.dijkstras, drain_stats.paths,
             "n={n}: the drain runs one search per path: {drain_stats:?}"
         );
-        group.bench_with_input(BenchmarkId::new("serial", n), &n, |bencher, _| {
-            bencher.iter(|| {
-                let mut s = primed.clone();
-                s.use_reference_drain(true);
-                relax(&mut s);
-                s.solve().unwrap()
-            });
-        });
         group.bench_with_input(BenchmarkId::new("drain", n), &n, |bencher, _| {
             bencher.iter(|| {
                 let mut s = primed.clone();
@@ -392,29 +381,20 @@ fn bench_drain(c: &mut Criterion) {
                 s.solve().unwrap()
             });
         });
-        let serial = sample_ns(timing_runs, || {
-            let mut s = primed.clone();
-            s.use_reference_drain(true);
-            relax(&mut s);
-            s.solve().unwrap()
-        });
         let drain = sample_ns(timing_runs, || {
             let mut s = primed.clone();
             relax(&mut s);
             s.solve().unwrap()
         });
-        let (serial_ns, drain_ns) = (serial[0], drain[0]);
-        let (serial_median_ns, drain_median_ns) = (median(&serial), median(&drain));
-        let speedup = serial_median_ns as f64 / drain_median_ns.max(1) as f64;
+        let (drain_ns, drain_median_ns) = (drain[0], median(&drain));
         rows.push(format!(
-            "    {{\"n\": {n}, \"relaxed_arcs\": {}, \"serial_ns\": {serial_ns}, \
-             \"drain_ns\": {drain_ns}, \"serial_median_ns\": {serial_median_ns}, \
-             \"drain_median_ns\": {drain_median_ns}, \"speedup\": {speedup:.2}, \
-             \"dijkstras_serial\": {}, \"dijkstras\": {}, \"paths\": {}}}",
+            "    {{\"n\": {n}, \"relaxed_arcs\": {}, \"drain_ns\": {drain_ns}, \
+             \"drain_median_ns\": {drain_median_ns}, \"dijkstras\": {}, \"paths\": {}, \
+             \"nodes_settled\": {}}}",
             timing.len(),
-            serial_stats.dijkstras,
             drain_stats.dijkstras,
             drain_stats.paths,
+            drain_stats.nodes_settled,
         ));
     }
     group.finish();

@@ -160,19 +160,17 @@ fn gate_solver(doc: &Value, floors: &Value, checks: &mut Vec<Check>) -> Result<(
         limit: Limit::Ceiling(floor_number(entry, "crc32_cold_nodes_settled_max")?),
         actual: crc32.number("cold_nodes_settled").ok_or("crc32 row lacks `cold_nodes_settled`")?,
     });
-    // The bulk-retarget drain rows: the solver's drain vs the retained
-    // serial reference, plus the sanity check that the drain never runs
-    // more Dijkstra searches than it delivers augmenting paths.
+    // The bulk-retarget drain rows: the largest one's search size, a count
+    // host speed cannot move, plus the sanity check that the drain never
+    // runs more Dijkstra searches than it delivers augmenting paths.
     let drain = doc.array("drain").ok_or("solver doc lacks `drain` (bulk-retarget rows)")?;
-    let drain_speedups: Vec<f64> = drain.iter().filter_map(|d| d.number("speedup")).collect();
-    if drain_speedups.is_empty() {
-        return Err("solver doc has no drain speedups".into());
-    }
+    let largest = drain.iter().max_by_key(|row| row.number("n").map_or(0, |n| n as u64));
+    let largest = largest.ok_or("solver doc has no drain rows")?;
     checks.push(Check {
         bench: "solver",
-        label: format!("solver[{mode}] min drain speedup (vs serial reference)"),
-        limit: Limit::Floor(floor_number(entry, "drain_speedup_min")?),
-        actual: drain_speedups.iter().copied().fold(f64::INFINITY, f64::min),
+        label: format!("solver[{mode}] largest drain nodes settled"),
+        limit: Limit::Ceiling(floor_number(entry, "drain_nodes_settled_max")?),
+        actual: largest.number("nodes_settled").ok_or("drain row lacks `nodes_settled`")?,
     });
     for row in drain {
         let n = row.number("n").unwrap_or(0.0);
@@ -428,29 +426,34 @@ mod tests {
                      "cold_nodes_settled": 20000, "warm_ns": {warm_ns}}},
                    {{"name": "sha256", "speedup": 3.0, "warm_ns": 1000.0}}
                  ],
-                 "drain": [{{"n": 64, "speedup": 2.0, "dijkstras": 9, "paths": 9}}]}}"#
+                 "drain": [{{"n": 64, "dijkstras": 9, "paths": 9, "nodes_settled": 300}},
+                           {{"n": 32, "dijkstras": 5, "paths": 5, "nodes_settled": 900}}]}}"#
         ))
         .unwrap()
     }
 
     #[test]
     fn ceiling_fails_above_its_bound() {
-        let floors = json::parse(
-            r#"{"solver": {"quick": {
-                "warm_speedup_min": 1.0,
-                "warm_speedup_geomean": 1.0,
-                "pruning_ratio_min": 0.5,
-                "crc32_cold_nodes_settled_max": 10000,
-                "drain_speedup_min": 1.0}}}"#,
-        )
-        .unwrap();
-        let mut checks = Vec::new();
-        gate_solver(&doc(500.0, 4.0), &floors, &mut checks).expect("structurally valid doc");
-        let red: Vec<String> = checks.iter().filter(|c| !c.ok()).map(Check::describe).collect();
-        assert_eq!(
-            red,
-            ["solver[quick] crc32 cold nodes settled = 20000.00 above ceiling 10000.00"]
-        );
+        let red = |drain_max: u32| {
+            let floors = json::parse(&format!(
+                r#"{{"solver": {{"quick": {{
+                    "warm_speedup_min": 1.0,
+                    "warm_speedup_geomean": 1.0,
+                    "pruning_ratio_min": 0.5,
+                    "crc32_cold_nodes_settled_max": 10000,
+                    "drain_nodes_settled_max": {drain_max}}}}}}}"#
+            ))
+            .unwrap();
+            let mut checks = Vec::new();
+            gate_solver(&doc(500.0, 4.0), &floors, &mut checks).expect("structurally valid doc");
+            checks.iter().filter(|c| !c.ok()).map(Check::describe).collect::<Vec<_>>()
+        };
+        let cold = "solver[quick] crc32 cold nodes settled = 20000.00 above ceiling 10000.00";
+        assert_eq!(red(400), [cold]);
+        // The drain ceiling reads the largest row (n = 64, 300 settled),
+        // not the smaller row that settled more.
+        let drain = "solver[quick] largest drain nodes settled = 300.00 above ceiling 200.00";
+        assert_eq!(red(200), [cold, drain]);
     }
 
     #[test]
@@ -482,7 +485,7 @@ mod tests {
                 "warm_speedup_geomean": 1000.0,
                 "pruning_ratio_min": 0.5,
                 "crc32_cold_nodes_settled_max": 50000,
-                "drain_speedup_min": 1.0}}}"#,
+                "drain_nodes_settled_max": 1000}}}"#,
         )
         .unwrap();
         let current = doc(50_000.0, 4.0);

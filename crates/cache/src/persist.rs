@@ -32,10 +32,12 @@
 //! silently merged. The compatibility rule: a loader accepts its own
 //! version and every earlier one (v1 has no potentials; v1/v2 have no
 //! footer and load unchanged), and always writes the current version.
-//! Potentials are doubly safeguarded: by the oracle tag here, and by the
-//! importer, which validates a vector against its own LP before using it —
-//! so even a mis-tagged vector can only cost a cold start, never a wrong
-//! schedule.
+//! Potentials are guarded three times: by the oracle tag; here, where a
+//! `pi` entry that is not an integer within ±2^53 (the largest a JSON
+//! number carries exactly) makes the file corrupt; and by the importer,
+//! which refuses a vector beyond its own, smaller bound or infeasible for
+//! its own LP — so a bad vector costs a cold start, never a wrong schedule
+//! or a stalled solve.
 //!
 //! **Recovery.** [`DelayCache::load`] stays strict (an error for every
 //! failure); [`DelayCache::load_resilient`] implements the fleet policy: a
@@ -450,7 +452,11 @@ fn parse_potentials(p: &mut Parser<'_>) -> Result<(Fingerprint, StoredPotentials
                 p.expect(b'[')?;
                 if !p.peek_close(b']') {
                     loop {
-                        stored.pi.push(p.number()? as i64);
+                        let x = p.number()?;
+                        if x.fract() != 0.0 || x.abs() > 2f64.powi(53) {
+                            return Err(format!("potential {x} is not an integer within ±2^53"));
+                        }
+                        stored.pi.push(x as i64);
                         if !p.comma_or_close(b']')? {
                             break;
                         }
@@ -766,6 +772,39 @@ mod tests {
             assert!(path.exists());
             let _ = std::fs::remove_file(&path);
         }
+    }
+
+    #[test]
+    fn snapshot_potentials_must_be_exact_integers() {
+        // A potential that is fractional or beyond ±2^53 used to load as a
+        // rounded or saturated i64; the file is now corrupt.
+        for (tag, pi) in [("huge", "1e300"), ("half", "0.5"), ("wide", "9007199254740994")] {
+            let json = format!(
+                r#"{{"version":2,"oracle":"synthesis","entries":[],"potentials":[
+                    {{"key":"0000000000000000000000000000000a","clock_ps":2500,"pi":[0,{pi}]}}]}}"#
+            );
+            let path = temp_path(&format!("pi-{tag}"));
+            std::fs::write(&path, &json).unwrap();
+            let err = DelayCache::new().load(&path, "synthesis").unwrap_err();
+            assert!(err.contains("not an integer within"), "{tag}: {err}");
+            let cache = DelayCache::new();
+            let outcome = cache.load_resilient(&path, "synthesis");
+            let SnapshotLoad::ColdStart { quarantined: Some(moved), .. } = outcome else {
+                panic!("{tag}: expected a quarantine, got {outcome:?}");
+            };
+            assert!(cache.potential_entries().is_empty(), "{tag}");
+            let _ = std::fs::remove_file(&moved);
+        }
+        let exact = r#"{"version":2,"oracle":"synthesis","entries":[],"potentials":[
+            {"key":"0000000000000000000000000000000a","clock_ps":2500,
+             "pi":[0,-9007199254740992,9007199254740992]}]}"#;
+        let cache = DelayCache::new();
+        cache.merge_json(exact, "synthesis").unwrap();
+        let bound = 1i64 << 53;
+        assert_eq!(
+            cache.nearest_potentials(Fingerprint(10), 2500.0).unwrap().1,
+            [0, -bound, bound]
+        );
     }
 
     #[test]

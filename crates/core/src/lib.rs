@@ -85,8 +85,7 @@ pub use isdc_sdc::DrainStats;
 pub use pipeline::{PipelineState, RunSeed, Stage, StageKind};
 pub use schedule::Schedule;
 pub use scheduler::{
-    schedule_with_matrix, schedule_with_matrix_dense, IncrementalScheduler, ScheduleError,
-    SparsifyStats,
+    schedule_with_matrix, IncrementalScheduler, ScheduleCertifyError, ScheduleError, SparsifyStats,
 };
 pub use session::{IsdcSession, SessionRun};
 pub use subgraph::{

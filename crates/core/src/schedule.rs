@@ -7,7 +7,10 @@
 //! register per crossed stage boundary. Graph outputs are carried to the
 //! final stage, and parameters enter at stage 0.
 
+use crate::delay::DelayMatrix;
+use crate::scheduler::timing_bound;
 use isdc_ir::{Graph, NodeId};
+use isdc_techlib::Picos;
 
 /// A pipeline schedule: one stage index per node.
 ///
@@ -125,6 +128,29 @@ impl Schedule {
         None
     }
 
+    /// Checks the schedule against the dense SDC system of paper §II: every
+    /// dependency ([`Schedule::first_dependency_violation`]), then every
+    /// pair `(u, v)` with a delay `D`, which Eq. 2 puts at least
+    /// `ceil(D / Tclk) - 1` stages apart. Reads all `n²` pairs through
+    /// [`DelayMatrix::get`], relying on no emission rule or connectivity
+    /// index. Returns the first violating pair, if any.
+    pub fn first_constraint_violation(
+        &self,
+        graph: &Graph,
+        delays: &DelayMatrix,
+        clock_period_ps: Picos,
+    ) -> Option<(NodeId, NodeId)> {
+        self.first_dependency_violation(graph).or_else(|| {
+            let mut pairs = graph.node_ids().flat_map(|u| graph.node_ids().map(move |v| (u, v)));
+            pairs.find(|&(u, v)| {
+                delays.get(u, v).is_some_and(|d| {
+                    i64::from(self.cycle(u)) - i64::from(self.cycle(v))
+                        > timing_bound(d, clock_period_ps)
+                })
+            })
+        })
+    }
+
     /// For each stage, the node set that is *computed* in it — the
     /// combinational region between that stage's input and output registers.
     pub fn stages(&self) -> Vec<Vec<NodeId>> {
@@ -198,6 +224,20 @@ mod tests {
         assert_eq!(s.first_dependency_violation(&g), Some((a16, x)));
         let ok = Schedule::new(vec![0, 0, 0, 1, 2]);
         assert_eq!(ok.first_dependency_violation(&g), None);
+    }
+
+    #[test]
+    fn dense_constraint_violations_detected() {
+        // x and y take 600ps each: at 1000ps every pair into y through x
+        // (1200ps) splits across two stages, while every other pair fits.
+        let (g, [a, _, a16, x, y]) = pipeline();
+        let d = DelayMatrix::initialize(&g, &[0.0, 0.0, 0.0, 600.0, 600.0]);
+        let split = Schedule::new(vec![0, 0, 0, 0, 1]);
+        assert_eq!(split.first_constraint_violation(&g, &d, 1000.0), None);
+        let chained = Schedule::new(vec![0; 5]);
+        assert_eq!(chained.first_constraint_violation(&g, &d, 1000.0), Some((a, y)));
+        let reversed = Schedule::new(vec![0, 0, 1, 0, 1]); // a16 after its user x
+        assert_eq!(reversed.first_constraint_violation(&g, &d, 1000.0), Some((a16, x)));
     }
 
     #[test]

@@ -35,9 +35,8 @@
 //! operand, so it moves neither the polyhedron nor any shortest-path
 //! distance of the canonicalization. The sparse and dense systems describe
 //! the same polyhedron, and `canonical_assignment` is a geometric property
-//! of that polyhedron, so schedules are bit-identical
-//! ([`schedule_with_matrix_dense`] retains the dense emission as the test
-//! reference).
+//! of that polyhedron, so schedules are bit-identical;
+//! [`IncrementalScheduler::certify`] proves it per solve.
 
 use crate::delay::{DelayMatrix, DirtySet};
 use crate::schedule::Schedule;
@@ -117,6 +116,19 @@ impl fmt::Display for ScheduleError {
 
 impl std::error::Error for ScheduleError {}
 
+/// Why [`IncrementalScheduler::certify`] rejected a solve.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ScheduleCertifyError {
+    /// The LP solve's own certificate failed.
+    Lp(isdc_sdc::CertifyError),
+    /// The timing constraint held for this `(source, sink)` pair does not
+    /// carry the pair's current Eq. 2 bound.
+    HeldBound(NodeId, NodeId),
+    /// The schedule breaks the dependency or the dense Eq. 2 bound between
+    /// these nodes.
+    Violation(NodeId, NodeId),
+}
+
 impl From<SolveError> for ScheduleError {
     fn from(e: SolveError) -> Self {
         match e {
@@ -166,22 +178,6 @@ pub fn schedule_with_matrix(
         delays,
         &DirtySet::new(graph.len()),
     )
-}
-
-/// [`schedule_with_matrix`] through the *dense* Eq. 2 emission — one
-/// constraint per delay-matrix pair, none pruned. The identity-test
-/// reference: sparse and dense systems bound the same polyhedron, so
-/// schedules must match bit for bit.
-#[doc(hidden)]
-pub fn schedule_with_matrix_dense(
-    graph: &Graph,
-    delays: &DelayMatrix,
-    clock_period_ps: Picos,
-) -> Result<Schedule, ScheduleError> {
-    let built = build_lp(graph, delays, clock_period_ps, false)?;
-    let solution =
-        IncrementalSolver::new(built.sys, built.weights).and_then(|mut solver| solver.solve())?;
-    Ok(solution_to_schedule(graph, &solution.assignment))
 }
 
 /// Counters of the sparsified Eq. 2 emission (see the module docs). On an
@@ -255,7 +251,7 @@ struct BuiltLp {
 /// exactly `k` stages at every magnitude, where the historical
 /// `(d / Tclk - 1e-9).ceil()` drifted once one ulp of the quotient exceeded
 /// the fixed epsilon.
-fn timing_bound(d: Picos, clock_period_ps: Picos) -> i64 {
+pub(crate) fn timing_bound(d: Picos, clock_period_ps: Picos) -> i64 {
     if d <= clock_period_ps {
         return 0;
     }
@@ -309,14 +305,12 @@ fn sweep_source(
     }
 }
 
-/// Builds the full SDC LP of paper §II for the given delay matrix.
-/// `sparsify` selects the Eq. 2 emission: the operand rule of
-/// [`sweep_source`], or the dense one-constraint-per-pair reference.
+/// Builds the full SDC LP of paper §II for the given delay matrix, with
+/// the operand rule's Eq. 2 emission ([`sweep_source`]).
 fn build_lp(
     graph: &Graph,
     delays: &DelayMatrix,
     clock_period_ps: Picos,
-    sparsify: bool,
 ) -> Result<BuiltLp, ScheduleError> {
     let n = graph.len();
     if n == 0 {
@@ -341,27 +335,13 @@ fn build_lp(
     }
 
     // Timing (Eq. 2): pairs whose critical-path delay exceeds Tclk.
-    if sparsify {
-        for u in graph.node_ids() {
-            let map = &mut timing[u.index()];
-            sweep_source(graph, delays, clock_period_ps, u, &mut stats, |w, b, e| {
-                if e {
-                    map.insert(w.0, sys.add_constraint(x(u), x(w), b));
-                }
-            });
-        }
-    } else {
-        for u in graph.node_ids() {
-            for v in graph.node_ids() {
-                let Some(d) = delays.get(u, v) else { continue };
-                stats.pairs_scanned += 1;
-                let bound = timing_bound(d, clock_period_ps);
-                if bound < 0 {
-                    stats.constraints_emitted += 1;
-                    timing[u.index()].insert(v.0, sys.add_constraint(x(u), x(v), bound));
-                }
+    for u in graph.node_ids() {
+        let map = &mut timing[u.index()];
+        sweep_source(graph, delays, clock_period_ps, u, &mut stats, |w, b, e| {
+            if e {
+                map.insert(w.0, sys.add_constraint(x(u), x(w), b));
             }
-        }
+        });
     }
 
     // Parameters arrive together in the first stage and precede everything.
@@ -523,7 +503,7 @@ impl IncrementalScheduler {
         delays: &DelayMatrix,
         clock_period_ps: Picos,
     ) -> Result<Self, ScheduleError> {
-        let built = build_lp(graph, delays, clock_period_ps, true)?;
+        let built = build_lp(graph, delays, clock_period_ps)?;
         let solver = IncrementalSolver::new(built.sys, built.weights)?;
         Ok(Self { clock_period_ps, solver, timing: built.timing, stats: built.stats })
     }
@@ -582,12 +562,38 @@ impl IncrementalScheduler {
         self.stats
     }
 
-    /// Routes solves through the retained serial reference drain
-    /// (test/bench hook; see
-    /// [`isdc_sdc::IncrementalSolver::use_reference_drain`]).
-    #[doc(hidden)]
-    pub fn use_reference_drain(&mut self, on: bool) {
-        self.solver.use_reference_drain(on);
+    /// Certifies the `schedule` the most recent
+    /// [`IncrementalScheduler::reschedule`] returned against `delays` as the
+    /// canonical optimum of the *dense* LP of paper §II, one Eq. 2
+    /// constraint per pair, without building it: the solver's optimum
+    /// passes [`isdc_sdc::certify`]; every held timing constraint carries
+    /// its pair's current Eq. 2 bound, so the dense system implies the
+    /// sparse one; and the schedule meets the dense system
+    /// ([`Schedule::first_constraint_violation`]), so the sparse optimum is
+    /// the dense one too.
+    ///
+    /// # Errors
+    ///
+    /// The first check that fails.
+    pub fn certify(
+        &self,
+        graph: &Graph,
+        delays: &DelayMatrix,
+        schedule: &Schedule,
+    ) -> Result<(), ScheduleCertifyError> {
+        self.solver.certify().map_err(ScheduleCertifyError::Lp)?;
+        for (u, map) in graph.node_ids().zip(&self.timing) {
+            for (&w, &id) in map {
+                let eq2 = delays.get(u, NodeId(w)).map(|d| timing_bound(d, self.clock_period_ps));
+                if eq2 != Some(self.solver.bound(id)) {
+                    return Err(ScheduleCertifyError::HeldBound(u, NodeId(w)));
+                }
+            }
+        }
+        match schedule.first_constraint_violation(graph, delays, self.clock_period_ps) {
+            Some((u, v)) => Err(ScheduleCertifyError::Violation(u, v)),
+            None => Ok(()),
+        }
     }
 
     /// Exports the solver's node potentials after a solve — the cross-run
@@ -658,6 +664,14 @@ mod tests {
         }
         g.set_output(prev);
         g
+    }
+
+    /// A fresh engine's schedule, certified as the dense LP's optimum.
+    fn certified(g: &Graph, d: &DelayMatrix, clock: Picos) -> Schedule {
+        let mut engine = IncrementalScheduler::new(g, d, clock).unwrap();
+        let schedule = engine.reschedule(g, d, &DirtySet::new(g.len())).unwrap();
+        assert_eq!(engine.certify(g, d, &schedule), Ok(()), "at {clock}ps");
+        schedule
     }
 
     #[test]
@@ -812,10 +826,7 @@ mod tests {
         assert_eq!(stats.constraints_emitted, 6);
         assert_eq!(stats.pruned, 3);
         assert_eq!(stats.dense_constraints(), 9);
-        assert_eq!(
-            schedule_with_matrix(&g, &d, 900.0).unwrap(),
-            schedule_with_matrix_dense(&g, &d, 900.0).unwrap()
-        );
+        certified(&g, &d, 900.0);
     }
 
     #[test]
@@ -823,18 +834,11 @@ mod tests {
         let (g, [_, _, _, p, s]) = mac_graph();
         let mut d = DelayMatrix::initialize(&g, &[0.0, 0.0, 0.0, 700.0, 500.0]);
         for clock in [1000.0, 1200.0, 700.1, 2500.0] {
-            assert_eq!(
-                schedule_with_matrix(&g, &d, clock).unwrap(),
-                schedule_with_matrix_dense(&g, &d, clock).unwrap(),
-                "sparse vs dense diverged at {clock}"
-            );
+            certified(&g, &d, clock);
         }
         d.apply_subgraph_feedback(&[p, s], 900.0);
         d.reformulate(&g);
-        assert_eq!(
-            schedule_with_matrix(&g, &d, 1000.0).unwrap(),
-            schedule_with_matrix_dense(&g, &d, 1000.0).unwrap()
-        );
+        certified(&g, &d, 1000.0);
     }
 
     #[test]
@@ -843,8 +847,8 @@ mod tests {
         // (u, u+3) pairs are pruned by their 1200ps operand's -1 bound. At
         // 700ps the (u, u+3) bound is -2, which that operand (1200ps <=
         // 2 * 700ps) no longer implies, so pairs the rule used to skip are
-        // promoted, and the promoted system must still match both fresh
-        // emissions bit for bit.
+        // promoted, and the promoted system must still match a fresh engine
+        // bit for bit and certify as the dense LP's optimum.
         let g = not_chain(5);
         let d = DelayMatrix::initialize(&g, &[0.0, 400.0, 400.0, 400.0, 400.0, 400.0]);
         let empty = crate::delay::DirtySet::new(g.len());
@@ -854,7 +858,7 @@ mod tests {
         engine.retarget(&g, &d, 700.0);
         let got = engine.reschedule(&g, &d, &empty).unwrap();
         assert_eq!(got, schedule_with_matrix(&g, &d, 700.0).unwrap());
-        assert_eq!(got, schedule_with_matrix_dense(&g, &d, 700.0).unwrap());
+        assert_eq!(engine.certify(&g, &d, &got), Ok(()));
         let after = engine.sparsify_stats();
         assert!(
             after.constraints_emitted > before.constraints_emitted,
@@ -898,11 +902,7 @@ mod tests {
             assert!(engine.last_solve_was_warm(), "relaxation at {feedback} must stay warm");
             let cold = schedule_with_matrix(&g, &d, 1000.0).unwrap();
             assert_eq!(warm, cold, "schedules diverged at feedback {feedback}");
-            assert_eq!(
-                warm,
-                schedule_with_matrix_dense(&g, &d, 1000.0).unwrap(),
-                "sparse diverged from dense at feedback {feedback}"
-            );
+            assert_eq!(engine.certify(&g, &d, &warm), Ok(()), "at feedback {feedback}");
         }
     }
 
@@ -1118,7 +1118,7 @@ mod tests {
         // stay feasible, raise nothing and strictly lower the objective.
         let graph = isdc_benchsuite::designs::crc32();
         let d = naive(&graph);
-        let BuiltLp { sys, weights, .. } = build_lp(&graph, &d, 2500.0, true).unwrap();
+        let BuiltLp { sys, weights, .. } = build_lp(&graph, &d, 2500.0).unwrap();
         let start = sys.solve_feasible().unwrap();
         let lowered = sys.lower_weighted(&start, &weights);
         assert_eq!(sys.first_violation(&lowered), None);
@@ -1130,9 +1130,10 @@ mod tests {
     #[test]
     fn held_constraints_carry_their_eq2_bound() {
         // One engine on crc32's naive matrix, retargeted down, up, back and
-        // far up. Every pair that holds a timing constraint carries exactly
-        // its current Eq. 2 bound, whether the rule still emits it or not,
-        // and the schedule matches both fresh emissions.
+        // far up. The certificate checks that every pair holding a timing
+        // constraint carries exactly its current Eq. 2 bound, whether the
+        // rule still emits it or not, and that the schedule meets the dense
+        // LP; the schedule also matches a fresh engine.
         let graph = isdc_benchsuite::designs::crc32();
         let d = naive(&graph);
         let empty = crate::delay::DirtySet::new(graph.len());
@@ -1140,24 +1141,39 @@ mod tests {
         for clock in [2500.0, 2000.0, 3500.0, 2500.0, 5000.0] {
             engine.retarget(&graph, &d, clock);
             let got = engine.reschedule(&graph, &d, &empty).unwrap();
-            for (u, map) in engine.timing.iter().enumerate() {
-                for (&w, &id) in map {
-                    let delay = d.get(NodeId(u as u32), NodeId(w)).expect("constrained pair");
-                    assert_eq!(
-                        engine.solver.bound(id),
-                        timing_bound(delay, clock),
-                        "pair ({u}, {w}) at {clock}ps"
-                    );
-                }
-            }
+            assert_eq!(engine.certify(&graph, &d, &got), Ok(()), "at {clock}ps");
             assert_eq!(got, schedule_with_matrix(&graph, &d, clock).unwrap(), "at {clock}ps");
-            assert_eq!(got, schedule_with_matrix_dense(&graph, &d, clock).unwrap(), "at {clock}ps");
         }
         // The ladder left constraints behind that a fresh build at the last
         // period would not emit, so the held-but-implied path was exercised.
         let held: usize = engine.timing.iter().map(BTreeMap::len).sum();
         let fresh = IncrementalScheduler::new(&graph, &d, 5000.0).unwrap();
         assert!(held as u64 > fresh.sparsify_stats().constraints_emitted, "{held}");
+    }
+
+    #[test]
+    fn certify_rejects_a_held_bound_tightened_past_eq2() {
+        // Four 400ps Nots at 1000ps hold three -1 bounds (1200ps pairs).
+        // Tightening one past Eq. 2 behind the engine's back still solves
+        // exactly, so only the held-bound check can catch it.
+        let g = not_chain(4);
+        let d = DelayMatrix::initialize(&g, &[0.0, 400.0, 400.0, 400.0, 400.0]);
+        let empty = DirtySet::new(g.len());
+        let mut engine = IncrementalScheduler::new(&g, &d, 1000.0).unwrap();
+        let schedule = engine.reschedule(&g, &d, &empty).unwrap();
+        assert_eq!(engine.certify(&g, &d, &schedule), Ok(()));
+        let (u, (&w, &id)) = engine
+            .timing
+            .iter()
+            .enumerate()
+            .find_map(|(u, map)| map.iter().next().map(|held| (u, held)))
+            .expect("a held timing constraint");
+        engine.solver.update_bound(id, engine.solver.bound(id) - 1);
+        let schedule = engine.reschedule(&g, &d, &empty).unwrap();
+        assert_eq!(
+            engine.certify(&g, &d, &schedule),
+            Err(ScheduleCertifyError::HeldBound(NodeId(u as u32), NodeId(w)))
+        );
     }
 
     #[test]

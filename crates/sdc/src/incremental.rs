@@ -23,11 +23,14 @@
 //!
 //! Both paths finish with the same canonicalization as [`crate::minimize`],
 //! so warm and cold solves of equivalent systems return bit-identical
-//! assignments (see `mcf::canonical_assignment`).
+//! assignments (see `mcf::canonical_assignment`), and both end with their
+//! flow as a certificate ([`IncrementalSolver::certify`]), which debug
+//! builds check after every solve.
 
+use crate::certify::{certify, CertifyError};
 use crate::mcf::{
-    canonical_assignment, dot, ssp_drain, ssp_drain_serial, CanonGraph, DrainStats, FlowNetwork,
-    LpSolution, SolverScratch,
+    canonical_assignment, dot, ssp_drain, CanonGraph, DrainStats, FlowNetwork, LpSolution,
+    SolverScratch,
 };
 use crate::system::{DifferenceSystem, SolveError, VarId};
 
@@ -80,9 +83,9 @@ impl WarmState {
 /// [`IncrementalSolver::warm_from_potentials`] seeds a *fresh* solver with
 /// potentials learned elsewhere — from a previous run of the same design,
 /// or a neighbouring clock period in a sweep. Imports are validated
-/// (`-pi` must satisfy every current constraint) before any state is
-/// installed, so a stale or foreign vector can never corrupt a solve; it
-/// just falls back to the cold path.
+/// (every entry within ±2^32, and `-pi` satisfying every current
+/// constraint) before any state is installed, so a stale or foreign vector
+/// can never corrupt or stall a solve; it just falls back to the cold path.
 ///
 /// # Examples
 ///
@@ -121,12 +124,9 @@ pub struct IncrementalSolver {
     /// `None` means the next solve must be cold (never solved, or a
     /// non-relaxing delta invalidated the dual state).
     state: Option<WarmState>,
-    /// The previous solve's solution, returned verbatim when nothing changed
-    /// since. Only valid while `pending` is false.
-    cached: Option<LpSolution>,
-    /// Whether any bound changed (or warm state was imported) since the last
-    /// successful solve. While false, `cached` is exact — in particular the
-    /// solution-canonicalization Dijkstra can be skipped entirely.
+    /// The last successful solve's solution, kept only while no bound has
+    /// changed and nothing was appended or imported since: a re-solve then
+    /// returns it verbatim, skipping the canonicalization Dijkstra.
     ///
     /// This is deliberately narrower than "the flow support is unchanged":
     /// a relaxed bound whose arc carries *no* flow moves no excess, but it
@@ -134,7 +134,7 @@ pub struct IncrementalSolver {
     /// weights every constraint, tight or slack — see
     /// `canonical_point_tracks_slack_constraints` below), so only a true
     /// zero-delta solve may reuse the cached assignment.
-    pending: bool,
+    cached: Option<LpSolution>,
     last_was_warm: bool,
     /// The warm state's canonicalization graph predates a constraint
     /// appended by [`IncrementalSolver::add_constraint`]; rebuilt lazily at
@@ -143,9 +143,6 @@ pub struct IncrementalSolver {
     /// Drain counters of the most recent [`IncrementalSolver::solve`]
     /// (zeroed for cached zero-delta solves and feasibility queries).
     last_drain: DrainStats,
-    /// Test/bench hook: route solves through the retained serial reference
-    /// drain, from the plain Bellman-Ford start.
-    serial_drain: bool,
 }
 
 impl IncrementalSolver {
@@ -172,11 +169,9 @@ impl IncrementalSolver {
             zero_objective,
             state: None,
             cached: None,
-            pending: true,
             last_was_warm: false,
             canon_stale: false,
             last_drain: DrainStats::default(),
-            serial_drain: false,
         })
     }
 
@@ -203,16 +198,30 @@ impl IncrementalSolver {
         self.last_drain
     }
 
-    /// Routes every subsequent solve through the retained reference drain
-    /// (no zero-cost max flow, index-only ties, per-search allocations and
-    /// an O(n) potential update per path) instead of the deficits-first
-    /// one, and starts cold solves from the plain Bellman-Ford point
-    /// instead of the tightened one ([`DifferenceSystem::lower_weighted`]).
-    /// Results are bit-identical by construction; only search counts and
-    /// time change. A test/bench hook, not a tuning knob.
-    #[doc(hidden)]
-    pub fn use_reference_drain(&mut self, on: bool) {
-        self.serial_drain = on;
+    /// The dual flow the most recent solve ended with, one entry per
+    /// constraint (all zeros for a zero objective, which needs no flow):
+    /// the certificate [`crate::certify`] checks that solve's assignment
+    /// against. `None` when no solve has succeeded since the last bound
+    /// change, append or import.
+    pub fn flow(&self) -> Option<Vec<i64>> {
+        self.cached.as_ref()?;
+        let m = self.system.constraints().len();
+        Some(
+            self.state.as_ref().map_or(vec![0; m], |s| (0..m).map(|c| s.net.flow(2 * c)).collect()),
+        )
+    }
+
+    /// Checks the most recent solve with [`crate::certify`] against the flow
+    /// it ended with.
+    ///
+    /// # Errors
+    ///
+    /// [`CertifyError::Unsolved`] when [`IncrementalSolver::flow`] is `None`.
+    pub fn certify(&self) -> Result<(), CertifyError> {
+        let (Some(solution), Some(flow)) = (&self.cached, self.flow()) else {
+            return Err(CertifyError::Unsolved);
+        };
+        certify(&self.system, &self.weights, &solution.assignment, &flow)
     }
 
     /// The current node potentials, when warm state exists (i.e. after a
@@ -231,14 +240,19 @@ impl IncrementalSolver {
     /// directly from `pi`.
     ///
     /// Returns false — leaving the solver untouched, cold path intact —
-    /// unless the import is provably safe: `pi` must cover every variable
-    /// and `-pi` must satisfy every current constraint (that is exactly dual
-    /// feasibility of the zero flow under `pi`, the invariant successive
-    /// shortest paths needs). The subsequent solve is bit-identical to a
-    /// cold solve either way; only the route to the optimum changes.
+    /// unless the import is provably safe: `pi` must cover every variable,
+    /// every entry must lie within ±2^32, and `-pi` must satisfy every
+    /// current constraint (that is exactly dual feasibility of the zero flow
+    /// under `pi`, the invariant successive shortest paths needs). The
+    /// subsequent solve is bit-identical to a cold solve either way; only
+    /// the route to the optimum changes. The magnitude bound keeps the
+    /// drain in `i64`: each augmenting path adds one reduced distance,
+    /// about twice the largest entry, to the potentials, so at ±2^53 a few
+    /// hundred paths overflow, and at ±2^32 it takes about 2^30.
     pub fn warm_from_potentials(&mut self, pi: &[i64]) -> bool {
         let n = self.system.num_vars();
-        if pi.len() != n || self.zero_objective {
+        let too_large = pi.iter().any(|p| p.unsigned_abs() > 1 << 32);
+        if pi.len() != n || self.zero_objective || too_large {
             return false;
         }
         let x: Vec<i64> = pi.iter().map(|&p| -p).collect();
@@ -248,7 +262,6 @@ impl IncrementalSolver {
         self.state = Some(WarmState::new(&self.system, &self.weights, pi.to_vec()));
         self.canon_stale = false;
         self.cached = None;
-        self.pending = true;
         true
     }
 
@@ -274,7 +287,6 @@ impl IncrementalSolver {
     pub fn add_constraint(&mut self, u: VarId, v: VarId, bound: i64) -> usize {
         let id = self.system.add_constraint(u, v, bound);
         self.cached = None;
-        self.pending = true;
         self.canon_stale = true;
         if let Some(state) = &mut self.state {
             // Arcs append in constraint order, so the `2 * id` arc-index
@@ -306,7 +318,6 @@ impl IncrementalSolver {
             return;
         }
         self.cached = None;
-        self.pending = true;
         if new_bound < old {
             // Tightening: not covered by the warm-start invariant.
             self.state = None;
@@ -338,40 +349,35 @@ impl IncrementalSolver {
     pub fn solve(&mut self) -> Result<LpSolution, SolveError> {
         self.last_drain = DrainStats::default();
         if self.zero_objective {
-            // Pure feasibility query: any satisfying point is optimal.
+            // Pure feasibility query: any satisfying point is optimal, and
+            // Bellman-Ford's is the canonical one.
             let _span = isdc_telemetry::span("solve:feasibility");
             let assignment = self.system.solve_feasible()?;
-            let objective = dot(&self.weights, &assignment);
             self.last_was_warm = false;
-            return Ok(LpSolution { assignment, objective });
+            return Ok(self.finish(assignment));
         }
-        if !self.pending {
-            if let Some(cached) = &self.cached {
-                // Zero deltas since the last solve: the flow, its support,
-                // *and* every bound are unchanged, so the canonical optimum
-                // is too — skip the drain and the canonicalization Dijkstra.
-                self.last_was_warm = true;
-                return Ok(cached.clone());
-            }
+        if let Some(cached) = &self.cached {
+            // Zero deltas since the last solve: the flow, its support, *and*
+            // every bound are unchanged, so the canonical optimum is too —
+            // skip the drain and the canonicalization Dijkstra.
+            self.last_was_warm = true;
+            return Ok(cached.clone());
         }
         let warm = self.state.is_some();
         if self.state.is_none() {
             // Cold start: feasibility first — it also seeds the potentials
             // (pi_u = -x_u makes every reduced cost b - x_u + x_v >= 0).
             let _span = isdc_telemetry::span("solve:feasibility");
-            let mut feasible = self.system.solve_feasible()?;
-            if !self.serial_drain {
-                // Tightened start: every deficit node drops to the lowest
-                // point its constraints allow, which zeroes the reduced
-                // cost of its tightest in-arc, so the drain's early-exit
-                // searches meet deficits sooner. The reference path keeps
-                // the plain Bellman-Ford point.
-                feasible = self.system.lower_weighted(&feasible, &self.weights);
-                debug_assert!(
-                    self.system.first_violation(&feasible).is_none(),
-                    "the tightened start must stay feasible"
-                );
-            }
+            let feasible = self.system.solve_feasible()?;
+            // Tightened start: every deficit node drops to the lowest point
+            // its constraints allow, which zeroes the reduced cost of its
+            // tightest in-arc, so the drain's early-exit searches meet
+            // deficits sooner.
+            let feasible = self.system.lower_weighted(&feasible, &self.weights);
+            debug_assert!(
+                self.system.first_violation(&feasible).is_none(),
+                "the tightened start must stay feasible"
+            );
             let pi = feasible.iter().map(|&x| -x).collect();
             self.state = Some(WarmState::new(&self.system, &self.weights, pi));
             self.canon_stale = false;
@@ -386,18 +392,14 @@ impl IncrementalSolver {
         let state = self.state.as_mut().expect("state just ensured");
         let mut drain = DrainStats::default();
         let drain_span = isdc_telemetry::span("solve:drain");
-        let drained = if self.serial_drain {
-            ssp_drain_serial(&mut state.net, &mut state.excess, &mut state.pi, &mut drain)
-        } else {
-            ssp_drain(
-                &mut state.net,
-                &mut state.excess,
-                &mut state.pi,
-                &mut state.scratch,
-                state.zero_flow,
-                &mut drain,
-            )
-        };
+        let drained = ssp_drain(
+            &mut state.net,
+            &mut state.excess,
+            &mut state.pi,
+            &mut state.scratch,
+            state.zero_flow,
+            &mut drain,
+        );
         state.zero_flow = false;
         drain_span.note(
             "drain_stats",
@@ -423,17 +425,16 @@ impl IncrementalSolver {
         let canon_span = isdc_telemetry::span("solve:canonicalize");
         let assignment = canonical_assignment(&self.system, &state.net, &x_star, &state.canon);
         drop(canon_span);
-        debug_assert!(self.system.first_violation(&assignment).is_none());
-        let objective = dot(&self.weights, &assignment);
-        debug_assert_eq!(
-            objective,
-            dot(&self.weights, &x_star),
-            "canonicalization must stay on the optimal face"
-        );
-        let solution = LpSolution { assignment, objective };
+        Ok(self.finish(assignment))
+    }
+
+    /// Caches a solve's canonical optimum and, in debug builds, certifies
+    /// it against the flow the solve ended with.
+    fn finish(&mut self, assignment: Vec<i64>) -> LpSolution {
+        let solution = LpSolution { objective: dot(&self.weights, &assignment), assignment };
         self.cached = Some(solution.clone());
-        self.pending = false;
-        Ok(solution)
+        debug_assert_eq!(self.certify(), Ok(()), "a solve must end on a certified optimum");
+        solution
     }
 }
 
@@ -748,11 +749,11 @@ mod tests {
     }
 
     #[test]
-    fn bulk_relaxation_matches_the_reference_drain() {
+    fn bulk_relaxation_redrains_one_search_per_path() {
         // Many independent weighted pairs, each with a flow-carrying timing
         // bound. Relaxing all of them at once re-exposes every pair's
-        // supply in one re-drain, which must agree bit for bit with a cold
-        // minimize and with the reference drain, one Dijkstra per path.
+        // supply in one re-drain, which must certify, agree bit for bit
+        // with a cold minimize, and run one Dijkstra per path.
         const PAIRS: u32 = 80;
         let mut sys = DifferenceSystem::new(2 * PAIRS as usize);
         let mut arcs = Vec::new();
@@ -764,30 +765,59 @@ mod tests {
         }
         let mut solver = IncrementalSolver::new(sys.clone(), weights.clone()).unwrap();
         solver.solve().unwrap();
-        let mut reference = solver.clone();
-        reference.use_reference_drain(true);
 
         for &ci in &arcs {
             solver.update_bound(ci, -1);
-            reference.update_bound(ci, -1);
             sys.set_bound(ci, -1);
         }
+        assert_eq!(solver.flow(), None, "the relaxations outdate the last solve's flow");
         let warm = solver.solve().unwrap();
         assert!(solver.last_solve_was_warm());
+        assert_eq!(solver.certify(), Ok(()));
         assert_eq!(warm, minimize(&sys, &weights).unwrap());
 
         let stats = solver.last_drain_stats();
         assert_eq!(stats.paths, u64::from(PAIRS), "one augmenting path per relaxed pair");
         assert_eq!(stats.dijkstras, stats.paths, "one search per path: {stats:?}");
+        assert_eq!(stats.flow_pushed, u64::from(PAIRS), "{stats:?}");
+    }
 
-        let serial = reference.solve().unwrap();
-        assert_eq!(serial, warm, "reference drain must agree bit-for-bit");
-        let serial_stats = reference.last_drain_stats();
-        assert_eq!(
-            serial_stats.dijkstras, serial_stats.paths,
-            "the serial drain pays one Dijkstra per path: {serial_stats:?}"
-        );
-        assert_eq!(serial_stats.flow_pushed, stats.flow_pushed);
+    #[test]
+    fn oversized_or_wrapping_potential_imports_are_refused() {
+        // x0 - x1 <= 0 plus a redundant x0 - x1 <= 1: `-[i64::MAX, 0]` is
+        // feasible, but the drain's reduced costs overflow on it.
+        let mut sys = DifferenceSystem::new(2);
+        sys.add_constraint(VarId(0), VarId(1), 0);
+        sys.add_constraint(VarId(0), VarId(1), 1);
+        let weights = vec![-1, 1];
+        let mut solver = IncrementalSolver::new(sys.clone(), weights.clone()).unwrap();
+        assert!(!solver.warm_from_potentials(&[i64::MAX, 0]));
+        assert_eq!(solver.solve().unwrap(), minimize(&sys, &weights).unwrap());
+        // Every augmenting path adds its distance to the drain's potentials:
+        // 600 independent pairs imported at ±2^53 are 2^54 apart each, and
+        // the sum overflows; at ±2^32 it stays far inside i64.
+        const PAIRS: u32 = 600;
+        let mut sys = DifferenceSystem::new(2 * PAIRS as usize);
+        for k in 0..PAIRS {
+            sys.add_constraint(VarId(2 * k), VarId(2 * k + 1), 0);
+        }
+        let weights: Vec<i64> = (0..2 * PAIRS).map(|v| if v % 2 == 0 { -1 } else { 1 }).collect();
+        let spread = |p: i64| -> Vec<i64> { weights.iter().map(|&w| -w * p).collect() };
+        let mut solver = IncrementalSolver::new(sys.clone(), weights.clone()).unwrap();
+        assert!(!solver.warm_from_potentials(&spread(1 << 53)));
+        assert!(solver.warm_from_potentials(&spread(1 << 32)), "the largest magnitude imports");
+        assert_eq!(solver.solve().unwrap(), minimize(&sys, &weights).unwrap());
+        assert!(solver.last_solve_was_warm());
+        // Here `x0 - x1` wraps in i64 for `-[0, i64::MIN, 0]`.
+        let mut sys = DifferenceSystem::new(3);
+        sys.add_constraint(VarId(0), VarId(1), 0);
+        sys.add_constraint(VarId(1), VarId(2), -1);
+        sys.add_constraint(VarId(2), VarId(0), 5);
+        let weights = vec![-1, 0, 1];
+        let mut solver = IncrementalSolver::new(sys.clone(), weights.clone()).unwrap();
+        assert!(!solver.warm_from_potentials(&[0, i64::MIN, 0]));
+        assert_eq!(solver.solve().unwrap(), minimize(&sys, &weights).unwrap());
+        assert!(!solver.last_solve_was_warm(), "a refused import leaves the cold path");
     }
 
     #[test]

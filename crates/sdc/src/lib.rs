@@ -13,7 +13,11 @@
 //! - [`IncrementalSolver`] — the same LP solved repeatedly with persisted
 //!   min-cost-flow state: bound relaxations (the only deltas the ISDC loop
 //!   produces, by Alg. 1's monotonicity) re-solve via warm-started
-//!   successive shortest paths, anything else falls back to the cold path.
+//!   successive shortest paths, anything else falls back to the cold path;
+//! - [`certify`] — checks a solve without solving again: the dual flow a
+//!   solve ends with ([`IncrementalSolver::flow`]) certifies by LP duality
+//!   that its assignment is the canonical optimum. Debug builds check every
+//!   solve this way.
 //!
 //! This crate is deliberately independent of the IR: it can schedule
 //! anything expressible as difference constraints.
@@ -36,10 +40,12 @@
 
 #![warn(missing_docs)]
 
+mod certify;
 mod incremental;
 mod mcf;
 mod system;
 
+pub use certify::{certify, CertifyError};
 pub use incremental::IncrementalSolver;
 pub use mcf::{minimize, DrainStats, LpSolution};
 pub use system::{Constraint, DifferenceSystem, SolveError, VarId};

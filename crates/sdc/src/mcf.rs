@@ -36,10 +36,9 @@
 //! first moves all the supply that residual arcs of reduced cost exactly 0
 //! can carry as one max flow ([`zero_cost_max_flow`]) and leaves only the
 //! rest to those searches; a re-drain after relaxed bounds runs the
-//! searches alone. [`ssp_drain_serial`] is the retained reference: the
-//! original algorithm, run from the plain Bellman-Ford start, that the
-//! drain is proven bit-identical against. [`DrainStats`] counts what the
-//! search did.
+//! searches alone. [`DrainStats`] counts what the search did. No second
+//! solver vouches for the result: the flow it ends with is a certificate
+//! that [`crate::certify`] checks the returned optimum against.
 //!
 //! Because the LP can have many optimal vertices, the raw SSP potentials
 //! depend on pivot order. To make every solve path (cold, and the
@@ -184,53 +183,6 @@ impl FlowNetwork {
     pub(crate) fn set_cost(&mut self, fwd_arc: usize, cost: i64) {
         self.arcs[fwd_arc].1 = cost;
         self.arcs[fwd_arc ^ 1].1 = -cost;
-    }
-
-    /// Dijkstra over reduced costs `cost + pi[u] - pi[v]`, stopping at the
-    /// first settled node whose `excess` is negative (the nearest deficit —
-    /// ties broken toward the smallest node index, exactly as a full
-    /// Dijkstra plus a min-scan would pick it). Returns distances, the
-    /// settled set, the arc used to reach each node, and the deficit found.
-    ///
-    /// Only used by [`ssp_drain_serial`], the retained reference drain
-    /// [`ssp_drain`] is proven bit-identical against.
-    fn dijkstra_to_deficit(
-        &self,
-        source: usize,
-        pi: &[i64],
-        excess: &[i64],
-    ) -> (Vec<i64>, Vec<bool>, Vec<Option<usize>>, Option<usize>) {
-        let n = self.adj.len();
-        let mut dist = vec![i64::MAX; n];
-        let mut settled = vec![false; n];
-        let mut parent: Vec<Option<usize>> = vec![None; n];
-        let mut heap = BinaryHeap::new();
-        dist[source] = 0;
-        heap.push(Reverse((0i64, source)));
-        while let Some(Reverse((d, u))) = heap.pop() {
-            if d > dist[u] || settled[u] {
-                continue;
-            }
-            settled[u] = true;
-            if excess[u] < 0 {
-                return (dist, settled, parent, Some(u));
-            }
-            for &arc in &self.adj[u] {
-                let (v, cost, cap) = self.arcs[arc];
-                if cap <= 0 {
-                    continue;
-                }
-                let reduced = cost + pi[u] - pi[v];
-                debug_assert!(reduced >= 0, "reduced cost must stay nonnegative");
-                let nd = d + reduced;
-                if nd < dist[v] {
-                    dist[v] = nd;
-                    parent[v] = Some(arc);
-                    heap.push(Reverse((nd, v)));
-                }
-            }
-        }
-        (dist, settled, parent, None)
     }
 }
 
@@ -560,63 +512,6 @@ fn zero_cost_max_flow(
             }
         }
         sources.retain(|&v| excess[v] > 0);
-    }
-    Ok(())
-}
-
-/// The retained reference drain: one single-source, early-exit Dijkstra per
-/// augmenting path with index-only ties — the original implementation, kept
-/// verbatim (per-search allocations and O(n) potential updates included) as
-/// the semantic and performance baseline that [`ssp_drain`] is tested
-/// bit-identical against and benched under the `drain` group.
-pub(crate) fn ssp_drain_serial(
-    net: &mut FlowNetwork,
-    excess: &mut [i64],
-    pi: &mut [i64],
-    stats: &mut DrainStats,
-) -> Result<(), SolveError> {
-    let n = excess.len();
-    let mut sources: Vec<usize> = (0..n).filter(|&v| excess[v] > 0).collect();
-    while let Some(source) = sources.pop() {
-        while excess[source] > 0 {
-            isdc_cancel::checkpoint().map_err(|_| SolveError::Cancelled)?;
-            // Dijkstra on reduced costs from `source`, stopping at the
-            // nearest deficit.
-            let (dist, settled, parent_arc, target) = net.dijkstra_to_deficit(source, pi, excess);
-            let Some(target) = target else {
-                // Supply cannot reach any deficit: the dual is infeasible, so
-                // the primal objective is unbounded below.
-                return Err(SolveError::Unbounded);
-            };
-            stats.dijkstras += 1;
-            stats.nodes_settled += settled.iter().filter(|&&s| s).count() as u64;
-            // Update potentials (capped at dist[target], the standard SSP
-            // rule). Unsettled nodes have true distance >= dist[target], so
-            // the cap applies to them verbatim.
-            let dt = dist[target];
-            for (v, &s) in settled.iter().enumerate() {
-                pi[v] += if s { dist[v].min(dt) } else { dt };
-            }
-            // Amount limited by endpoint excesses and residual capacities.
-            let mut amount = excess[source].min(-excess[target]);
-            let mut v = target;
-            while v != source {
-                let arc = parent_arc[v].expect("path to source");
-                amount = amount.min(net.residual_cap(arc));
-                v = net.arc_from(arc);
-            }
-            debug_assert!(amount > 0);
-            let mut v = target;
-            while v != source {
-                let arc = parent_arc[v].expect("path to source");
-                net.push(arc, amount);
-                v = net.arc_from(arc);
-            }
-            excess[source] -= amount;
-            excess[target] += amount;
-            stats.paths += 1;
-            stats.flow_pushed += amount as u64;
-        }
     }
     Ok(())
 }

@@ -143,11 +143,13 @@ impl DifferenceSystem {
     }
 
     /// Checks a candidate assignment against every constraint, returning the
-    /// index of the first violated constraint, if any.
+    /// index of the first violated constraint, if any. Differences are taken
+    /// in `i128`, so no assignment can wrap past a bound.
     pub fn first_violation(&self, assignment: &[i64]) -> Option<usize> {
-        self.constraints
-            .iter()
-            .position(|c| assignment[c.u.index()] - assignment[c.v.index()] > c.bound)
+        self.constraints.iter().position(|c| {
+            i128::from(assignment[c.u.index()]) - i128::from(assignment[c.v.index()])
+                > i128::from(c.bound)
+        })
     }
 
     /// Lowers every variable with a positive weight, all at once, to the
@@ -314,6 +316,8 @@ mod tests {
         sys.add_constraint(VarId(0), VarId(1), -1);
         assert_eq!(sys.first_violation(&[0, 0]), Some(0));
         assert_eq!(sys.first_violation(&[0, 5]), None);
+        // 0 - i64::MIN wraps to a negative i64; the check must not.
+        assert_eq!(sys.first_violation(&[0, i64::MIN]), Some(0));
     }
 
     #[test]

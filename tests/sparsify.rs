@@ -1,38 +1,39 @@
 //! LP sparsification identity: the operand rule's Eq. 2 emission is a pure
 //! constraint-count optimization. Sparse and dense systems bound the same
 //! polyhedron, so `canonical_assignment` must land on the same optimal
-//! point — across the full Table I benchsuite, every `retarget` path, and
-//! randomized clock ladders on random DAGs. The emitted and pruned counts
-//! are checked against a pair-by-pair count of the rule itself, on naive
-//! and feedback-final matrices.
+//! point. `IncrementalScheduler::certify` proves it per solve without
+//! building the dense LP — across the full Table I benchsuite, every
+//! `retarget` path, and randomized clock ladders on random DAGs, where the
+//! persistent engine must also match a fresh one. The emitted and pruned
+//! counts are checked against a pair-by-pair count of the rule itself, on
+//! naive and feedback-final matrices.
 
 use isdc::benchsuite::{random_dag, RandomDagConfig};
 use isdc::core::{
-    run_isdc, schedule_with_matrix, schedule_with_matrix_dense, DelayMatrix, DirtySet,
-    IncrementalScheduler, IsdcConfig,
+    run_isdc, schedule_with_matrix, DelayMatrix, DirtySet, IncrementalScheduler, IsdcConfig,
 };
 use isdc::ir::Graph;
 use isdc::synth::{OpDelayModel, SynthesisOracle};
 use isdc::techlib::TechLibrary;
 use proptest::prelude::*;
 
-/// Every bundled design at its own clock: fresh sparse emission vs the
-/// dense one-constraint-per-pair reference, bit for bit.
+/// Every bundled design at its own clock: the sparse emission's schedule
+/// certifies as the dense one-constraint-per-pair LP's optimum.
 #[test]
 fn suite_sparse_matches_dense_at_design_clocks() {
     let model = OpDelayModel::new(TechLibrary::sky130());
     for b in isdc::benchsuite::suite() {
         let d = DelayMatrix::initialize(&b.graph, &model.all_node_delays(&b.graph));
-        let sparse = schedule_with_matrix(&b.graph, &d, b.clock_period_ps).unwrap();
-        let dense = schedule_with_matrix_dense(&b.graph, &d, b.clock_period_ps).unwrap();
-        assert_eq!(sparse, dense, "{}: sparse vs dense diverged", b.name);
+        let mut engine = IncrementalScheduler::new(&b.graph, &d, b.clock_period_ps).unwrap();
+        let sparse = engine.reschedule(&b.graph, &d, &DirtySet::new(b.graph.len())).unwrap();
+        assert_eq!(engine.certify(&b.graph, &d, &sparse), Ok(()), "{}", b.name);
     }
 }
 
 /// Every bundled design through a retarget ladder that relaxes, revisits
 /// and tightens the period: after each step the persistent (promoting /
-/// demoting) engine must match a fresh dense solve — including identical
-/// errors where the period is infeasible.
+/// demoting) engine must match a fresh engine — including identical errors
+/// where the period is infeasible — and certify as the dense LP's optimum.
 #[test]
 fn suite_retargets_match_dense_every_step() {
     let model = OpDelayModel::new(TechLibrary::sky130());
@@ -45,8 +46,16 @@ fn suite_retargets_match_dense_every_step() {
             let clock = b.clock_period_ps * scale;
             engine.retarget(&b.graph, &d, clock);
             let got = engine.reschedule(&b.graph, &d, &empty);
-            let dense = schedule_with_matrix_dense(&b.graph, &d, clock);
-            assert_eq!(got, dense, "{}: diverged after retarget to {clock}ps", b.name);
+            let fresh = schedule_with_matrix(&b.graph, &d, clock);
+            assert_eq!(got, fresh, "{}: diverged after retarget to {clock}ps", b.name);
+            if let Ok(schedule) = &got {
+                assert_eq!(
+                    engine.certify(&b.graph, &d, schedule),
+                    Ok(()),
+                    "{} at {clock}ps",
+                    b.name
+                );
+            }
         }
     }
 }
@@ -147,8 +156,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random DAGs through randomized clock ladders (relaxing *and*
-    /// tightening): the engine's promote-on-retarget path must stay
-    /// bit-identical to the dense reference at every step.
+    /// tightening): the engine's promote-on-retarget path must match a
+    /// fresh engine, errors included, and certify as the dense LP's
+    /// optimum at every step.
     #[test]
     fn random_dag_retarget_ladders_match_dense(
         (num_ops, num_params, seed) in (8usize..32, 2usize..5, any::<u64>()),
@@ -167,8 +177,10 @@ proptest! {
             let clock = base * scale;
             engine.retarget(&g, &d, clock);
             let got = engine.reschedule(&g, &d, &empty);
-            let dense = schedule_with_matrix_dense(&g, &d, clock);
-            prop_assert_eq!(got, dense, "diverged at {}ps", clock);
+            prop_assert_eq!(&got, &schedule_with_matrix(&g, &d, clock), "diverged at {}ps", clock);
+            if let Ok(schedule) = &got {
+                prop_assert_eq!(engine.certify(&g, &d, schedule), Ok(()), "at {}ps", clock);
+            }
         }
     }
 }
