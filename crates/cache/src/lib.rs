@@ -1,11 +1,12 @@
 //! # isdc-cache — structural-fingerprint delay memoization
 //!
-//! The ISDC feedback loop (paper §III-A, Fig. 2) re-invokes the downstream
-//! synthesis stack — bit-blast, AIG optimization, mapping, STA — on every
-//! extracted subgraph, every iteration. Those subgraphs overlap heavily
-//! across iterations and across benchmark sweeps, and the downstream call is
-//! the dominant cost of `run_isdc`. This crate turns the repeats into cache
-//! hits:
+//! The ISDC feedback loop (paper §III-A, Fig. 2) invokes the downstream
+//! synthesis stack — bit-blast, AIG optimization, mapping, STA — on the
+//! extracted subgraphs of every iteration, and the downstream call is the
+//! dominant cost of `run_isdc`. A run answers its own repeats of a member
+//! set from its own reports; this crate turns the repeats a run cannot see
+//! — structurally identical regions at other node ids, and the same
+//! subgraphs in later runs, sweep points and processes — into cache hits:
 //!
 //! - [`canonicalize`] reduces a subgraph to a **canonical structural
 //!   fingerprint** — a 128-bit key over op kinds + attributes, operand

@@ -37,7 +37,12 @@
 //! number carries exactly) makes the file corrupt; and by the importer,
 //! which refuses a vector beyond its own, smaller bound or infeasible for
 //! its own LP — so a bad vector costs a cold start, never a wrong schedule
-//! or a stalled solve.
+//! or a stalled solve. Delay entries are checked the same way: an entry
+//! without a `delay_ps`, with a delay or arrival that is negative or not
+//! finite, or with an `aig_depth`, `and_count` or arrival index that is
+//! not a non-negative integer in range makes the file corrupt. Replayed, it
+//! would fail every run that hits it, set every pair it covers to 0, or
+//! move an arrival onto another member.
 //!
 //! **Recovery.** [`DelayCache::load`] stays strict (an error for every
 //! failure); [`DelayCache::load_resilient`] implements the fleet policy: a
@@ -61,6 +66,7 @@ use isdc_faults::FaultKind;
 use isdc_telemetry::escape_json;
 use isdc_telemetry::json::Parser;
 use std::fmt::Write as _;
+use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
 
 /// Current snapshot format version.
@@ -394,8 +400,32 @@ impl DelayCache {
     }
 }
 
+/// The largest integer magnitude a JSON number carries exactly, 2^53.
+const EXACT_INTEGER: f64 = 9_007_199_254_740_992.0;
+
+/// Reads a number that must be an integer within `range`.
+fn integer(p: &mut Parser<'_>, what: &str, range: RangeInclusive<f64>) -> Result<f64, String> {
+    let x = p.number()?;
+    if x.fract() == 0.0 && range.contains(&x) {
+        Ok(x)
+    } else {
+        Err(format!("{what} {x} is not an integer within {}..={}", range.start(), range.end()))
+    }
+}
+
+/// Reads a delay in picoseconds, which must be finite and at least 0.
+fn delay(p: &mut Parser<'_>, what: &str) -> Result<f64, String> {
+    let x = p.number()?;
+    if x.is_finite() && x >= 0.0 {
+        Ok(x)
+    } else {
+        Err(format!("{what} {x} is not a finite delay at least 0"))
+    }
+}
+
 fn parse_entry(p: &mut Parser<'_>) -> Result<(Fingerprint, CachedDelay), String> {
     let mut fp: Option<Fingerprint> = None;
+    let mut delay_ps: Option<f64> = None;
     let mut entry = CachedDelay { delay_ps: 0.0, aig_depth: 0, and_count: 0, arrivals: Vec::new() };
     p.expect(b'{')?;
     loop {
@@ -406,17 +436,17 @@ fn parse_entry(p: &mut Parser<'_>) -> Result<(Fingerprint, CachedDelay), String>
                 let s = p.string()?;
                 fp = Some(Fingerprint::parse(&s).ok_or_else(|| format!("bad fingerprint `{s}`"))?);
             }
-            "delay_ps" => entry.delay_ps = p.number()?,
-            "aig_depth" => entry.aig_depth = p.number()? as u32,
-            "and_count" => entry.and_count = p.number()? as usize,
+            "delay_ps" => delay_ps = Some(delay(p, "delay_ps")?),
+            "aig_depth" => entry.aig_depth = integer(p, "aig_depth", 0.0..=u32::MAX.into())? as u32,
+            "and_count" => entry.and_count = integer(p, "and_count", 0.0..=EXACT_INTEGER)? as usize,
             "arrivals" => {
                 p.expect(b'[')?;
                 if !p.peek_close(b']') {
                     loop {
                         p.expect(b'[')?;
-                        let idx = p.number()? as u32;
+                        let idx = integer(p, "arrival index", 0.0..=u32::MAX.into())? as u32;
                         p.expect(b',')?;
-                        let ps = p.number()?;
+                        let ps = delay(p, "arrival")?;
                         p.expect(b']')?;
                         entry.arrivals.push((idx, ps));
                         if !p.comma_or_close(b']')? {
@@ -432,6 +462,7 @@ fn parse_entry(p: &mut Parser<'_>) -> Result<(Fingerprint, CachedDelay), String>
         }
     }
     let fp = fp.ok_or("entry without key")?;
+    entry.delay_ps = delay_ps.ok_or("entry without delay_ps")?;
     Ok((fp, entry))
 }
 
@@ -452,10 +483,7 @@ fn parse_potentials(p: &mut Parser<'_>) -> Result<(Fingerprint, StoredPotentials
                 p.expect(b'[')?;
                 if !p.peek_close(b']') {
                     loop {
-                        let x = p.number()?;
-                        if x.fract() != 0.0 || x.abs() > 2f64.powi(53) {
-                            return Err(format!("potential {x} is not an integer within ±2^53"));
-                        }
+                        let x = integer(p, "potential", -EXACT_INTEGER..=EXACT_INTEGER)?;
                         stored.pi.push(x as i64);
                         if !p.comma_or_close(b']')? {
                             break;
@@ -805,6 +833,74 @@ mod tests {
             cache.nearest_potentials(Fingerprint(10), 2500.0).unwrap().1,
             [0, -bound, bound]
         );
+    }
+
+    /// Asserts that a footerless v2 snapshot holding `entry` is corrupt:
+    /// `load` fails naming `cause`, and `load_resilient` quarantines the
+    /// file and cold-starts.
+    fn assert_corrupt_entry(tag: &str, entry: &str, cause: &str) {
+        let json = format!(
+            r#"{{"version":2,"oracle":"synthesis","entries":[
+                {{"key":"0000000000000000000000000000000a",{entry}}}],"potentials":[]}}"#
+        );
+        let path = temp_path(&format!("entry-{tag}"));
+        std::fs::write(&path, &json).unwrap();
+        let err = DelayCache::new().load(&path, "synthesis").unwrap_err();
+        assert!(err.contains(cause), "{tag}: {err}");
+        let cache = DelayCache::new();
+        let outcome = cache.load_resilient(&path, "synthesis");
+        let SnapshotLoad::ColdStart { quarantined: Some(moved), .. } = outcome else {
+            panic!("{tag}: expected a quarantine, got {outcome:?}");
+        };
+        assert!(cache.is_empty(), "{tag}");
+        assert!(!path.exists(), "{tag}");
+        let _ = std::fs::remove_file(&moved);
+    }
+
+    #[test]
+    fn snapshot_delays_must_be_finite_and_non_negative() {
+        // Loaded, a negative delay failed every later run as a malformed
+        // oracle report and left the file in place.
+        let arrivals = r#""aig_depth":1,"and_count":2,"arrivals":[[0,3.5]]"#;
+        for (tag, value) in [("negative", "-1"), ("tiny", "-1e-300"), ("infinite", "1e400")] {
+            let entry = format!(r#""delay_ps":{value},{arrivals}"#);
+            assert_corrupt_entry(&format!("delay-{tag}"), &entry, "not a finite delay");
+            let entry =
+                format!(r#""delay_ps":3.5,"aig_depth":1,"and_count":2,"arrivals":[[0,{value}]]"#);
+            assert_corrupt_entry(&format!("arrival-{tag}"), &entry, "not a finite delay");
+        }
+    }
+
+    #[test]
+    fn snapshot_entries_need_a_delay() {
+        // A missing `delay_ps` used to read as 0 ps, lowering every pair
+        // the entry covers.
+        let entry = r#""aig_depth":1,"and_count":2,"arrivals":[[0,3.5]]"#;
+        assert_corrupt_entry("no-delay", entry, "entry without delay_ps");
+    }
+
+    #[test]
+    fn snapshot_counts_and_indices_must_be_integers_in_range() {
+        // `as` casts used to truncate these: an arrival index of 1.5 moved
+        // the arrival onto member 1.
+        for (tag, fields) in [
+            ("depth-half", r#""aig_depth":1.5,"and_count":2,"arrivals":[]"#),
+            ("depth-wide", r#""aig_depth":4294967296,"and_count":2,"arrivals":[]"#),
+            ("ands-negative", r#""aig_depth":1,"and_count":-2,"arrivals":[]"#),
+            ("ands-half", r#""aig_depth":1,"and_count":0.5,"arrivals":[]"#),
+            ("index-half", r#""aig_depth":1,"and_count":2,"arrivals":[[1.5,3.5]]"#),
+            ("index-negative", r#""aig_depth":1,"and_count":2,"arrivals":[[-1,3.5]]"#),
+        ] {
+            let entry = format!(r#""delay_ps":3.5,{fields}"#);
+            assert_corrupt_entry(tag, &entry, "is not an integer within");
+        }
+        let exact = r#"{"version":2,"oracle":"synthesis","entries":[
+            {"key":"0000000000000000000000000000000a","delay_ps":0,
+             "aig_depth":4294967295,"and_count":0,"arrivals":[[4294967295,0]]}]}"#;
+        let cache = DelayCache::new();
+        assert_eq!(cache.merge_json(exact, "synthesis").unwrap(), 1);
+        let got = cache.get(Fingerprint(10)).unwrap();
+        assert_eq!((got.aig_depth, got.arrivals), (u32::MAX, vec![(u32::MAX, 0.0)]));
     }
 
     #[test]

@@ -20,10 +20,9 @@ use crate::subgraph::{ExtractionConfig, ScoringStrategy, ShapeStrategy};
 use isdc_cache::{CacheStats, CachingOracle, DelayCache};
 use isdc_ir::{Graph, NodeId};
 use isdc_sdc::DrainStats;
-use isdc_synth::{evaluate_parallel_cancellable, DelayOracle, OpDelayModel};
+use isdc_synth::{DelayOracle, OpDelayModel};
 use isdc_techlib::Picos;
 use isdc_telemetry::{MetricValue, MetricsFrame};
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -49,8 +48,11 @@ pub struct IsdcConfig {
     /// change ("until a stable scheduling result is achieved").
     pub convergence_patience: usize,
     /// Memoize downstream evaluations by structural fingerprint
-    /// ([`isdc_cache::CachingOracle`]). Extracted subgraphs overlap heavily
-    /// across iterations, so most lookups hit after the first iteration.
+    /// ([`isdc_cache::CachingOracle`]). A run times each distinct member
+    /// set once without it and answers its own repeats before they reach
+    /// the cache, so the cache serves what the run cannot: a structurally
+    /// identical region at other node ids, and every later run, session
+    /// or snapshot file that shares it.
     pub cache: bool,
     /// Optional cache snapshot path: loaded (best-effort) before the run
     /// and saved after it, so delay data survives across runs and sweeps.
@@ -64,11 +66,12 @@ pub struct IsdcConfig {
     /// Compute the per-iteration **oracle quality metrics**
     /// ([`IterationRecord::estimation_error_pct`] and its naive twin) for
     /// the initial schedule and after each iteration. A snapshot times
-    /// through the downstream oracle only the stages whose member list this
-    /// run has not timed yet (one at a time, on the calling thread, with a
-    /// cancellation poll before each), reuses the rest, and derives the
-    /// naive estimate from an n-entry vector of per-node delays, so the run
-    /// keeps no copy of the n×n naive matrix. Its wall-clock is reported as
+    /// through the downstream oracle only the stages whose member set this
+    /// run has not timed yet, as a stage or as an Evaluate subgraph (one at
+    /// a time, on the calling thread, with a cancellation poll before
+    /// each), reuses the rest, and derives the naive estimate from an
+    /// n-entry vector of per-node delays, so the run keeps no copy of the
+    /// n×n naive matrix. Its wall-clock is reported as
     /// `stage/oracle_metrics/ns`. Defaults to on;
     /// [`sweep_clock_period`](crate::sweep_clock_period) turns it off for
     /// non-final sweep points,
@@ -141,11 +144,16 @@ pub struct IterationRecord {
     /// — what the original SDC scheduler would believe about this schedule.
     /// Fig. 7 contrasts the two trajectories.
     pub naive_estimation_error_pct: f64,
-    /// Subgraphs evaluated in this iteration (0 for the initial schedule).
+    /// Subgraphs this iteration's Evaluate sent to the oracle (0 for the
+    /// initial schedule). A member set the run had already timed, in an
+    /// earlier iteration or as a snapshot's stage, is answered from the
+    /// run's memo and counted under `run/subgraphs_reused` instead.
     pub subgraphs_evaluated: usize,
     /// Oracle-cache hits recorded during this iteration (0 with caching
-    /// off). Counts every memoized lookup; of the metric snapshots' stages,
-    /// only those the run has not timed yet reach the cache.
+    /// off). Only member sets the run has not timed yet reach the cache,
+    /// from Evaluate or a quality snapshot, so in-run repeats are never
+    /// lookups: hits are structurally identical regions at other node ids
+    /// and entries from earlier runs or snapshot files.
     pub cache_hits: u64,
     /// Oracle-cache misses recorded during this iteration (0 with caching
     /// off).
@@ -189,12 +197,13 @@ pub struct IsdcResult {
     /// `stage/{name}/calls`), including the oracle quality snapshots as
     /// `stage/oracle_metrics/*` (zero with
     /// [`IsdcConfig::iteration_metrics`] off); solver drain totals
-    /// (`drain/*`); iteration and subgraph counts (`run/*`), among them
-    /// `run/stages_evaluated` and `run/stages_reused`, the stages the
-    /// snapshots timed through the oracle and those they answered from
-    /// the run's earlier measurements; the LP solve-time histogram
-    /// (`solve/ns`); and — when caching was on, and only then — this
-    /// run's own cache lookups (`cache/hits`, `cache/misses`,
+    /// (`drain/*`); iteration counts and the oracle's traffic (`run/*`):
+    /// `run/subgraphs_evaluated` and `run/stages_evaluated`, the subgraphs
+    /// and snapshot stages sent to the oracle, whose sum is the run's
+    /// oracle calls, and `run/subgraphs_reused` and `run/stages_reused`,
+    /// those answered from the run's earlier reports; the LP solve-time
+    /// histogram (`solve/ns`); and — when caching was on, and only then —
+    /// this run's own cache lookups (`cache/hits`, `cache/misses`,
     /// `cache/inserts`).
     pub metrics: MetricsFrame,
     /// Total wall-clock scheduling time: the length of the run's `run`
@@ -327,11 +336,11 @@ pub(crate) fn run_pipeline<O: DelayOracle + ?Sized>(
 ) -> Result<PipelineOutcome, ScheduleError> {
     let run_span = isdc_telemetry::span_f64("run", "clock_ps", config.clock_period_ps);
     let mut state = PipelineState::new(graph, model, oracle, config, seed)?;
-    let mut probe = config.iteration_metrics.then(|| QualityProbe::new(state.delays()));
+    let probe = config.iteration_metrics.then(|| QualityProbe::new(state.delays()));
     let initial_potentials = state.initial_potentials().map(<[i64]>::to_vec);
     let initial_engine = state.take_initial_engine();
     let mut history = Vec::new();
-    history.push(snapshot(&mut state, probe.as_mut(), cache_stats, &history)?);
+    history.push(snapshot(&mut state, probe.as_ref(), cache_stats, &history)?);
 
     let mut stable_for = 0usize;
     let mut prev_bits = history[0].register_bits;
@@ -356,7 +365,7 @@ pub(crate) fn run_pipeline<O: DelayOracle + ?Sized>(
         let (dirty, _) = run_stage(&mut Reformulate, &mut state, dirty)?;
         run_stage(&mut Solve, &mut state, dirty)?;
         state.frame.add("run/iterations", 1);
-        history.push(snapshot(&mut state, probe.as_mut(), cache_stats, &history)?);
+        history.push(snapshot(&mut state, probe.as_ref(), cache_stats, &history)?);
 
         let next_bits = history[iteration].register_bits;
         if next_bits == prev_bits {
@@ -384,54 +393,46 @@ pub(crate) fn run_pipeline<O: DelayOracle + ?Sized>(
 }
 
 /// What one run's oracle quality snapshots keep between iterations
-/// (present only with [`IsdcConfig::iteration_metrics`] on).
+/// (present only with [`IsdcConfig::iteration_metrics`] on): the naive
+/// per-node delays (the initial matrix's diagonal), which are all that the
+/// never-updated matrix's stage estimates depend on. The stages' measured
+/// delays come from the run's report memo, which Evaluate fills too.
 struct QualityProbe {
-    /// The naive per-node delays (the initial matrix's diagonal), which
-    /// are all that the never-updated matrix's stage estimates depend on.
     naive_node_delays: Vec<Picos>,
-    /// Every stage member list (ascending ids, as [`Schedule::stages`]
-    /// returns it) the run has timed, with its measured delay. The oracle
-    /// is pure, so a stage that reappears reuses its first measurement.
-    sta: HashMap<Vec<NodeId>, Picos>,
 }
 
 impl QualityProbe {
     fn new(initial: &DelayMatrix) -> Self {
         let naive_node_delays =
             (0..initial.len()).map(|v| initial.node_delay(NodeId(v as u32))).collect();
-        Self { naive_node_delays, sta: HashMap::new() }
+        Self { naive_node_delays }
     }
 
     /// Fig. 7's estimation errors of the current schedule against the
-    /// oracle: `(feedback-updated, naive)`. Stages the run has not timed
-    /// yet go through the oracle on the calling thread, in stage order,
-    /// with a cancellation poll before each.
+    /// oracle: `(feedback-updated, naive)`. Stages whose member set the
+    /// run has not timed yet go through the oracle on the calling thread,
+    /// in stage order, with a cancellation poll before each.
     fn errors<O: DelayOracle + ?Sized>(
-        &mut self,
+        &self,
         state: &mut PipelineState<'_, O>,
     ) -> Result<(f64, f64), ScheduleError> {
         let span = isdc_telemetry::span("oracle_metrics");
-        let (graph, schedule) = (state.graph, state.schedule());
-        let stages = schedule.stages();
-        let fresh: Vec<Vec<NodeId>> = stages
-            .iter()
-            .filter(|members| !members.is_empty() && !self.sta.contains_key(*members))
-            .cloned()
-            .collect();
-        let reports = evaluate_parallel_cancellable(state.oracle, graph, &fresh, 1)
-            .map_err(|_| ScheduleError::DeadlineExceeded)?;
-        let evaluated = fresh.len();
-        self.sta.extend(fresh.into_iter().zip(reports.iter().map(|r| r.delay_ps)));
+        let stages = state.schedule().stages();
+        let timed: Vec<&[NodeId]> =
+            stages.iter().filter(|members| !members.is_empty()).map(Vec::as_slice).collect();
+        let evaluated =
+            state.memo.time_missing(state.oracle, state.graph, timed.iter().copied(), 1)?;
+        let memo = &state.memo;
         let sta: Vec<Picos> =
-            stages.iter().map(|m| if m.is_empty() { 0.0 } else { self.sta[m] }).collect();
+            stages.iter().map(|m| if m.is_empty() { 0.0 } else { memo.get(m).delay_ps }).collect();
+        let (graph, schedule) = (state.graph, state.schedule());
         let est = metrics::estimated_stage_delays(graph, schedule, state.delays());
         let naive_est = metrics::naive_stage_delays(graph, schedule, &self.naive_node_delays);
-        let timed = stages.iter().filter(|m| !m.is_empty()).count();
         let frame = &mut state.frame;
         frame.add("stage/oracle_metrics/ns", span.finish().as_nanos() as u64);
         frame.add("stage/oracle_metrics/calls", 1);
         frame.add("run/stages_evaluated", evaluated as u64);
-        frame.add("run/stages_reused", (timed - evaluated) as u64);
+        frame.add("run/stages_reused", (timed.len() - evaluated) as u64);
         Ok((
             metrics::estimation_error_pct(&est, &sta),
             metrics::estimation_error_pct(&naive_est, &sta),
@@ -450,7 +451,7 @@ impl QualityProbe {
 /// oracle calls short.
 fn snapshot<O: DelayOracle + ?Sized>(
     state: &mut PipelineState<'_, O>,
-    probe: Option<&mut QualityProbe>,
+    probe: Option<&QualityProbe>,
     cache_stats: Option<&dyn Fn() -> CacheStats>,
     history: &[IterationRecord],
 ) -> Result<IterationRecord, ScheduleError> {
@@ -503,19 +504,32 @@ mod tests {
     use isdc_synth::{NaiveSumOracle, SynthesisOracle};
     use isdc_techlib::TechLibrary;
 
-    /// A datapath with enough chained arithmetic that naive estimates force
-    /// splits which feedback can undo.
-    fn datapath() -> Graph {
+    /// Adds a datapath with enough chained arithmetic that naive estimates
+    /// force splits which feedback can undo, its inputs named `{prefix}{i}`.
+    fn add_datapath(g: &mut Graph, prefix: &str) {
         // Summing per-op adder delays wildly overestimates a fused
         // carry-lookahead chain, so feedback has real slack to harvest.
-        let mut g = Graph::new("dp");
-        let inputs: Vec<_> = (0..10).map(|i| g.param(format!("p{i}"), 8)).collect();
+        let inputs: Vec<_> = (0..10).map(|i| g.param(format!("{prefix}{i}"), 8)).collect();
         let mut acc = g.binary(OpKind::Add, inputs[0], inputs[1]).unwrap();
         for &p in &inputs[2..] {
             acc = g.binary(OpKind::Add, acc, p).unwrap();
         }
         let out = g.binary(OpKind::Xor, acc, inputs[0]).unwrap();
         g.set_output(out);
+    }
+
+    fn datapath() -> Graph {
+        let mut g = Graph::new("dp");
+        add_datapath(&mut g, "p");
+        g
+    }
+
+    /// Two datapaths side by side: structurally identical regions at
+    /// different node ids.
+    fn twin_datapath() -> Graph {
+        let mut g = Graph::new("twins");
+        add_datapath(&mut g, "a");
+        add_datapath(&mut g, "b");
         g
     }
 
@@ -609,7 +623,7 @@ mod tests {
         let lib = TechLibrary::sky130();
         let model = OpDelayModel::new(lib.clone());
         let oracle = SynthesisOracle::new(lib);
-        let g = datapath();
+        let g = twin_datapath();
         let plain = run_isdc(&g, &model, &oracle, &quick_config(2500.0)).unwrap();
         let cached_config = quick_config(2500.0).with_cache(None);
         let cached = run_isdc(&g, &model, &oracle, &cached_config).unwrap();
@@ -619,13 +633,15 @@ mod tests {
             plain.history.iter().map(|r| r.register_bits).collect::<Vec<_>>(),
         );
         let hits = cached.metrics.counter("cache/hits").expect("recorded when caching");
-        assert!(hits > 0, "iterations repeat subgraphs, so hits must occur");
+        // A run answers its own repeats of a member set before they reach
+        // the cache; what hits is one twin's window replayed onto the other.
+        assert!(hits > 0, "structurally identical regions at other node ids must hit");
         assert_eq!(plain.metrics.counter("cache/hits"), None);
         let total_hits: u64 = cached.history.iter().map(|r| r.cache_hits).sum();
         let total_misses: u64 = cached.history.iter().map(|r| r.cache_misses).sum();
         assert_eq!(total_hits, hits, "per-iteration hits must sum to the total");
         assert_eq!(total_misses, cached.metrics.counter_or_zero("cache/misses"));
-        assert!(cached.history.last().unwrap().cache_hit_rate() > 0.0);
+        assert!(cached.history.iter().any(|r| r.cache_hit_rate() > 0.0));
         // The records' drain and solver time are the frame's, split by
         // iteration, for both runs.
         for run in [&plain, &cached] {

@@ -9,8 +9,9 @@
 //!  +-->| Extract |--->| Dedupe |--->| Evaluate |--->| Feedback |--->| Reformulate |--->| Solve |--+
 //!  |   +---------+    +--------+    +----------+    +----------+    +-------------+    +-------+  |
 //!  |    subgraphs      distinct      oracle delay    Alg. 1 into     Alg. 2 worklist    warm LP   |
-//!  |    from the       node sets     reports (par-   the matrix,     sweep + dirty      re-solve  |
-//!  |    schedule       only          allel, cached)  dirty pairs     carry              (engine)  |
+//!  |    from the       node sets     reports, par-   the matrix,     sweep + dirty      re-solve  |
+//!  |    schedule       only          allel, one per  dirty pairs     carry              (engine)  |
+//!  |                                 set per run                                                 |
 //!  +------------------------------- until registers stabilize --------------------------------+
 //! ```
 //!
@@ -22,10 +23,11 @@
 //! tools can run any stage in isolation against a `PipelineState`.
 //!
 //! The state deliberately owns everything a *run* needs (delay matrix,
-//! incremental LP engine, dirty-carry) and borrows everything that outlives
-//! a run (graph, config, oracle) — [`IsdcSession`](crate::IsdcSession)
-//! holds the cross-run assets and builds one `PipelineState` per run,
-//! seeding the LP from the previous run's exported potentials.
+//! incremental LP engine, dirty-carry, the oracle reports it has received)
+//! and borrows everything that outlives a run (graph, config, oracle) —
+//! [`IsdcSession`](crate::IsdcSession) holds the cross-run assets and
+//! builds one `PipelineState` per run, seeding the LP from the previous
+//! run's exported potentials.
 
 use crate::delay::{DelayMatrix, DirtySet};
 use crate::schedule::Schedule;
@@ -34,7 +36,7 @@ use crate::subgraph::{extract_subgraphs, Subgraph};
 use isdc_ir::{Graph, NodeId};
 use isdc_synth::{evaluate_parallel_cancellable, DelayOracle, DelayReport, OpDelayModel};
 use isdc_telemetry::MetricsFrame;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::iter::once;
 use std::time::Duration;
 
@@ -45,9 +47,9 @@ use crate::driver::IsdcConfig;
 pub enum StageKind {
     /// Subgraph extraction from the current schedule (§III-B).
     Extract,
-    /// Drop node-set duplicates before paying for evaluation.
+    /// Drop the node-set duplicates of one extraction.
     Dedupe,
-    /// Downstream oracle evaluation, parallel and (optionally) memoized.
+    /// Downstream oracle evaluation, parallel, each member set once per run.
     Evaluate,
     /// Alg. 1 delay updating into the matrix, tracked as dirty pairs.
     Feedback,
@@ -108,9 +110,10 @@ impl StageKind {
 /// Counters every run's frame carries from its start, next to the
 /// stages' own and the ones the initial solve adds, so a run that never
 /// iterates or skips the quality snapshots still reports them as 0.
-const RUN_COUNTERS: [&str; 6] = [
+const RUN_COUNTERS: [&str; 7] = [
     "run/iterations",
     "run/subgraphs_evaluated",
+    "run/subgraphs_reused",
     "run/stages_evaluated",
     "run/stages_reused",
     "stage/oracle_metrics/ns",
@@ -205,8 +208,67 @@ pub struct PipelineState<'a, O: ?Sized> {
     /// a session-carried engine arrives with prior runs' events already
     /// counted, so the `lp/*` metrics record deltas against this snapshot.
     lp_seen: SparsifyStats,
+    /// Every oracle report the run has received, shared by Evaluate and
+    /// the quality snapshots.
+    pub(crate) memo: ReportMemo,
     /// Every number the run reports, added to as it goes.
     pub(crate) frame: MetricsFrame,
+}
+
+/// The oracle reports one run has received, keyed by ascending,
+/// deduplicated member list. [`DelayOracle::evaluate`] is a pure function
+/// of the member set, so the run times each distinct set once and answers
+/// every repeat from here: a window re-extracted in a later iteration, a
+/// window equal to a stage a quality snapshot timed, and the reverse.
+#[derive(Default)]
+pub(crate) struct ReportMemo(HashMap<Vec<NodeId>, DelayReport>);
+
+impl ReportMemo {
+    /// Times through the oracle each set in `sets` the memo lacks (first
+    /// occurrences, in order, on `threads` threads, with a cancellation
+    /// poll before each) and keeps the reports. Each set must be ascending
+    /// and deduplicated. Returns how many sets reached the oracle.
+    ///
+    /// # Errors
+    ///
+    /// [`ScheduleError::DeadlineExceeded`] when cancellation cuts the calls
+    /// short; the memo then keeps none of their reports.
+    pub(crate) fn time_missing<'s, O: DelayOracle + ?Sized>(
+        &mut self,
+        oracle: &O,
+        graph: &Graph,
+        sets: impl IntoIterator<Item = &'s [NodeId]>,
+        threads: usize,
+    ) -> Result<usize, ScheduleError> {
+        let mut queued = HashSet::new();
+        let fresh: Vec<Vec<NodeId>> = sets
+            .into_iter()
+            .filter(|set| !self.0.contains_key(*set) && queued.insert(*set))
+            .map(<[NodeId]>::to_vec)
+            .collect();
+        let reports = evaluate_parallel_cancellable(oracle, graph, &fresh, threads)
+            .map_err(|_| ScheduleError::DeadlineExceeded)?;
+        let timed = fresh.len();
+        self.0.extend(fresh.into_iter().zip(reports));
+        Ok(timed)
+    }
+
+    /// The report the oracle returned for `set`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `set` was never timed.
+    pub(crate) fn get(&self, set: &[NodeId]) -> &DelayReport {
+        &self.0[set]
+    }
+}
+
+/// A subgraph's member set: its nodes ascending and deduplicated.
+fn member_set(nodes: &[NodeId]) -> Vec<NodeId> {
+    let mut set = nodes.to_vec();
+    set.sort_unstable();
+    set.dedup();
+    set
 }
 
 impl<'a, O: DelayOracle + ?Sized> PipelineState<'a, O> {
@@ -268,6 +330,7 @@ impl<'a, O: DelayOracle + ?Sized> PipelineState<'a, O> {
             initial_potentials,
             initial_engine,
             lp_seen,
+            memo: ReportMemo::default(),
             frame: MetricsFrame::new(),
         };
         let stage_keys = StageKind::ALL.into_iter().flat_map(StageKind::keys);
@@ -375,10 +438,10 @@ impl<O: DelayOracle + ?Sized> Stage<O> for Extract {
 
 /// Stage 2: drop exact node-set duplicates, keeping first occurrences.
 ///
-/// Identical sets would evaluate to identical reports and fold into the
-/// matrix idempotently, so deduplication cannot change any schedule — it
-/// only refunds the duplicate evaluations (which cost real synthesis time
-/// when the oracle cache is off or cold).
+/// Identical sets get identical reports, which fold into the matrix
+/// idempotently, so deduplication cannot change any schedule. Evaluate
+/// never times a set twice in one run anyway; dropping the duplicates of
+/// one extraction here spares Feedback from folding their reports again.
 pub struct Dedupe;
 
 impl<O: DelayOracle + ?Sized> Stage<O> for Dedupe {
@@ -391,18 +454,20 @@ impl<O: DelayOracle + ?Sized> Stage<O> for Dedupe {
         _state: &mut PipelineState<'_, O>,
         mut input: Self::In,
     ) -> Result<Self::Out, ScheduleError> {
-        let mut seen: HashSet<Vec<u32>> = HashSet::with_capacity(input.len());
-        input.retain(|sub| {
-            let mut key: Vec<u32> = sub.nodes.iter().map(|n| n.0).collect();
-            key.sort_unstable();
-            seen.insert(key)
-        });
+        let mut seen: HashSet<Vec<NodeId>> = HashSet::with_capacity(input.len());
+        input.retain(|sub| seen.insert(member_set(&sub.nodes)));
         Ok(input)
     }
 }
 
-/// Stage 3: evaluate every subgraph through the downstream oracle, in
-/// parallel. The reports ride along with their subgraphs.
+/// Stage 3: report every subgraph's delays, in input order. Only member
+/// sets the run has not timed yet reach the downstream oracle (first
+/// occurrences, in parallel on [`IsdcConfig::threads`] threads); a set
+/// timed in an earlier iteration, or as a stage by a quality snapshot, is
+/// answered from the run's memo. `run/subgraphs_evaluated` counts the
+/// former and `run/subgraphs_reused` the latter, so repeats within a run
+/// never reach a caching oracle either. The reports ride along with their
+/// subgraphs.
 pub struct Evaluate;
 
 impl<O: DelayOracle + ?Sized> Stage<O> for Evaluate {
@@ -415,15 +480,16 @@ impl<O: DelayOracle + ?Sized> Stage<O> for Evaluate {
         state: &mut PipelineState<'_, O>,
         input: Self::In,
     ) -> Result<Self::Out, ScheduleError> {
-        let node_sets: Vec<Vec<NodeId>> = input.iter().map(|s| s.nodes.clone()).collect();
-        state.frame.add("run/subgraphs_evaluated", node_sets.len() as u64);
-        let reports = evaluate_parallel_cancellable(
+        let sets: Vec<Vec<NodeId>> = input.iter().map(|sub| member_set(&sub.nodes)).collect();
+        let timed = state.memo.time_missing(
             state.oracle,
             state.graph,
-            &node_sets,
+            sets.iter().map(Vec::as_slice),
             state.config.threads,
-        )
-        .map_err(|_| ScheduleError::DeadlineExceeded)?;
+        )?;
+        state.frame.add("run/subgraphs_evaluated", timed as u64);
+        state.frame.add("run/subgraphs_reused", (sets.len() - timed) as u64);
+        let reports = sets.iter().map(|set| state.memo.get(set).clone()).collect();
         Ok((input, reports))
     }
 }

@@ -76,7 +76,10 @@ pub struct SessionRun {
     /// of a fresh, snapshotless session).
     pub warm_start: bool,
     /// Oracle-cache hits of this run's own lookups (other sessions
-    /// sharing the cache do not count here).
+    /// sharing the cache do not count here). The run looks up only member
+    /// sets it has not timed yet, since it answers in-run repeats itself,
+    /// so its hits are entries from earlier runs or snapshots and
+    /// structurally identical regions at other node ids.
     pub cache_hits: u64,
     /// Oracle-cache misses of this run's own lookups.
     pub cache_misses: u64,

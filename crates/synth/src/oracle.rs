@@ -42,6 +42,15 @@ pub struct DelayReport {
 /// iteration in parallel (the paper uses 16).
 pub trait DelayOracle: Sync {
     /// Times the subgraph consisting of `members` within `graph`.
+    ///
+    /// Must be a deterministic function of `graph` and the member *set*:
+    /// the same members in any order, duplicates included, get the same
+    /// report bit for bit. Three mechanisms rely on it: a run times each
+    /// distinct member set once and answers its repeats from its own memo
+    /// (the `Evaluate` stage and the quality snapshots of `isdc-core`),
+    /// `isdc_cache::CachingOracle` replays a report onto structurally
+    /// identical regions, and cache snapshots replay reports in later
+    /// processes.
     fn evaluate(&self, graph: &Graph, members: &[NodeId]) -> DelayReport;
 
     /// A short human-readable name for reports.

@@ -161,10 +161,11 @@ impl RunReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "profile: total {} | iterations {} | subgraphs {}",
+            "profile: total {} | iterations {} | subgraphs {} ({} reused)",
             fmt_ns(self.total_ns),
             self.counter("run/iterations"),
             self.counter("run/subgraphs_evaluated"),
+            self.counter("run/subgraphs_reused"),
         );
         if !self.stages.is_empty() {
             let _ = writeln!(out, "  {:<14} {:>12} {:>7} {:>9}", "stage", "time", "%", "calls");
@@ -495,8 +496,11 @@ mod tests {
             ("stage/extract/ns", 250),
             ("stage/extract/calls", 5),
             ("run/iterations", 5),
+            ("run/subgraphs_evaluated", 40),
+            ("run/subgraphs_reused", 12),
         ]));
         let text = report.render_text();
+        assert!(text.contains("| iterations 5 | subgraphs 40 (12 reused)\n"), "{text}");
         assert!(text.contains("stage"));
         assert!(text.contains("extract"));
         assert!(text.contains("lp:"));

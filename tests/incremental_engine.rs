@@ -5,7 +5,8 @@
 //! across random DAGs (proptest, with per-output steps that leave delays
 //! shrinking along paths) and every iteration of the full Table I
 //! benchsuite. The Table I replay also pins `run_isdc`'s per-iteration
-//! estimation errors (Fig. 7) against a from-scratch recomputation.
+//! estimation errors (Fig. 7) against a from-scratch recomputation, and a
+//! counting oracle shows that a run times each member set once.
 
 use isdc::benchsuite::{random_dag, RandomDagConfig};
 use isdc::core::metrics::{estimated_stage_delays, estimation_error_pct, stage_sta_delays};
@@ -14,14 +15,14 @@ use isdc::core::pipeline::{
 };
 use isdc::core::{
     run_isdc, schedule_with_matrix, DelayMatrix, DirtySet, IncrementalScheduler, IsdcConfig,
-    IterationRecord, Schedule,
+    IsdcResult, IterationRecord, Schedule,
 };
 use isdc::ir::{Graph, NodeId};
 use isdc::synth::{DelayOracle, DelayReport, OpDelayModel, SynthesisOracle};
 use isdc::techlib::TechLibrary;
 use proptest::prelude::*;
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{HashMap, HashSet};
+use std::sync::Mutex;
 
 const CLOCK: f64 = 2500.0;
 
@@ -121,15 +122,37 @@ proptest! {
     }
 }
 
-/// Counts the oracle calls `run_isdc` makes.
+/// Counts the oracle calls a run makes, per ascending member set.
 struct Counting<'a> {
     inner: &'a SynthesisOracle,
-    calls: AtomicU64,
+    calls: Mutex<HashMap<Vec<NodeId>, u64>>,
+}
+
+impl<'a> Counting<'a> {
+    fn new(inner: &'a SynthesisOracle) -> Self {
+        Self { inner, calls: Mutex::new(HashMap::new()) }
+    }
+
+    /// Asserts that no member set reached the oracle twice during `run`,
+    /// and that its calls are the ones the run's frame counts: the
+    /// subgraphs its Evaluate stages sent plus the stages its quality
+    /// snapshots timed.
+    fn assert_each_set_timed_once(&self, run: &IsdcResult, at: &str) {
+        let calls = self.calls.lock().unwrap();
+        let repeated = calls.values().filter(|&&n| n > 1).count();
+        assert_eq!(repeated, 0, "{at}: member sets timed more than once");
+        let subgraphs: u64 = run.history.iter().map(|r| r.subgraphs_evaluated as u64).sum();
+        let stages = run.metrics.counter_or_zero("run/stages_evaluated");
+        assert_eq!(calls.values().sum::<u64>(), subgraphs + stages, "{at}: oracle calls");
+    }
 }
 
 impl DelayOracle for Counting<'_> {
     fn evaluate(&self, graph: &Graph, members: &[NodeId]) -> DelayReport {
-        self.calls.fetch_add(1, Ordering::Relaxed);
+        let mut set = members.to_vec();
+        set.sort_unstable();
+        set.dedup();
+        *self.calls.lock().unwrap().entry(set).or_insert(0) += 1;
         self.inner.evaluate(graph, members)
     }
     fn name(&self) -> &str {
@@ -165,9 +188,9 @@ fn assert_errors_recomputed(
 /// from-scratch shadow fed the same reports (full Alg. 2 pass, fresh build,
 /// cold solve) and `run_isdc`'s own record, estimation errors included. By
 /// induction over the iterations, the whole run equals the from-scratch
-/// pipeline. `run_isdc` times each distinct stage once: its oracle calls
-/// are the subgraphs it evaluated plus the distinct non-empty stages the
-/// replay saw.
+/// pipeline. `run_isdc` times each member set once, every stage the
+/// replay saw among them, and its oracle calls are the subgraphs and
+/// stages its frame says it sent.
 #[test]
 fn benchsuite_runs_are_bit_identical() {
     let lib = TechLibrary::sky130();
@@ -181,7 +204,7 @@ fn benchsuite_runs_are_bit_identical() {
             threads: 2,
             ..IsdcConfig::paper_defaults(clock)
         };
-        let counting = Counting { inner: &oracle, calls: AtomicU64::new(0) };
+        let counting = Counting::new(&oracle);
         let run =
             run_isdc(g, &model, &counting, &config).unwrap_or_else(|e| panic!("{}: {e}", b.name));
         let mut state =
@@ -232,18 +255,38 @@ fn benchsuite_runs_are_bit_identical() {
             stages.extend(state.schedule().stages().into_iter().filter(|m| !m.is_empty()));
         }
         assert_eq!(state.schedule(), &run.schedule, "{}: final schedules diverged", b.name);
-        let subgraphs: usize = run.history.iter().map(|r| r.subgraphs_evaluated).sum();
-        assert_eq!(
-            counting.calls.load(Ordering::Relaxed),
-            (subgraphs + stages.len()) as u64,
-            "{}: each distinct stage is timed once",
-            b.name
-        );
-        assert_eq!(
-            run.metrics.counter_or_zero("run/stages_evaluated"),
-            stages.len() as u64,
-            "{}",
-            b.name
-        );
+        counting.assert_each_set_timed_once(&run, b.name);
+        let timed = counting.calls.lock().unwrap();
+        assert!(stages.iter().all(|m| timed.contains_key(m)), "{}: a stage went untimed", b.name);
     }
+}
+
+/// No member set reaches the oracle twice within one `run_isdc`: a window
+/// re-extracted in a later iteration, or equal to a stage a quality
+/// snapshot timed (and the reverse), is answered from the run's earlier
+/// report. Every Table I design at its own clock with paper defaults, and
+/// seeded random DAGs at twice their largest node delay.
+#[test]
+fn no_member_set_reaches_the_oracle_twice_in_a_run() {
+    let lib = TechLibrary::sky130();
+    let model = OpDelayModel::new(lib.clone());
+    let oracle = SynthesisOracle::new(lib);
+    let suite = isdc::benchsuite::suite();
+    let random: Vec<Graph> =
+        (0..4).map(|seed| random_dag(&RandomDagConfig::default(), seed)).collect();
+    let table1 = suite.iter().map(|b| (&b.graph, b.clock_period_ps));
+    let random = random.iter().map(|g| {
+        let d_max = model.all_node_delays(g).into_iter().fold(0.0f64, f64::max);
+        (g, 2.0 * d_max)
+    });
+    let mut reused = 0;
+    for (g, clock) in table1.chain(random) {
+        let config = IsdcConfig { threads: 2, ..IsdcConfig::paper_defaults(clock) };
+        let counting = Counting::new(&oracle);
+        let run =
+            run_isdc(g, &model, &counting, &config).unwrap_or_else(|e| panic!("{}: {e}", g.name()));
+        counting.assert_each_set_timed_once(&run, g.name());
+        reused += run.metrics.counter_or_zero("run/subgraphs_reused");
+    }
+    assert!(reused > 0, "later iterations re-extract windows the run already timed");
 }

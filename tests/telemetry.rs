@@ -272,20 +272,23 @@ fn take_trace_clears_worker_tracks_between_runs() {
 #[test]
 fn fleet_totals_are_bit_identical_across_thread_counts() {
     // Deterministic leaves only: iteration counts, stage invocations and
-    // subgraph totals replay bit-identically however the batch is sharded
-    // or interleaved; drain/cache/timing leaves legitimately vary. The
-    // quality snapshots (`stage/oracle_metrics/calls`) are counted apart:
-    // a sweep takes them at its last point only, so they follow the shard
-    // plan, and only runs under one plan must agree on them.
-    const DETERMINISTIC_LEAVES: [&str; 3] = ["iterations", "subgraphs_evaluated", "calls"];
-    let deterministic = |frame: &MetricsFrame| -> Vec<u64> {
+    // the subgraphs Evaluate handled replay bit-identically however the
+    // batch is sharded or interleaved; drain/cache/timing leaves
+    // legitimately vary. The quality snapshots
+    // (`stage/oracle_metrics/calls`) are counted apart: a sweep takes them
+    // at its last point only, so they follow the shard plan, and only runs
+    // under one plan must agree on them. So must the subgraphs' split into
+    // those sent to the oracle and those answered from the run's memo,
+    // which a snapshot's stages fill too.
+    let deterministic = |frame: &MetricsFrame| -> ([u64; 3], [u64; 3]) {
         let totals = frame.totals();
+        let leaf = |l: &str| totals.get(l).copied().unwrap_or(0);
         let snapshots = frame.total_of("oracle_metrics/calls");
-        let mut leaves: Vec<u64> =
-            DETERMINISTIC_LEAVES.iter().map(|l| totals.get(*l).copied().unwrap_or(0)).collect();
-        leaves[2] -= snapshots;
-        leaves.push(snapshots);
-        leaves
+        let (evaluated, reused) = (leaf("subgraphs_evaluated"), leaf("subgraphs_reused"));
+        (
+            [leaf("iterations"), evaluated + reused, leaf("calls") - snapshots],
+            [snapshots, evaluated, reused],
+        )
     };
 
     // Not a tracing test, but its worker threads would write onto the
@@ -297,21 +300,20 @@ fn fleet_totals_are_bit_identical_across_thread_counts() {
     let oracle = SynthesisOracle::new(lib);
 
     let reference = serial_reference(&designs, &jobs, &model, &oracle).expect("serial");
-    let expected = deterministic(&reference.metrics);
+    let (expected, _) = deterministic(&reference.metrics);
     assert!(expected.iter().all(|&v| v > 0), "reference totals must be non-trivial: {expected:?}");
 
-    let mut sharded_snapshots = None;
+    let mut sharded_plan = None;
     for threads in [1usize, 2, 4] {
         let cache = Arc::new(DelayCache::new());
         let options = BatchOptions { threads, shard_points: 1, ..Default::default() };
         let report = run_batch(&designs, &jobs, &options, &model, &oracle, &cache).expect("batch");
-        let mut got = deterministic(&report.metrics);
-        let snapshots = got.pop();
-        assert_eq!(got, expected[..3], "fleet totals diverged at {threads} threads");
+        let (got, plan) = deterministic(&report.metrics);
+        assert_eq!(got, expected, "fleet totals diverged at {threads} threads");
         assert_eq!(
-            *sharded_snapshots.get_or_insert(snapshots),
-            snapshots,
-            "snapshot counts diverged at {threads} threads"
+            *sharded_plan.get_or_insert(plan),
+            plan,
+            "snapshot and oracle counts diverged at {threads} threads"
         );
     }
 }
